@@ -42,10 +42,11 @@ class AdiabaticScenario:
     curve: Curve                      # parameterized by s in [0, 1]
     tau: float
     levels: tuple[int, ...] | None = None  # None: all levels
-    # optional analytic hooks (index by level)
+    # optional analytic hooks (index by level); the returned maps are batched
+    # over s: connection ss (m,) -> (m, l, l), energy ss (m,) -> (m,)
     frame_fn: Callable[[int, np.ndarray], FrameField] | None = None
-    connection_fn: Callable[[int], Callable[[float], np.ndarray]] | None = None
-    energy_fn: Callable[[int], Callable[[float], float]] | None = None
+    connection_fn: Callable[[int], Callable[[np.ndarray], np.ndarray]] | None = None
+    energy_fn: Callable[[int], Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -67,16 +68,23 @@ class AdiabaticScenario:
     def s_grid(self, num_samples: int) -> np.ndarray:
         return np.linspace(0.0, 1.0, num_samples)
 
-    def theta_at(self, s: float) -> np.ndarray:
+    def theta_at(self, ss: np.ndarray) -> np.ndarray:
+        """Curve parameters at normalized times ss (m,) -> (m, N).
+
+        Uses the curve's evaluator when present, otherwise linear
+        interpolation between its samples.
+        """
+        ss = np.asarray(ss, dtype=float)
         if self.curve.evaluator is not None:
-            return np.atleast_1d(np.asarray(self.curve.evaluator(s), dtype=float))
+            return np.asarray(self.curve.evaluator(ss), dtype=float)
         pts, ts = self.curve.points, self.curve.times
-        k = int(np.clip(np.searchsorted(ts, s) - 1, 0, len(ts) - 2))
-        w = (s - ts[k]) / (ts[k + 1] - ts[k])
+        k = np.clip(np.searchsorted(ts, ss) - 1, 0, len(ts) - 2)
+        w = ((ss - ts[k]) / (ts[k + 1] - ts[k]))[:, None]
         return (1 - w) * pts[k] + w * pts[k + 1]
 
-    def hamiltonian_at(self, s: float) -> np.ndarray:
-        return self.family(self.theta_at(s))
+    def hamiltonian_at(self, ss: np.ndarray) -> np.ndarray:
+        """H at normalized times ss (m,) -> (m, dim, dim), one family call."""
+        return self.family(self.theta_at(ss))
 
     def level_indices(self, num_levels: int) -> tuple[int, ...]:
         if self.levels is None:
@@ -87,8 +95,7 @@ class AdiabaticScenario:
 
     def sampled_curve(self, num_samples: int) -> Curve:
         ss = self.s_grid(num_samples)
-        pts = np.array([self.theta_at(s) for s in ss])
-        return Curve(times=ss, points=pts, cyclic=False, evaluator=self.curve.evaluator)
+        return Curve(times=ss, points=self.theta_at(ss), cyclic=False, evaluator=self.curve.evaluator)
 
 
 def _level_frames(scenario: AdiabaticScenario, level: int, num_samples: int) -> FrameField:
@@ -101,7 +108,7 @@ def _level_connection(scenario: AdiabaticScenario, frames: FrameField) -> Connec
     evaluator = None
     if scenario.connection_fn is not None:
         evaluator = scenario.connection_fn(frames.level_index)
-    return connection_matrices(frames, lambda s: scenario.hamiltonian_at(s), evaluator_a=evaluator)
+    return connection_matrices(frames, scenario.hamiltonian_at(frames.times), evaluator_a=evaluator)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -114,8 +121,7 @@ def _dynamical_phases(scenario: AdiabaticScenario, frames: FrameField) -> np.nda
     """delta_n(s_k) = -tau * integral_0^{s_k} E_n(s') ds'."""
     ss = frames.times
     if scenario.energy_fn is not None:
-        en = scenario.energy_fn(frames.level_index)
-        energies = np.array([en(s) for s in ss])
+        energies = np.asarray(scenario.energy_fn(frames.level_index)(ss), dtype=float)
     else:
         energies = frames.eigenvalues
     return -scenario.tau * _cumulative_trapezoid(energies, ss)
@@ -127,7 +133,7 @@ def adiabatic_propagator(
     method: str = "magnus4",
 ) -> PropagatorTrace:
     """Assemble U0(t) on the grid t = tau * s."""
-    spectrum0 = eig_hermitian(scenario.hamiltonian_at(0.0))
+    spectrum0 = eig_hermitian(scenario.hamiltonian_at(np.zeros(1))[0])
     levels = scenario.level_indices(len(spectrum0.levels))
     if scenario.levels is None:
         pass
@@ -169,7 +175,7 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
     if num_samples < 3:
         raise ResolutionError("adiabaticity report needs at least 3 samples")
     ss = scenario.s_grid(num_samples)
-    hams = np.array([scenario.hamiltonian_at(s) for s in ss])
+    hams = scenario.hamiltonian_at(ss)
     spectra = [eig_hermitian(h) for h in hams]
     pattern = spectra[0].multiplicities
     for k, spec in enumerate(spectra):
@@ -222,7 +228,7 @@ def full_propagator(
     """U(tau): integrate i dU/dt = H(t) U over the full drive."""
     steps = max(min_steps, int(np.ceil(scenario.tau * steps_per_time)))
     ts = np.linspace(0.0, scenario.tau, steps + 1)
-    gen = lambda t: scenario.hamiltonian_at(t / scenario.tau)
+    gen = lambda nodes: scenario.hamiltonian_at(nodes / scenario.tau)
     dim = scenario.family.dim
     problem = MatrixOdeProblem(generator=gen, initial=np.eye(dim, dtype=complex), times=ts)
     return propagate(problem, method).final
@@ -273,11 +279,12 @@ def adiabatic_noncyclic_phase(
 
     s_target = t / scenario.tau
     k = int(np.argmin(np.abs(frames.times - s_target)))
+    theta_start, theta_end = scenario.theta_at(frames.times[[0, k]])
     w = overlap_matrix(
         frames.frames[0],
         frames.frames[k],
         level_index=level,
-        theta_start=scenario.theta_at(0.0),
-        theta_end=scenario.theta_at(frames.times[k]),
+        theta_start=theta_start,
+        theta_end=theta_end,
     )
     return noncyclic_phase(w, gamma_trace.matrices[k], dynamical_phase=float(delta[k]))

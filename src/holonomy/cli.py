@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=["midpoint", "magnus4"], default=None,
                        help="override the integrator")
         p.add_argument("--seed", type=int, default=None, help="override the random seed")
-        p.add_argument("--workers", type=int, default=None, help="override the worker count")
+        p.add_argument("--workers", type=int, default=None, help="accepted for compatibility; runs are sequential and it has no effect")
         p.add_argument("--progress", action="store_true", help="print progress lines to stdout")
         p.add_argument("--json", action="store_true", help="also emit JSON where applicable")
 

@@ -53,7 +53,7 @@ class ScenarioConfig:
     levels: tuple[int, ...] | None = None  # 1-based labels; None = all
     seed: int = 0
     gauge_count: int = 100
-    workers: int = 1
+    workers: int = 1  # accepted and validated; runs are sequential, so it has no effect
     # quadrupole fields
     coupling: float = 1.0
     rho: float = 1.0

@@ -15,6 +15,7 @@ all Hermitian l_n x l_n, where |a>, |b> run over the level frame.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import DomainError, LevelCrossingError, ResolutionError, StructuralError
 from .linalg import (
     Spectrum,
+    _first_over_scale,
     eig_hermitian,
-    frame_orthonormality_defect,
     polar_unitary_factor,
     require_hermitian,
     require_unitary,
@@ -41,7 +42,7 @@ class Curve:
     times: np.ndarray          # (m,) strictly increasing
     points: np.ndarray         # (m, N)
     cyclic: bool = False
-    evaluator: Callable[[float], np.ndarray] | None = None  # optional analytic theta(t)
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = None  # optional analytic theta: ts (m,) -> (m, N)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -67,40 +68,61 @@ class Curve:
 
 
 def curve_from_function(
-    f: Callable[[float], np.ndarray | Sequence[float] | float],
+    f: Callable[[np.ndarray], np.ndarray],
     t0: float,
     t1: float,
     num_samples: int,
     cyclic: bool = False,
 ) -> Curve:
-    """Sample theta(t) = f(t) on a uniform grid of ``num_samples`` points."""
+    """Sample a batched theta = f(ts), (m,) -> (m, N), on a uniform grid; f becomes the evaluator."""
     times = np.linspace(t0, t1, num_samples)
-    points = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in times])
+    points = np.array(f(times), dtype=float)
     if cyclic:
         points[-1] = points[0]
-    return Curve(times=times, points=points, cyclic=cyclic, evaluator=lambda t: np.atleast_1d(np.asarray(f(t), dtype=float)))
+    return Curve(times=times, points=points, cyclic=cyclic, evaluator=f)
 
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Hermitian operator family I[theta], optionally linear in fixed generators."""
+    """Hermitian operator family I[theta], optionally linear in fixed generators.
+
+    ``evaluator`` is batched: it maps a parameter stack (m, N) to (m, dim, dim).
+    """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     generators: tuple[np.ndarray, ...] | None = None
     generator_consistency_tol: float = 1e-12
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        m = require_hermitian(np.asarray(self.evaluator(theta), dtype=complex), name="family value")
-        if m.shape != (self.dim, self.dim):
-            raise DomainError(f"family evaluator returned shape {m.shape}, expected ({self.dim}, {self.dim})")
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        """I at a parameter stack (m, N) -> (m, dim, dim), or at one point (N,) -> (dim, dim).
+
+        The whole batch is validated at once; each matrix is held to its own scale.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        single = thetas.ndim < 2
+        if single:
+            thetas = np.atleast_1d(thetas)[None]
+        values = np.asarray(self.evaluator(thetas), dtype=complex)
+        if values.shape != (len(thetas), self.dim, self.dim):
+            raise DomainError(
+                f"family evaluator returned shape {values.shape} for {len(thetas)} points, "
+                f"expected ({len(thetas)}, {self.dim}, {self.dim})"
+            )
+        require_hermitian(values, name="family value")
         if self.generators is not None:
-            lin = sum(t * g for t, g in zip(theta, self.generators))
-            scale = max(float(np.max(np.abs(m))), 1.0)
-            if float(np.max(np.abs(m - lin))) > self.generator_consistency_tol * scale:
+            mismatch = np.abs(values - _expand(thetas, self.generators))
+            if _first_over_scale(mismatch, values, self.generator_consistency_tol) is not None:
                 raise StructuralError("family evaluator disagrees with its generator expansion")
-        return m
+        return values[0] if single else values
+
+
+def _expand(thetas: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i theta^i X_i for a parameter stack (m, N) -> (m, d, d)."""
+    if thetas.shape[1] != len(gens):
+        raise DomainError(f"theta has {thetas.shape[1]} components, family has {len(gens)} generators")
+    # einsum sums over i in order, as sum(theta_i * X_i) does; tensordot's BLAS order rounds differently
+    return np.einsum("mn,nij->mij", thetas, np.asarray(gens))
 
 
 def family_from_generators(generators: Sequence[np.ndarray]) -> OperatorFamily:
@@ -111,14 +133,7 @@ def family_from_generators(generators: Sequence[np.ndarray]) -> OperatorFamily:
     dim = gens[0].shape[0]
     if any(g.shape != (dim, dim) for g in gens):
         raise DomainError("generators must share one dimension")
-
-    def evaluate(theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if len(theta) != len(gens):
-            raise DomainError(f"theta has {len(theta)} components, family has {len(gens)} generators")
-        return sum(t * g for t, g in zip(theta, gens))
-
-    return OperatorFamily(dim=dim, evaluator=evaluate, generators=gens)
+    return OperatorFamily(dim=dim, evaluator=lambda thetas: _expand(thetas, gens), generators=gens)
 
 
 @dataclass(frozen=True)
@@ -153,8 +168,8 @@ class ConnectionSamples:
     times: np.ndarray            # (m,)
     a: np.ndarray                # (m, l, l) connection matrices
     e: np.ndarray                # (m, l, l) energy matrices
-    evaluator_a: Callable[[float], np.ndarray] | None = None
-    evaluator_e: Callable[[float], np.ndarray] | None = None
+    evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None  # batched: ts (m,) -> (m, l, l)
+    evaluator_e: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def d(self) -> np.ndarray:
@@ -164,15 +179,41 @@ class ConnectionSamples:
     def multiplicity(self) -> int:
         return self.a.shape[1]
 
-    def evaluator_d(self) -> Callable[[float], np.ndarray] | None:
-        if self.evaluator_a is None or self.evaluator_e is None:
-            return None
-        ea, ee = self.evaluator_a, self.evaluator_e
-        return lambda t: np.asarray(ee(t)) - np.asarray(ea(t))
+
+def _generator_from_samples(times: np.ndarray, mats: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched smooth interpolant through sampled Hermitian matrices: ts (m,) -> (m, l, l).
+
+    Cubic spline per entry for >= 4 samples (keeps magnus4 at fourth order),
+    linear interpolation otherwise.  Node times are clipped to the sampled range.
+    The spline is built on first evaluation, so an interpolant that is never
+    evaluated never imports scipy.
+    """
+    t0, t1 = times[0], times[-1]
+    if len(times) >= 4:
+        @functools.cache
+        def spline():
+            from scipy.interpolate import CubicSpline
+
+            return CubicSpline(times, mats, axis=0)
+
+        def interpolate(ts: np.ndarray) -> np.ndarray:
+            return spline()(np.clip(ts, t0, t1))
+    else:
+        def interpolate(ts: np.ndarray) -> np.ndarray:
+            ts = np.clip(ts, t0, t1)
+            k = np.clip(np.searchsorted(times, ts) - 1, 0, len(times) - 2)
+            w = ((ts - times[k]) / (times[k + 1] - times[k]))[:, None, None]
+            return (1 - w) * mats[k] + w * mats[k + 1]
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        m = interpolate(np.asarray(ts, dtype=float))
+        return 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+
+    return evaluate
 
 
 def _spectra_along(family: OperatorFamily, curve: Curve, degeneracy_tol: float | None) -> list[Spectrum]:
-    return [eig_hermitian(family(theta), degeneracy_tol) for theta in curve.points]
+    return [eig_hermitian(h, degeneracy_tol) for h in family(curve.points)]
 
 
 def transport_frame(
@@ -236,30 +277,6 @@ def transport_frame(
     )
 
 
-def frame_field_from_function(
-    frame_fn: Callable[[float], np.ndarray],
-    times: np.ndarray,
-    level: int = 0,
-    eigenvalue_fn: Callable[[float], float] | None = None,
-    cyclic: bool = False,
-) -> FrameField:
-    """Build a FrameField from an analytic frame map t -> (dim x l) matrix."""
-    times = np.asarray(times, dtype=float)
-    frames = np.array([np.asarray(frame_fn(t), dtype=complex) for t in times])
-    for k, f in enumerate(frames):
-        if frame_orthonormality_defect(f) > 1e-10:
-            raise StructuralError(f"analytic frame at sample {k} is not orthonormal")
-    eigs = np.zeros(len(times)) if eigenvalue_fn is None else np.array([eigenvalue_fn(t) for t in times])
-    return FrameField(
-        level_index=level,
-        multiplicity=frames.shape[2],
-        times=times,
-        frames=frames,
-        eigenvalues=eigs,
-        cyclic=cyclic,
-    )
-
-
 def _central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """d/dt of a sampled matrix path; central interior, one-sided endpoints."""
     out = np.empty_like(values)
@@ -271,54 +288,53 @@ def _central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def connection_matrices(
     frames: FrameField,
-    hamiltonian: Callable[[float], np.ndarray],
-    evaluator_a: Callable[[float], np.ndarray] | None = None,
+    hamiltonians: np.ndarray,
+    evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ConnectionSamples:
     """Compute E^n, A^n, D^n along a frame field.
 
+    ``hamiltonians`` is the stack H(t_k) (m, dim, dim) at the frame times.
     A^n comes from central finite differences of the frames (one-sided at the
     endpoints), hermitized as (M + M^dag)/2; an analytic ``evaluator_a`` may be
-    supplied to bypass differentiation downstream.  E^n is exact per sample.
+    supplied to bypass differentiation downstream, in which case E^n between
+    the samples comes from the interpolant the sampled route uses.  E^n is
+    exact per sample.
     """
     if frames.num_samples < 3:
         raise ResolutionError("connection matrices need at least 3 samples")
     ts = frames.times
+    hams = np.asarray(hamiltonians, dtype=complex)
+    if hams.shape != (frames.num_samples, frames.dim, frames.dim):
+        raise DomainError(
+            f"hamiltonian stack has shape {hams.shape}, expected ({frames.num_samples}, {frames.dim}, {frames.dim})"
+        )
+    require_hermitian(hams, name="H(t)")
     fdot = _central_difference(frames.frames, ts)
     a = 1j * np.einsum("kia,kib->kab", frames.frames.conj(), fdot)
     a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
-    e = np.empty_like(a)
-    for k, t in enumerate(ts):
-        h = require_hermitian(np.asarray(hamiltonian(t), dtype=complex), name="H(t)")
-        e[k] = frames.frames[k].conj().T @ h @ frames.frames[k]
-        e[k] = 0.5 * (e[k] + e[k].conj().T)
-
-    def eval_e(t: float) -> np.ndarray:
-        k = int(np.clip(np.searchsorted(ts, t), 0, len(ts) - 1))
-        return e[k]
-
+    e = np.conj(np.swapaxes(frames.frames, 1, 2)) @ hams @ frames.frames
+    e = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
     return ConnectionSamples(
         level_index=frames.level_index,
         times=ts.copy(),
         a=a,
         e=e,
         evaluator_a=evaluator_a,
-        evaluator_e=None if evaluator_a is None else eval_e,
+        evaluator_e=None if evaluator_a is None else _generator_from_samples(ts, e),
     )
 
 
-def apply_gauge(frames: FrameField, v: Callable[[float], np.ndarray]) -> FrameField:
-    """Post-multiply each frame by a unitary l x l gauge v(t)."""
-    new = np.empty_like(frames.frames)
-    for k, t in enumerate(frames.times):
-        vk = require_unitary(np.asarray(v(t), dtype=complex), name=f"gauge at t={t}")
-        if vk.shape != (frames.multiplicity, frames.multiplicity):
-            raise DomainError("gauge dimension does not match level multiplicity")
-        new[k] = frames.frames[k] @ vk
+def apply_gauge(frames: FrameField, v: Callable[[np.ndarray], np.ndarray]) -> FrameField:
+    """Post-multiply each frame by a unitary l x l gauge; ``v`` maps ts (m,) -> (m, l, l)."""
+    vs = np.asarray(v(frames.times), dtype=complex)
+    if vs.shape != (frames.num_samples, frames.multiplicity, frames.multiplicity):
+        raise DomainError("gauge dimension does not match level multiplicity")
+    require_unitary(vs, name="gauge")
     return FrameField(
         level_index=frames.level_index,
         multiplicity=frames.multiplicity,
         times=frames.times.copy(),
-        frames=new,
+        frames=frames.frames @ vs,
         eigenvalues=frames.eigenvalues.copy(),
         cyclic=frames.cyclic,
         cyclic_misalignment=None,
@@ -328,23 +344,21 @@ def apply_gauge(frames: FrameField, v: Callable[[float], np.ndarray]) -> FrameFi
 def verify_invariant(
     family: OperatorFamily,
     curve: Curve,
-    hamiltonian: Callable[[float], np.ndarray],
+    hamiltonians: np.ndarray,
 ) -> float:
     """Residual max_t |dI/dt - i[I, H]|, a diagnostic for invariant candidates.
 
-    dI/dt is taken by central differences over interior samples; the exact
-    invariant condition would make the residual vanish up to truncation.
+    ``hamiltonians`` is the stack H(t_k) at the curve times.  dI/dt is taken
+    by central differences over interior samples; the exact invariant
+    condition would make the residual vanish up to truncation.
     """
     if curve.num_samples < 3:
         raise ResolutionError("invariant check needs at least 3 samples")
-    values = np.array([family(theta) for theta in curve.points])
-    h0 = np.asarray(hamiltonian(curve.times[0]), dtype=complex)
-    if h0.shape != (family.dim, family.dim):
-        raise DomainError("hamiltonian dimension does not match the family")
-    worst = 0.0
-    for k in range(1, curve.num_samples - 1):
-        didt = (values[k + 1] - values[k - 1]) / (curve.times[k + 1] - curve.times[k - 1])
-        h = np.asarray(hamiltonian(curve.times[k]), dtype=complex)
-        comm = values[k] @ h - h @ values[k]
-        worst = max(worst, float(np.max(np.abs(didt - 1j * comm))))
-    return worst
+    values = family(curve.points)
+    hams = np.asarray(hamiltonians, dtype=complex)
+    if hams.shape != values.shape:
+        raise DomainError(f"hamiltonian stack has shape {hams.shape}, the family values {values.shape}")
+    ts = curve.times
+    didt = (values[2:] - values[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
+    comm = values[1:-1] @ hams[1:-1] - hams[1:-1] @ values[1:-1]
+    return float(np.max(np.abs(didt - 1j * comm)))

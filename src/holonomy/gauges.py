@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ConnectionSamples
+from .frames import ConnectionSamples, _generator_from_samples
 
 
 def _exp_i_and_frechet_many(g: np.ndarray, gdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,11 +39,6 @@ def _exp_i_and_frechet_many(g: np.ndarray, gdot: np.ndarray) -> tuple[np.ndarray
     inner = np.einsum("...ji,...jk,...kl->...il", q.conj(), gdot, q)
     dv = np.einsum("...ij,...jk,...lk->...il", q, kernel * inner, q.conj())
     return v, dv
-
-
-def _exp_i_and_frechet(g: np.ndarray, gdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(iG), d/dt exp(iG)) for one Hermitian G(t) with derivative Gdot."""
-    return _exp_i_and_frechet_many(g, gdot)
 
 
 @dataclass(frozen=True)
@@ -114,26 +109,19 @@ def random_smooth_gauge(
 
 
 class _TransformedConnectionEvaluator:
-    """A~ (or E~) under a smooth gauge, with a batched evaluation path."""
+    """A~ (or E~) under a smooth gauge, batched: ts (m,) -> (m, l, l)."""
 
     def __init__(self, connection: ConnectionSamples, gauge: SmoothGauge, which: str):
-        self._connection = connection
+        base = connection.evaluator_a if which == "a" else connection.evaluator_e
+        if base is None:
+            base = _generator_from_samples(connection.times, connection.a if which == "a" else connection.e)
+        self._base = base
         self._gauge = gauge
         self._which = which
 
-    def _base(self, ts: np.ndarray) -> np.ndarray:
-        conn = self._connection
-        evaluator = conn.evaluator_a if self._which == "a" else conn.evaluator_e
-        if evaluator is not None:
-            many = getattr(evaluator, "many", None)
-            if many is not None:
-                return np.asarray(many(ts), dtype=complex)
-            return np.array([evaluator(t) for t in ts], dtype=complex)
-        return np.array([_sample_lookup(conn, t, self._which) for t in ts], dtype=complex)
-
     def many(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        base = self._base(ts)
+        base = np.asarray(self._base(ts), dtype=complex)
         if self._which == "a":
             v, dv = self._gauge.value_and_derivative(ts)
             vh = np.conj(np.swapaxes(v, -1, -2))
@@ -143,16 +131,16 @@ class _TransformedConnectionEvaluator:
         vh = np.conj(np.swapaxes(v, -1, -2))
         return np.einsum("...ij,...jk,...kl->...il", vh, base, v)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.many(np.array([float(t)]))[0]
+    def __call__(self, ts) -> np.ndarray:
+        return self.many(ts)
 
 
 def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> ConnectionSamples:
     """Apply the exact gauge law to a connection.
 
-    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v.  Evaluators carry a
-    batched path so the integrators stay fast; sampled values fall back to
-    nearest-sample lookup when the input connection has no evaluators.
+    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v.  When the input
+    connection has no evaluators, A and E between the samples come from the
+    same interpolant the integrators use for sampled data.
     """
     a_tilde = _TransformedConnectionEvaluator(connection, gauge, "a")
     e_tilde = _TransformedConnectionEvaluator(connection, gauge, "e")
@@ -165,8 +153,3 @@ def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> C
         evaluator_a=a_tilde,
         evaluator_e=e_tilde,
     )
-
-
-def _sample_lookup(connection: ConnectionSamples, t: float, which: str) -> np.ndarray:
-    k = int(np.clip(np.searchsorted(connection.times, t), 0, len(connection.times) - 1))
-    return connection.a[k] if which == "a" else connection.e[k]

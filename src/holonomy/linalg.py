@@ -26,7 +26,7 @@ def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise DomainError(f"{name} must be square, got shape {m.shape}")
     if m.size == 0:
         raise DomainError(f"{name} is empty")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise DomainError(f"{name} has non-finite entries")
     return m
 
@@ -43,23 +43,57 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
+def _as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
+    """One square matrix or a stack of them, with the checks of as_square_matrix, as (k, d, d)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
+    if m.size == 0:
+        raise DomainError(f"{name} is empty")
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{name} has non-finite entries")
+    return m if m.ndim == 3 else m[None]
+
+
+def _first_over_scale(deviation: np.ndarray, stack: np.ndarray, tol: float) -> int | None:
+    """First k with max|deviation_k| > tol * max(max|stack_k|, 1); both are (k, d, d)."""
+    if not np.max(deviation) > tol:  # every scale is >= 1, so no matrix can fail
+        return None
+    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+    bad = np.flatnonzero(np.max(deviation, axis=(1, 2)) > tol * scales)
+    return int(bad[0]) if bad.size else None
+
+
+def _position(k: int, stacked: bool) -> str:
+    return f" (matrix {k} of the stack)" if stacked else ""
+
+
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_square_matrix(m, name)
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    if hermiticity_defect(m) > tol * scale:
+    """Validate one (d, d) matrix or a stack (k, d, d), each matrix against its own scale."""
+    stack = _as_square_stack(m, name)
+    deviation = np.abs(stack - np.conj(np.swapaxes(stack, 1, 2)))
+    k = _first_over_scale(deviation, stack, tol)
+    if k is not None:
+        scale = max(float(np.max(np.abs(stack[k]))), 1.0)
         raise StructuralError(
-            f"{name} is not Hermitian: defect {hermiticity_defect(m):.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
+            f"{name} is not Hermitian{_position(k, np.ndim(m) == 3)}: "
+            f"defect {np.max(deviation[k]):.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
-    return m
+    return stack if np.ndim(m) == 3 else stack[0]
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.ndarray:
-    u = as_square_matrix(u, name)
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise StructuralError(f"{name} is not unitary: defect {defect:.3e} exceeds {tol:.1e}")
-    return u
+    """Validate one (d, d) matrix or a stack (k, d, d) of unitary matrices."""
+    stack = _as_square_stack(u, name)
+    gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
+    defects = np.max(np.abs(gram - np.eye(stack.shape[1])), axis=(1, 2))
+    bad = np.flatnonzero(defects > tol)
+    if bad.size:
+        k = int(bad[0])
+        raise StructuralError(
+            f"{name} is not unitary{_position(k, np.ndim(u) == 3)}: defect {defects[k]:.3e} exceeds {tol:.1e}"
+        )
+    return stack if np.ndim(u) == 3 else stack[0]
 
 
 @dataclass(frozen=True)

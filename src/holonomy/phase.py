@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DomainError, UndefinedPhaseError
 from .linalg import require_unitary
@@ -207,6 +206,8 @@ def diagonal_decomposition(
     equals trace(w Gamma); the weights are the diagonal endpoint overlaps in
     the basis where Gamma is diagonal.
     """
+    from scipy.linalg import schur  # imported here: scipy.linalg doubles the package import time
+
     gamma = require_unitary(np.asarray(gamma, dtype=complex), name="holonomy")
     w = overlap_matrix(frame_start, frame_end).matrix
     # unitary => normal, so the complex Schur form is diagonal

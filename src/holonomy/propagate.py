@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, StructuralError
-from .frames import ConnectionSamples, FrameField
-from .linalg import HERMITICITY_TOL, expm_skew_many, require_unitary
+from .errors import DomainError, ResolutionError
+from .frames import ConnectionSamples, FrameField, _generator_from_samples
+from .linalg import HERMITICITY_TOL, expm_skew_many, require_hermitian, require_unitary
 
 METHODS = ("midpoint_exp", "magnus4")
 STEP_NORM_LIMIT = 1.0  # reject steps with |K| h beyond this
@@ -31,9 +31,12 @@ _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class MatrixOdeProblem:
-    """i dM/dt = K(t) M with Hermitian K(t) and unitary initial value."""
+    """i dM/dt = K(t) M with Hermitian K(t) and unitary initial value.
 
-    generator: Callable[[float], np.ndarray]
+    ``generator`` is batched: it maps node times (m,) to the stack K (m, l, l).
+    """
+
+    generator: Callable[[np.ndarray], np.ndarray]
     initial: np.ndarray
     times: np.ndarray  # (m,) strictly increasing output grid
 
@@ -67,19 +70,18 @@ class PropagatorTrace:
         return self.matrices[k]
 
 
-def _check_hermitian_batch(ks: np.ndarray) -> None:
-    defect = float(np.max(np.abs(ks - np.conj(np.swapaxes(ks, 1, 2)))))
-    scale = max(float(np.max(np.abs(ks))), 1.0)
-    if defect > HERMITICITY_TOL * scale * 10:
-        raise StructuralError(f"generator is not Hermitian: defect {defect:.3e}")
+def _check_generator_batch(ks: np.ndarray, initial: np.ndarray) -> None:
+    if ks.shape[1] != initial.shape[0]:
+        raise DomainError(f"generator is {ks.shape[1]}x{ks.shape[1]}, initial value has {initial.shape[0]} rows")
+    require_hermitian(ks, tol=10 * HERMITICITY_TOL, name="generator")
 
 
-def _eval_nodes(gen: Callable[[float], np.ndarray], ts: np.ndarray) -> np.ndarray:
-    """Evaluate a generator at many nodes, using a batched path when offered."""
-    many = getattr(gen, "many", None)
-    if many is not None:
-        return np.asarray(many(ts), dtype=complex)
-    return np.array([gen(t) for t in ts], dtype=complex)
+def _eval_nodes(gen: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.ndarray:
+    """Evaluate a generator once on a node set: ts (m,) -> (m, l, l)."""
+    ks = np.asarray(gen(ts), dtype=complex)
+    if ks.ndim != 3 or ks.shape[0] != len(ts) or ks.shape[1] != ks.shape[2]:
+        raise DomainError(f"generator returned shape {ks.shape} for {len(ts)} nodes, expected ({len(ts)}, l, l)")
+    return ks
 
 
 def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorTrace:
@@ -92,13 +94,13 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
 
     if method == "midpoint_exp":
         ks = _eval_nodes(problem.generator, mids)
-        _check_hermitian_batch(ks)
+        _check_generator_batch(ks, problem.initial)
         heff = ks * hs[:, None, None]
     else:
         k1 = _eval_nodes(problem.generator, mids - _GAUSS_OFFSET * hs)
         k2 = _eval_nodes(problem.generator, mids + _GAUSS_OFFSET * hs)
-        _check_hermitian_batch(k1)
-        _check_hermitian_batch(k2)
+        _check_generator_batch(k1, problem.initial)
+        _check_generator_batch(k2, problem.initial)
         comm = np.einsum("kij,kjl->kil", k2, k1) - np.einsum("kij,kjl->kil", k1, k2)
         heff = 0.5 * (k1 + k2) * hs[:, None, None] - 1j * (np.sqrt(3.0) / 12.0) * (hs[:, None, None] ** 2) * comm
 
@@ -122,61 +124,6 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
     return PropagatorTrace(times=ts.copy(), matrices=out, method=method, max_step_norm=max_step_norm)
 
 
-class _ScaledGenerator:
-    """Scalar multiple of a generator callable, preserving any batched path."""
-
-    def __init__(self, inner: Callable[[float], np.ndarray], factor: complex):
-        self._inner = inner
-        self._factor = factor
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._factor * np.asarray(self._inner(t), dtype=complex)
-
-    def many(self, ts: np.ndarray) -> np.ndarray:
-        return self._factor * _eval_nodes(self._inner, ts)
-
-
-class _SummedGenerator:
-    """Pointwise sum a(t) + b(t) of generator callables."""
-
-    def __init__(self, a: Callable[[float], np.ndarray], b: Callable[[float], np.ndarray]):
-        self._a = a
-        self._b = b
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self._a(t), dtype=complex) + np.asarray(self._b(t), dtype=complex)
-
-    def many(self, ts: np.ndarray) -> np.ndarray:
-        return _eval_nodes(self._a, ts) + _eval_nodes(self._b, ts)
-
-
-def _generator_from_samples(times: np.ndarray, mats: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Smooth interpolant through sampled Hermitian matrices.
-
-    Cubic spline per entry for >= 4 samples (keeps magnus4 at fourth order),
-    linear interpolation otherwise.
-    """
-    if len(times) >= 4:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(times, mats, axis=0)
-
-        def evaluate(t: float) -> np.ndarray:
-            m = spline(float(np.clip(t, times[0], times[-1])))
-            return 0.5 * (m + m.conj().T)
-
-        return evaluate
-
-    def evaluate_linear(t: float) -> np.ndarray:
-        t = float(np.clip(t, times[0], times[-1]))
-        k = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        m = (1 - w) * mats[k] + w * mats[k + 1]
-        return 0.5 * (m + m.conj().T)
-
-    return evaluate_linear
-
-
 def holonomy(
     connection: ConnectionSamples,
     method: str = "magnus4",
@@ -189,10 +136,9 @@ def holonomy(
     The result depends on the sampled geometry, not on traversal speed.
     """
     ts = connection.times if times is None else np.asarray(times, dtype=float)
-    base = connection.evaluator_a or _generator_from_samples(connection.times, connection.a)
-    gen = _ScaledGenerator(base, -1.0)
+    a = connection.evaluator_a or _generator_from_samples(connection.times, connection.a)
     l = connection.multiplicity
-    problem = MatrixOdeProblem(generator=gen, initial=np.eye(l, dtype=complex), times=ts)
+    problem = MatrixOdeProblem(generator=lambda nodes: -a(nodes), initial=np.eye(l, dtype=complex), times=ts)
     return propagate(problem, method)
 
 
@@ -207,8 +153,9 @@ def lewis_riesenfeld_u(
     l = connection.multiplicity
     if u0 is None:
         u0 = np.eye(l, dtype=complex)
-    if connection.evaluator_a is not None and connection.evaluator_e is not None:
-        gen = _SummedGenerator(connection.evaluator_e, _ScaledGenerator(connection.evaluator_a, -1.0))
+    a, e = connection.evaluator_a, connection.evaluator_e
+    if a is not None and e is not None:
+        gen = lambda nodes: e(nodes) - a(nodes)
     else:
         gen = _generator_from_samples(connection.times, connection.d)
     problem = MatrixOdeProblem(generator=gen, initial=np.asarray(u0, dtype=complex), times=ts)

@@ -53,10 +53,14 @@ S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """Field configuration in cylindrical coordinates, with coupling."""
+    """Field configuration in cylindrical coordinates, with coupling.
+
+    ``phi`` may be an array of azimuths: the point then stands for that many
+    fields, and :func:`hamiltonian` and :func:`level_frame` return stacks.
+    """
 
     rho: float
-    phi: float
+    phi: float | np.ndarray
     zeta: float
     coupling: float = 1.0
 
@@ -119,10 +123,10 @@ class PrecessionScenario:
     def cos_theta(self) -> float:
         return float(np.cos(self.theta))
 
-    def phi_at(self, t: float) -> float:
+    def phi_at(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.phi0 + self.omega * t
 
-    def field_at(self, t: float) -> FieldPoint:
+    def field_at(self, t: float | np.ndarray) -> FieldPoint:
         return FieldPoint(rho=self.rho, phi=self.phi_at(t), zeta=self.zeta, coupling=self.coupling)
 
     def times(self, num_samples: int) -> np.ndarray:
@@ -135,8 +139,8 @@ class PrecessionScenario:
 
     def hamiltonian_family(self) -> OperatorFamily:
         """One-parameter family phi -> H(phi) at this scenario's theta."""
-        def evaluate(theta_vec: np.ndarray) -> np.ndarray:
-            return hamiltonian(FieldPoint(self.rho, float(theta_vec[0]), self.zeta, self.coupling))
+        def evaluate(phis: np.ndarray) -> np.ndarray:
+            return hamiltonian(FieldPoint(self.rho, phis[:, 0], self.zeta, self.coupling))
         return OperatorFamily(dim=3, evaluator=evaluate)
 
     def curve(self, num_samples: int) -> Curve:
@@ -145,7 +149,7 @@ class PrecessionScenario:
         # closed precession and the curve is not flagged cyclic
         ts = self.times(num_samples)
         phis = self.phi0 + self.omega * ts
-        return Curve(times=ts, points=phis[:, None], cyclic=False, evaluator=lambda t: np.array([self.phi_at(t)]))
+        return Curve(times=ts, points=phis[:, None], cyclic=False, evaluator=lambda t: self.phi_at(t)[:, None])
 
 
 @dataclass(frozen=True)
@@ -183,38 +187,50 @@ def connection_coeffs(theta: float) -> ConnectionCoeffs:
 
 
 def hamiltonian(p: FieldPoint) -> np.ndarray:
-    """H = coupling * (J . R)^2 as an explicit Hermitian 3x3 matrix."""
-    e = np.exp(1j * p.phi)
+    """H = coupling * (J . R)^2 as an explicit Hermitian 3x3 matrix, or a stack over ``p.phi``."""
+    e = np.exp(1j * np.asarray(p.phi, dtype=float))
+    e2 = np.power(e, 2)  # not e**2: that squares arrays as e*e, which rounds differently from np.power
     z = p.zeta
-    m = np.array(
-        [
-            [1 + 2 * z**2, np.sqrt(2) * z / e, 1 / e**2],
-            [np.sqrt(2) * z * e, 2, -np.sqrt(2) * z / e],
-            [e**2, -np.sqrt(2) * z * e, 1 + 2 * z**2],
-        ],
-        dtype=complex,
-    )
+    m = np.empty(e.shape + (3, 3), dtype=complex)
+    m[..., 0, 0] = 1 + 2 * z**2
+    m[..., 0, 1] = np.sqrt(2) * z / e
+    m[..., 0, 2] = 1 / e2
+    m[..., 1, 0] = np.sqrt(2) * z * e
+    m[..., 1, 1] = 2
+    m[..., 1, 2] = -np.sqrt(2) * z / e
+    m[..., 2, 0] = e2
+    m[..., 2, 1] = -np.sqrt(2) * z * e
+    m[..., 2, 2] = 1 + 2 * z**2
     return 0.5 * p.coupling * p.rho**2 * m
 
 
-def eigenframe(p: FieldPoint) -> Spectrum:
-    """Orthonormal eigenvectors of the quadrupole Hamiltonian.
+def level_frame(p: FieldPoint, level: int) -> np.ndarray:
+    """Orthonormal frame (3, l) of one level, or a stack (m, 3, l) over ``p.phi``.
 
     Level 0: eigenvalue 0, multiplicity 1; level 1: eigenvalue E2,
     multiplicity 2.  The frames are smooth in phi and zeta away from the axis.
     """
+    if level not in (0, 1):
+        raise DomainError("quadrupole levels are 0 (nondegenerate) and 1 (degenerate)")
     z = p.zeta
-    e = np.exp(1j * p.phi)
+    e = np.exp(1j * np.asarray(p.phi, dtype=float))
     n1 = np.sqrt(2 * (1 + z**2))
     n2 = np.sqrt(1 + 2 * z**2)
-    v1 = np.array([-1 / e, np.sqrt(2) * z, e]) / n1
-    v21 = np.array([np.sqrt(2) * z / e, 1, 0]) / n2
-    v22 = np.array([-1 / e, np.sqrt(2) * z, -(1 + 2 * z**2) * e]) / (n1 * n2)
+    sz = np.full(e.shape, np.sqrt(2) * z, dtype=complex)
+    if level == 0:
+        return (np.stack([-1 / e, sz, e], axis=-1) / n1)[..., None]
+    v21 = np.stack([sz / e, np.ones_like(e), np.zeros_like(e)], axis=-1) / n2
+    v22 = np.stack([-1 / e, sz, -(1 + 2 * z**2) * e], axis=-1) / (n1 * n2)
+    return np.stack([v21, v22], axis=-1)
+
+
+def eigenframe(p: FieldPoint) -> Spectrum:
+    """Orthonormal eigenvectors of the quadrupole Hamiltonian at one field point."""
     return Spectrum(
         dim=3,
         levels=(
-            SpectralLevel(0.0, 1, v1[:, None]),
-            SpectralLevel(p.energy_split, 2, np.column_stack([v21, v22])),
+            SpectralLevel(0.0, 1, level_frame(p, 0)),
+            SpectralLevel(p.energy_split, 2, level_frame(p, 1)),
         ),
     )
 
@@ -224,12 +240,20 @@ def level1_connection_value() -> float:
     return 1.0
 
 
-def level2_connection(theta: float) -> Callable[[float], np.ndarray]:
-    """phi -> A2(phi), the 2x2 connection of the degenerate level per unit dphi."""
+def level2_connection(theta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """phi -> A2(phi), the 2x2 connection of the degenerate level per unit dphi.
+
+    A2 maps an array of azimuths to the stack of connections over it.
+    """
     k = connection_coeffs(theta)
-    def a2(phi: float) -> np.ndarray:
-        off = 0.5 * k.nu * np.exp(1j * phi)
-        return np.array([[k.mu, off], [np.conj(off), k.sigma]], dtype=complex)
+    def a2(phi: np.ndarray) -> np.ndarray:
+        off = 0.5 * k.nu * np.exp(1j * np.asarray(phi, dtype=float))
+        out = np.empty(off.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = k.mu
+        out[..., 1, 1] = k.sigma
+        out[..., 0, 1] = off
+        out[..., 1, 0] = np.conj(off)
+        return out
     return a2
 
 
@@ -335,10 +359,8 @@ def cyclic_eigenphases(theta: float) -> tuple[float, float]:
 
 def level_frame_field(scenario: PrecessionScenario, level: int, num_samples: int) -> FrameField:
     """Analytic eigenframes of one level sampled along the precession."""
-    if level not in (0, 1):
-        raise DomainError("quadrupole levels are 0 (nondegenerate) and 1 (degenerate)")
     ts = scenario.times(num_samples)
-    frames = np.array([eigenframe(scenario.field_at(t)).level(level).frame for t in ts])
+    frames = level_frame(scenario.field_at(ts), level)
     eigs = np.full(len(ts), 0.0 if level == 0 else scenario.field_at(0.0).energy_split)
     return FrameField(
         level_index=level,
@@ -350,39 +372,10 @@ def level_frame_field(scenario: PrecessionScenario, level: int, num_samples: int
     )
 
 
-class _Level2ConnectionEvaluator:
-    """A(t) = omega * A2(phi0 + omega t), with a batched path."""
-
-    def __init__(self, scenario: PrecessionScenario):
-        self._k = connection_coeffs(scenario.theta)
-        self._phi0 = scenario.phi0
-        self._omega = scenario.omega
-
-    def many(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        phis = self._phi0 + self._omega * ts
-        off = 0.5 * self._k.nu * np.exp(1j * phis)
-        out = np.empty((len(ts), 2, 2), dtype=complex)
-        out[:, 0, 0] = self._k.mu
-        out[:, 1, 1] = self._k.sigma
-        out[:, 0, 1] = off
-        out[:, 1, 0] = np.conj(off)
-        return self._omega * out
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.many(np.array([float(t)]))[0]
-
-
-class _ConstantEvaluator:
-    def __init__(self, value: np.ndarray):
-        self._value = np.asarray(value, dtype=complex)
-
-    def many(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.broadcast_to(self._value, (len(ts),) + self._value.shape).copy()
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._value.copy()
+def _constant_generator(value: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """ts (m,) -> m copies of a constant matrix."""
+    value = np.asarray(value, dtype=complex)
+    return lambda ts: np.repeat(value[None], len(ts), axis=0)
 
 
 def level2_connection_samples(scenario: PrecessionScenario, num_samples: int) -> ConnectionSamples:
@@ -393,10 +386,14 @@ def level2_connection_samples(scenario: PrecessionScenario, num_samples: int) ->
     """
     e2 = scenario.field_at(0.0).energy_split
     ts = scenario.times(num_samples)
-    eval_a = _Level2ConnectionEvaluator(scenario)
-    eval_e = _ConstantEvaluator(e2 * np.eye(2))
+    a2 = level2_connection(scenario.theta)
+
+    def eval_a(nodes: np.ndarray) -> np.ndarray:
+        return scenario.omega * a2(scenario.phi_at(nodes))
+
+    eval_e = _constant_generator(e2 * np.eye(2))
     return ConnectionSamples(
-        level_index=1, times=ts, a=eval_a.many(ts), e=eval_e.many(ts),
+        level_index=1, times=ts, a=eval_a(ts), e=eval_e(ts),
         evaluator_a=eval_a, evaluator_e=eval_e,
     )
 
@@ -404,10 +401,10 @@ def level2_connection_samples(scenario: PrecessionScenario, num_samples: int) ->
 def level1_connection_samples(scenario: PrecessionScenario, num_samples: int) -> ConnectionSamples:
     """Oracle connection of the nondegenerate level: A = omega (pure gauge), E = 0."""
     ts = scenario.times(num_samples)
-    eval_a = _ConstantEvaluator(scenario.omega * np.eye(1))
-    eval_e = _ConstantEvaluator(np.zeros((1, 1)))
+    eval_a = _constant_generator(scenario.omega * np.eye(1))
+    eval_e = _constant_generator(np.zeros((1, 1)))
     return ConnectionSamples(
-        level_index=0, times=ts, a=eval_a.many(ts), e=eval_e.many(ts),
+        level_index=0, times=ts, a=eval_a(ts), e=eval_e(ts),
         evaluator_a=eval_a, evaluator_e=eval_e,
     )
 
@@ -438,38 +435,30 @@ def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | N
     e2 = scenario.field_at(0.0).energy_split
     a2_const = frame_consistent_level2(scenario.theta)
 
-    def phi_of_s(s: float) -> np.ndarray:
-        return np.array([scenario.phi0 + dphi_total * s])
+    def phi_of_s(ss: np.ndarray) -> np.ndarray:
+        return (scenario.phi0 + dphi_total * np.asarray(ss, dtype=float))[:, None]
 
     ss = np.linspace(0.0, 1.0, 65)
-    curve = Curve(times=ss, points=np.array([phi_of_s(s) for s in ss]), cyclic=False, evaluator=phi_of_s)
+    curve = Curve(times=ss, points=phi_of_s(ss), cyclic=False, evaluator=phi_of_s)
 
     def frame_fn(level: int, s_grid: np.ndarray) -> FrameField:
-        frames = np.array(
-            [
-                eigenframe(FieldPoint(scenario.rho, float(phi_of_s(s)[0]), scenario.zeta, scenario.coupling))
-                .level(level)
-                .frame
-                for s in s_grid
-            ]
-        )
-        eigs = np.full(len(s_grid), 0.0 if level == 0 else e2)
+        s_grid = np.asarray(s_grid, dtype=float)
+        field = FieldPoint(scenario.rho, phi_of_s(s_grid)[:, 0], scenario.zeta, scenario.coupling)
         return FrameField(
             level_index=level,
             multiplicity=1 if level == 0 else 2,
-            times=np.asarray(s_grid, dtype=float),
-            frames=frames,
-            eigenvalues=eigs,
+            times=s_grid,
+            frames=level_frame(field, level),
+            eigenvalues=np.full(len(s_grid), 0.0 if level == 0 else e2),
             cyclic=False,
         )
 
-    def connection_fn(level: int):
-        if level == 0:
-            return lambda s: np.zeros((1, 1), dtype=complex)
-        return lambda s: dphi_total * a2_const
+    def connection_fn(level: int) -> Callable[[np.ndarray], np.ndarray]:
+        return _constant_generator(np.zeros((1, 1)) if level == 0 else dphi_total * a2_const)
 
-    def energy_fn(level: int):
-        return (lambda s: 0.0) if level == 0 else (lambda s: e2)
+    def energy_fn(level: int) -> Callable[[np.ndarray], np.ndarray]:
+        energy = 0.0 if level == 0 else e2
+        return lambda ss: np.full(len(ss), energy)
 
     return AdiabaticScenario(
         family=scenario.hamiltonian_family(),
@@ -499,9 +488,10 @@ def exact_invariant_family(scenario: PrecessionScenario) -> OperatorFamily:
     hbar0 = hamiltonian(scenario.field_at(0.0))
     k = hbar0 - scenario.omega * J3
 
-    def evaluate(theta_vec: np.ndarray) -> np.ndarray:
-        t = float(theta_vec[0])
-        r = expm_skew(J3, scenario.omega * t)
-        return r @ k @ r.conj().T
+    m_values = np.real(np.diag(J3))
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        r = np.exp(-1j * scenario.omega * ts[:, :1] * m_values)  # diagonal of exp(-i omega t J3)
+        return r[:, :, None] * k * np.conj(r[:, None, :])
 
     return OperatorFamily(dim=3, evaluator=evaluate)

@@ -10,7 +10,6 @@ generic machinery (eigenframe transport, finite-difference connections).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +259,6 @@ def run_custom_phase(
     start = time.perf_counter()
     family, curve = _custom_family(config)
     method = method or config.method
-    ham = lambda t: family(curve.points[int(np.argmin(np.abs(curve.times - t)))])
 
     from .linalg import eig_hermitian
 
@@ -275,7 +273,7 @@ def run_custom_phase(
     for label in labels:
         level = label - 1
         frames = transport_frame(family, curve, level, gauge="aligned")
-        conn = connection_matrices(frames, ham)
+        conn = connection_matrices(frames, family(curve.points))
         trace = holonomy(conn, method=method)
         m = frames.num_samples
         pis = np.empty(m, dtype=complex)
@@ -345,7 +343,10 @@ def run_sweep(
     stop: float,
     count: int,
 ) -> list[tuple[float, RunResult]]:
-    """Evaluate the phase pipeline at ``count`` sweep points, in input order."""
+    """Evaluate the phase pipeline at ``count`` sweep points, in input order.
+
+    The points run one after another; ``config.workers`` has no effect.
+    """
     if config.system != "quadrupole":
         raise ConfigError("sweeps are defined for the quadrupole system")
     if parameter not in SWEEP_PARAMETERS:
@@ -371,24 +372,23 @@ def run_sweep(
             kw["duration"] = value
         return qd.PrecessionScenario(**kw)
 
-    def evaluate(value: float) -> tuple[float, RunResult]:
-        result = run_quadrupole_phase(
-            scenario_at(float(value)),
-            grid=config.grid,
-            method=config.method,
-            levels=config.levels,
-            with_adiabaticity=False,
+    return [
+        (
+            float(value),
+            run_quadrupole_phase(
+                scenario_at(float(value)),
+                grid=config.grid,
+                method=config.method,
+                levels=config.levels,
+                with_adiabaticity=False,
+            ),
         )
-        return float(value), result
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(evaluate, values))
-    return [evaluate(v) for v in values]
+        for value in values
+    ]
 
 
 def run_adiabatic(config: ScenarioConfig, tau_list: list[float]) -> list[tuple[float, float, float]]:
-    """(tau, defect, adiabaticity ratio) rows for a tau ladder."""
+    """(tau, defect, adiabaticity ratio) rows for a tau ladder; ``config.workers`` has no effect."""
     if config.system == "quadrupole":
         scen = qd.adiabatic_scenario(config.precession_scenario())
     else:
@@ -401,16 +401,10 @@ def run_adiabatic(config: ScenarioConfig, tau_list: list[float]) -> list[tuple[f
         )
 
     defects = convergence_study(scen, tau_list, method=config.method)
-
-    def ratio_at(tau: float) -> float:
-        return adiabaticity_report(scen.with_tau(tau), num_samples=101).summary_ratio
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            ratios = list(pool.map(ratio_at, [tau for tau, _ in defects]))
-    else:
-        ratios = [ratio_at(tau) for tau, _ in defects]
-    return [(tau, defect, ratio) for (tau, defect), ratio in zip(defects, ratios)]
+    return [
+        (tau, defect, adiabaticity_report(scen.with_tau(tau), num_samples=101).summary_ratio)
+        for tau, defect in defects
+    ]
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ def test_criterion_10_solution_property():
     family = qd.exact_invariant_family(scenario)
     num = 1001
     ts = scenario.times(num)
-    curve = Curve(times=ts, points=ts[:, None], evaluator=lambda t: np.array([t]))
+    curve = Curve(times=ts, points=ts[:, None], evaluator=lambda s: s[:, None])
     ham = lambda t: qd.hamiltonian(scenario.field_at(t))
 
     spectrum = eig_hermitian(family(np.array([0.0])))
@@ -248,7 +248,7 @@ def test_criterion_10_solution_property():
     traces = []
     for level in range(len(spectrum.levels)):
         frames = transport_frame(family, curve, level, gauge="aligned")
-        conn = connection_matrices(frames, ham)
+        conn = connection_matrices(frames, ham(frames.times))
         frame_fields.append(frames)
         traces.append(lewis_riesenfeld_u(conn, method="magnus4"))
     evolution = assemble_evolution(frame_fields, traces)

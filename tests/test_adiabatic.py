@@ -19,9 +19,9 @@ TYCKO = qd.TYCKO_THETA
 
 def constant_scenario(tau=10.0):
     h = qd.hamiltonian(qd.FieldPoint(1.0, 0.4, 0.6))
-    family = OperatorFamily(dim=3, evaluator=lambda th: h)
+    family = OperatorFamily(dim=3, evaluator=lambda th: np.broadcast_to(h, (len(th), 3, 3)))
     ss = np.linspace(0.0, 1.0, 33)
-    curve = Curve(times=ss, points=ss[:, None], evaluator=lambda s: np.array([s]))
+    curve = Curve(times=ss, points=ss[:, None], evaluator=lambda s: s[:, None])
     return AdiabaticScenario(family=family, curve=curve, tau=tau), h
 
 
@@ -147,7 +147,7 @@ class TestAdiabaticNoncyclicPhase:
 class TestScenarioValidation:
     def test_curve_must_be_normalized(self):
         h = np.eye(2)
-        family = OperatorFamily(dim=2, evaluator=lambda th: h)
+        family = OperatorFamily(dim=2, evaluator=lambda th: np.broadcast_to(h, (len(th), 2, 2)))
         ss = np.linspace(0.0, 2.0, 11)
         curve = Curve(times=ss, points=ss[:, None])
         with pytest.raises(DomainError):

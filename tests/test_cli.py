@@ -224,6 +224,22 @@ class TestLoggingAndWarnings:
         assert "adiabaticity ratio" in capsys.readouterr().err
 
 
+class TestImport:
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # scipy.linalg is about half of the import time and no command needs it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import holonomy
+
+        env = dict(os.environ, PYTHONPATH=str(Path(holonomy.__file__).parents[1]))
+        code = "import sys, holonomy.cli; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestOracleVerifyCommand:
     def test_default_passes(self, quad_config):
         assert main(["oracle-verify", "--config", str(quad_config), "--random-points", "100"]) == 0

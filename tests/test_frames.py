@@ -34,7 +34,7 @@ def random_smooth_family(rng, dim=4):
     p2 = 0.05 * (p2 + p2.conj().T)
 
     def evaluate(theta):
-        t = float(theta[0])
+        t = theta[:, 0, None, None]
         return base + np.cos(t) * p1 + np.sin(t) * p2
 
     return OperatorFamily(dim=dim, evaluator=evaluate)
@@ -50,7 +50,7 @@ class TestCurve:
             Curve(times=np.array([0.0, 1.0]), points=np.array([[0.0], [0.5]]), cyclic=True)
 
     def test_from_function(self):
-        curve = curve_from_function(lambda t: [np.cos(t), np.sin(t)], 0.0, 2 * np.pi, 33, cyclic=True)
+        curve = curve_from_function(lambda t: np.column_stack([np.cos(t), np.sin(t)]), 0.0, 2 * np.pi, 33, cyclic=True)
         assert curve.cyclic and curve.num_parameters == 2
 
 
@@ -63,14 +63,57 @@ class TestOperatorFamily:
 
     def test_inconsistent_evaluator_rejected(self):
         gens = (np.eye(2, dtype=complex),)
-        family = OperatorFamily(dim=2, evaluator=lambda th: 2 * th[0] * np.eye(2), generators=gens)
+        family = OperatorFamily(dim=2, evaluator=lambda th: 2 * th[:, 0, None, None] * np.eye(2), generators=gens)
         with pytest.raises(StructuralError):
             family(np.array([1.0]))
 
     def test_non_hermitian_rejected(self):
-        family = OperatorFamily(dim=2, evaluator=lambda th: np.array([[0, 1], [0, 0]], dtype=complex))
+        family = OperatorFamily(dim=2, evaluator=lambda th: np.broadcast_to(np.array([[0, 1], [0, 0]], dtype=complex), (len(th), 2, 2)))
         with pytest.raises(StructuralError):
             family(np.array([0.0]))
+
+
+class TestBatchedFamily:
+    def test_generator_family_stack_matches_points(self):
+        rng = np.random.default_rng(21)
+        gens = []
+        for _ in range(3):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            gens.append(g + g.conj().T)
+        family = family_from_generators(gens)
+        thetas = rng.normal(size=(50, 3))
+        stacked = np.array([family(theta) for theta in thetas])
+        assert np.max(np.abs(family(thetas) - stacked)) <= 1e-14
+
+    def test_hamiltonian_family_stack_matches_points(self):
+        _, family, curve = precessing_setup(num=73)
+        stacked = np.array([family(theta) for theta in curve.points])
+        assert np.max(np.abs(family(curve.points) - stacked)) <= 1e-14
+
+    def test_one_non_hermitian_member_rejected(self):
+        # each matrix is held to its own scale: a 1e-9 defect in a unit-size
+        # member fails even next to a member of size 1e6
+        def evaluate(th):
+            out = np.repeat(np.diag([1.0, -1.0]).astype(complex)[None], len(th), axis=0)
+            out[0] *= 1e6
+            out[-1, 0, 1] += 1e-9
+            return out
+
+        family = OperatorFamily(dim=2, evaluator=evaluate)
+        with pytest.raises(StructuralError):
+            family(np.zeros((5, 1)))
+
+    def test_one_expansion_mismatch_rejected(self):
+        gens = (np.diag([1.0, -1.0]).astype(complex),)
+
+        def evaluate(th):
+            out = th[:, 0, None, None] * gens[0]
+            out[2] *= 1.0 + 1e-9
+            return out
+
+        family = OperatorFamily(dim=2, evaluator=evaluate, generators=gens)
+        with pytest.raises(StructuralError):
+            family(np.linspace(1.0, 2.0, 5)[:, None])
 
 
 class TestTransportFrame:
@@ -83,15 +126,15 @@ class TestTransportFrame:
 
     def test_constant_family_aligned_frames_constant(self):
         family = random_smooth_family(np.random.default_rng(5))
-        const = OperatorFamily(dim=4, evaluator=lambda th: family(np.array([0.7])))
-        curve = curve_from_function(lambda t: [np.sin(3 * t)], 0.0, 1.0, 21)
+        const = OperatorFamily(dim=4, evaluator=lambda th: family(np.full((len(th), 1), 0.7)))
+        curve = curve_from_function(lambda t: np.sin(3 * t)[:, None], 0.0, 1.0, 21)
         frames = transport_frame(const, curve, level=2, gauge="aligned")
         for k in range(1, frames.num_samples):
             assert np.max(np.abs(frames.frames[k] - frames.frames[0])) <= 1e-12
 
     def test_aligned_overlaps_positive(self):
         family = random_smooth_family(np.random.default_rng(6))
-        curve = curve_from_function(lambda t: [t], 0.0, 2.0, 41)
+        curve = curve_from_function(lambda t: t[:, None], 0.0, 2.0, 41)
         frames = transport_frame(family, curve, level=1, gauge="aligned")
         for k in range(1, frames.num_samples):
             overlap = frames.frames[k - 1].conj().T @ frames.frames[k]
@@ -142,7 +185,7 @@ class TestTransportFrame:
 
     def test_level_crossing_rejected(self):
         family = family_from_generators([np.diag([1.0, -1.0])])
-        curve = curve_from_function(lambda t: [1.0 - t], 0.0, 2.0, 21)  # crosses zero
+        curve = curve_from_function(lambda t: (1.0 - t)[:, None], 0.0, 2.0, 21)  # crosses zero
         with pytest.raises(LevelCrossingError):
             transport_frame(family, curve, level=0)
 
@@ -167,7 +210,7 @@ class TestConnectionMatrices:
         scenario, family, curve = precessing_setup(num=801)
         frames = qd.level_frame_field(scenario, level=1, num_samples=801)
         ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-        conn = connection_matrices(frames, ham)
+        conn = connection_matrices(frames, ham(frames.times))
         expected = scenario.omega * qd.frame_consistent_level2(scenario.theta)
         for k in range(1, conn.times.size - 1):
             assert np.max(np.abs(conn.a[k] - expected)) <= 5e-5  # central-difference truncation
@@ -178,22 +221,22 @@ class TestConnectionMatrices:
         # at theta = pi/2 the eigenframe is covariantly constant: A = 0
         scenario, _, _ = precessing_setup(num=401, theta=np.pi / 2)
         frames = qd.level_frame_field(scenario, level=1, num_samples=401)
-        conn = connection_matrices(frames, lambda t: qd.hamiltonian(scenario.field_at(t)))
+        conn = connection_matrices(frames, qd.hamiltonian(scenario.field_at(frames.times)))
         assert np.max(np.abs(conn.a[1:-1])) <= 1e-6
 
     def test_static_frames_zero_connection(self):
         family = random_smooth_family(np.random.default_rng(8))
-        const = OperatorFamily(dim=4, evaluator=lambda th: family(np.array([0.2])))
-        curve = curve_from_function(lambda t: [t], 0.0, 1.0, 21)
+        const = OperatorFamily(dim=4, evaluator=lambda th: family(np.full((len(th), 1), 0.2)))
+        curve = curve_from_function(lambda t: t[:, None], 0.0, 1.0, 21)
         frames = transport_frame(const, curve, level=0, gauge="aligned")
-        conn = connection_matrices(frames, lambda t: const(np.array([t])))
+        conn = connection_matrices(frames, const(curve.points))
         assert np.max(np.abs(conn.a)) <= 1e-12
         assert np.max(np.abs(conn.d - conn.e)) <= 1e-12
 
     def test_hermitian_by_construction(self):
         _, family, curve = precessing_setup(num=51)
         frames = transport_frame(family, curve, level=1, gauge="aligned")
-        conn = connection_matrices(frames, lambda t: family(np.array([curve.evaluator(t)[0]])))
+        conn = connection_matrices(frames, family(curve.evaluator(frames.times)))
         for k in range(conn.times.size):
             assert np.max(np.abs(conn.a[k] - conn.a[k].conj().T)) <= 1e-12
             assert np.max(np.abs(conn.e[k] - conn.e[k].conj().T)) <= 1e-12
@@ -203,26 +246,26 @@ class TestConnectionMatrices:
         scenario, _, _ = precessing_setup(num=21)
         frames = qd.level_frame_field(scenario, level=1, num_samples=2)
         with pytest.raises(ResolutionError):
-            connection_matrices(frames, lambda t: qd.hamiltonian(scenario.field_at(t)))
+            connection_matrices(frames, qd.hamiltonian(scenario.field_at(frames.times)))
 
 
 class TestApplyGauge:
     def test_identity_gauge(self):
         scenario, family, curve = precessing_setup(num=31)
         frames = transport_frame(family, curve, level=1, gauge="aligned")
-        same = apply_gauge(frames, lambda t: np.eye(2))
+        same = apply_gauge(frames, lambda t: np.broadcast_to(np.eye(2), (len(t), 2, 2)))
         assert np.max(np.abs(same.frames - frames.frames)) == 0.0
 
     def test_constant_gauge_conjugates_connection(self):
         scenario, family, curve = precessing_setup(num=201)
         frames = qd.level_frame_field(scenario, level=1, num_samples=201)
         ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-        conn = connection_matrices(frames, ham)
+        conn = connection_matrices(frames, ham(frames.times))
         rng = np.random.default_rng(9)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v = expm_skew(0.5 * (g + g.conj().T), 1.0)
-        transformed = apply_gauge(frames, lambda t: v)
-        conn_t = connection_matrices(transformed, ham)
+        transformed = apply_gauge(frames, lambda t: np.broadcast_to(v, (len(t), 2, 2)))
+        conn_t = connection_matrices(transformed, ham(transformed.times))
         for k in range(1, conn.times.size - 1):
             assert np.max(np.abs(conn_t.a[k] - v.conj().T @ conn.a[k] @ v)) <= 1e-8
 
@@ -231,12 +274,12 @@ class TestApplyGauge:
         scenario, family, curve = precessing_setup(num=401)
         frames = qd.level_frame_field(scenario, level=1, num_samples=401)
         ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-        conn = connection_matrices(frames, ham)
+        conn = connection_matrices(frames, ham(frames.times))
         from holonomy.gauges import random_smooth_gauge
 
         gauge = random_smooth_gauge(2, 0.0, float(curve.times[-1]), seed=17)
         transformed = apply_gauge(frames, gauge)
-        conn_t = connection_matrices(transformed, ham)
+        conn_t = connection_matrices(transformed, ham(transformed.times))
         h = float(curve.times[1] - curve.times[0])
         tol = 10 * h**2  # an order-h^2 bound on both differentiations
         for k in range(1, conn.times.size - 1, 7):
@@ -250,15 +293,15 @@ class TestApplyGauge:
         scenario, family, curve = precessing_setup(num=21)
         frames = transport_frame(family, curve, level=1, gauge="aligned")
         with pytest.raises(StructuralError):
-            apply_gauge(frames, lambda t: 2.0 * np.eye(2))
+            apply_gauge(frames, lambda t: np.broadcast_to(2.0 * np.eye(2), (len(t), 2, 2)))
 
 
 class TestVerifyInvariant:
     def test_constant_hamiltonian_is_its_own_invariant(self):
         h = qd.hamiltonian(qd.FieldPoint(1.0, 0.4, 0.8))
-        family = OperatorFamily(dim=3, evaluator=lambda th: h)
-        curve = curve_from_function(lambda t: [t], 0.0, 1.0, 21)
-        assert verify_invariant(family, curve, lambda t: h) <= 1e-12
+        family = OperatorFamily(dim=3, evaluator=lambda th: np.broadcast_to(h, (len(th), 3, 3)))
+        curve = curve_from_function(lambda t: t[:, None], 0.0, 1.0, 21)
+        assert verify_invariant(family, curve, np.broadcast_to(h, (21, 3, 3))) <= 1e-12
 
     def test_precessing_hamiltonian_is_not_invariant(self):
         residuals = []
@@ -267,7 +310,7 @@ class TestVerifyInvariant:
             family = scenario.hamiltonian_family()
             curve = scenario.curve(201)
             ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-            residuals.append(verify_invariant(family, curve, ham))
+            residuals.append(verify_invariant(family, curve, ham(curve.times)))
         assert residuals[0] > 1e-3
         # dI/dt scales linearly with omega while [H, H] stays zero
         assert residuals[1] / residuals[0] == pytest.approx(2.0, rel=0.05)
@@ -276,13 +319,13 @@ class TestVerifyInvariant:
         scenario = qd.PrecessionScenario(theta=TYCKO, omega=2 * np.pi / 20, phi_final=2 * np.pi)
         family = qd.exact_invariant_family(scenario)
         ts = scenario.times(401)
-        curve = Curve(times=ts, points=ts[:, None], evaluator=lambda t: np.array([t]))
+        curve = Curve(times=ts, points=ts[:, None], evaluator=lambda s: s[:, None])
         ham = lambda t: qd.hamiltonian(scenario.field_at(t))
         h = ts[1] - ts[0]
-        assert verify_invariant(family, curve, ham) <= 10 * h**2
+        assert verify_invariant(family, curve, ham(ts)) <= 10 * h**2
 
     def test_dimension_mismatch_rejected(self):
-        family = OperatorFamily(dim=3, evaluator=lambda th: np.eye(3))
-        curve = curve_from_function(lambda t: [t], 0.0, 1.0, 11)
+        family = OperatorFamily(dim=3, evaluator=lambda th: np.broadcast_to(np.eye(3), (len(th), 3, 3)))
+        curve = curve_from_function(lambda t: t[:, None], 0.0, 1.0, 11)
         with pytest.raises(DomainError):
-            verify_invariant(family, curve, lambda t: np.eye(2))
+            verify_invariant(family, curve, np.broadcast_to(np.eye(2), (11, 2, 2)))

@@ -81,7 +81,7 @@ class TestTransformConnection:
             assert abs(np.trace(w_t @ got) - pi_base) <= 1e-9
 
     def test_sampled_connection_fallback(self):
-        # no evaluators: the transform falls back to nearest-sample lookup
+        # no evaluators: the transform interpolates the samples
         from holonomy.frames import ConnectionSamples
 
         _, conn = tycko_connection(num=801)

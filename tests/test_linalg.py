@@ -137,6 +137,13 @@ class TestDefects:
         with pytest.raises(DomainError):
             hermiticity_defect(np.array([[np.inf, 0], [0, 0]], dtype=complex))
 
+    def test_non_contiguous_views_accepted(self):
+        m = np.array([[0, 1j], [0, 0]])
+        assert hermiticity_defect(m.T) == pytest.approx(1.0)
+        assert unitarity_defect(np.eye(2, dtype=complex)[:, ::-1]) == 0.0
+        with pytest.raises(DomainError):
+            hermiticity_defect(np.array([[np.nan, 0], [0, 0]], dtype=complex).T)
+
 
 def test_polar_unitary_factor():
     rng = np.random.default_rng(31)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy.errors import DomainError, ResolutionError, StructuralError
-from holonomy.frames import ConnectionSamples
+from holonomy.frames import ConnectionSamples, FrameField, connection_matrices
 from holonomy.gauges import random_smooth_gauge, transform_connection
 from holonomy.linalg import expm_skew, unitarity_defect
 from holonomy.propagate import (
@@ -29,7 +29,7 @@ class TestPropagate:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u0 = expm_skew(0.5 * (g + g.conj().T), 1.0)
         problem = MatrixOdeProblem(
-            generator=lambda t: np.zeros((3, 3)), initial=u0, times=np.linspace(0, 2, 11)
+            generator=lambda ts: np.zeros((len(ts), 3, 3)), initial=u0, times=np.linspace(0, 2, 11)
         )
         trace = propagate(problem, "magnus4")
         for k in range(trace.num_samples):
@@ -39,7 +39,7 @@ class TestPropagate:
         # constant rotating-frame generator: M(phi) = exp(-i h' dphi)
         hp, _ = qd.rotating_frame(TYCKO)
         times = np.linspace(0.0, 2 * np.pi, 101)
-        problem = MatrixOdeProblem(generator=lambda t: hp, initial=np.eye(2, dtype=complex), times=times)
+        problem = MatrixOdeProblem(generator=lambda ts: np.broadcast_to(hp, (len(ts), 2, 2)), initial=np.eye(2, dtype=complex), times=times)
         for method in ("midpoint_exp", "magnus4"):
             trace = propagate(problem, method)
             for k in (25, 50, 100):
@@ -66,9 +66,22 @@ class TestPropagate:
             for a, b in zip(errs, errs[1:]):
                 assert lo <= a / b <= hi
 
+    def test_generator_called_once_per_node_set(self):
+        calls = []
+
+        def generator(ts):
+            calls.append(len(ts))
+            return np.zeros((len(ts), 2, 2))
+
+        problem = MatrixOdeProblem(generator=generator, initial=np.eye(2, dtype=complex), times=np.linspace(0, 1, 41))
+        for method, expected in (("midpoint_exp", [40]), ("magnus4", [40, 40])):
+            calls.clear()
+            propagate(problem, method)
+            assert calls == expected
+
     def test_step_size_violation(self):
         problem = MatrixOdeProblem(
-            generator=lambda t: 10.0 * np.diag([1.0, -1.0]),
+            generator=lambda ts: np.broadcast_to(10.0 * np.diag([1.0, -1.0]), (len(ts), 2, 2)),
             initial=np.eye(2, dtype=complex),
             times=np.linspace(0, 1, 5),
         )
@@ -77,7 +90,7 @@ class TestPropagate:
 
     def test_non_hermitian_generator_rejected(self):
         problem = MatrixOdeProblem(
-            generator=lambda t: np.array([[0, 1], [0, 0]], dtype=complex),
+            generator=lambda ts: np.broadcast_to(np.array([[0, 1], [0, 0]], dtype=complex), (len(ts), 2, 2)),
             initial=np.eye(2, dtype=complex),
             times=np.linspace(0, 1, 9),
         )
@@ -86,7 +99,7 @@ class TestPropagate:
 
     def test_unknown_method_rejected(self):
         problem = MatrixOdeProblem(
-            generator=lambda t: np.zeros((2, 2)), initial=np.eye(2, dtype=complex),
+            generator=lambda ts: np.zeros((len(ts), 2, 2)), initial=np.eye(2, dtype=complex),
             times=np.linspace(0, 1, 5),
         )
         with pytest.raises(DomainError):
@@ -95,7 +108,7 @@ class TestPropagate:
     def test_non_unitary_initial_rejected(self):
         with pytest.raises(StructuralError):
             MatrixOdeProblem(
-                generator=lambda t: np.zeros((2, 2)), initial=2 * np.eye(2, dtype=complex),
+                generator=lambda ts: np.zeros((len(ts), 2, 2)), initial=2 * np.eye(2, dtype=complex),
                 times=np.linspace(0, 1, 5),
             )
 
@@ -192,8 +205,8 @@ class TestLewisRiesenfeldU:
             def __init__(self, f):
                 self.f = f
 
-            def __call__(self, t):
-                return np.array([[self.f(t)]], dtype=complex)
+            def __call__(self, ts):
+                return np.asarray(self.f(ts), dtype=complex)[:, None, None]
 
         conn = ConnectionSamples(
             level_index=0, times=ts,
@@ -218,7 +231,7 @@ class TestLewisRiesenfeldU:
             level_index=1, times=base.times, a=base.a,
             e=np.zeros_like(base.e),
             evaluator_a=base.evaluator_a,
-            evaluator_e=lambda t: np.zeros((2, 2), dtype=complex),
+            evaluator_e=lambda ts: np.zeros((len(ts), 2, 2), dtype=complex),
         )
         u = lewis_riesenfeld_u(conn).final
         g = holonomy(base).final
@@ -235,6 +248,24 @@ class TestLewisRiesenfeldU:
         t1 = conn.times[-1]
         factorized = np.exp(-1j * e2 * t1) * g
         assert np.max(np.abs(u - factorized)) <= 1e-9
+
+    def test_analytic_connection_keeps_energy_smooth(self):
+        # constant frame, so A = 0 analytically; E = diag(1 + 3t^2, -2t) is a
+        # quadratic that the interpolated energy and magnus4 both integrate exactly
+        ts = np.linspace(0.0, 1.0, 21)
+        frames = FrameField(
+            level_index=0, multiplicity=2, times=ts,
+            frames=np.broadcast_to(np.eye(2, dtype=complex), (21, 2, 2)), eigenvalues=np.zeros(21),
+        )
+        hams = np.zeros((21, 2, 2), dtype=complex)
+        hams[:, 0, 0] = 1 + 3 * ts**2
+        hams[:, 1, 1] = -2 * ts
+        conn = connection_matrices(frames, hams, evaluator_a=lambda nodes: np.zeros((len(nodes), 2, 2)))
+        trace = lewis_riesenfeld_u(conn, method="magnus4")
+        exact = np.zeros((21, 2, 2), dtype=complex)
+        exact[:, 0, 0] = np.exp(-1j * (ts + ts**3))
+        exact[:, 1, 1] = np.exp(1j * ts**2)
+        assert np.max(np.abs(trace.matrices - exact)) <= 1e-12
 
     def test_initial_value_respected(self):
         scenario = tycko_scenario()
@@ -315,7 +346,7 @@ class TestSchroedingerResidual:
 
         num = 601
         ts = scenario.times(num)
-        curve = Curve(times=ts, points=ts[:, None], evaluator=lambda t: np.array([t]))
+        curve = Curve(times=ts, points=ts[:, None], evaluator=lambda s: s[:, None])
         ham = lambda t: qd.hamiltonian(scenario.field_at(t))
 
         frame_fields = []
@@ -326,7 +357,7 @@ class TestSchroedingerResidual:
         spectrum = eig_hermitian(family(np.array([0.0])))
         for level in range(len(spectrum.levels)):
             frames = transport_frame(family, curve, level, gauge="aligned")
-            conn = connection_matrices(frames, ham)
+            conn = connection_matrices(frames, ham(frames.times))
             traces.append(lewis_riesenfeld_u(conn))
             frame_fields.append(frames)
         u = assemble_evolution(frame_fields, traces)

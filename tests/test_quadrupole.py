@@ -303,7 +303,7 @@ class TestOracleConnection:
         frames = qd.level_frame_field(scenario, 1, 1201)
         from holonomy.frames import connection_matrices
 
-        conn = connection_matrices(frames, lambda t: qd.hamiltonian(scenario.field_at(t)))
+        conn = connection_matrices(frames, qd.hamiltonian(scenario.field_at(frames.times)))
         expected = scenario.omega * qd.frame_consistent_level2(TYCKO)
         assert np.max(np.abs(conn.a[1:-1] - expected)) <= 1e-5
 
