@@ -166,12 +166,17 @@ class AdiabaticityReport:
     times: np.ndarray                       # physical times tau * s
     couplings: tuple[dict, ...]             # per sample: {(m, n): l_m x l_n matrix}
     min_gaps: np.ndarray                    # per sample: smallest |E_n - E_m|
-    max_coupling: float
-    summary_ratio: float                    # max over samples of max|coupling| / min gap
+    max_coupling: float                     # largest spectral norm of a coupling block
+    summary_ratio: float                    # max over samples of that norm / min gap
 
 
 def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> AdiabaticityReport:
-    """Couplings i <m,b| dH/dt |n,a> / (E_n - E_m) and the gap they compete with."""
+    """Couplings i <m,b| dH/dt |n,a> / (E_n - E_m) and the gap they compete with.
+
+    Each coupling block is measured by its spectral norm, which a change of
+    basis inside a degenerate level leaves unchanged; its largest entry would
+    depend on the arbitrary basis that ``eigh`` returns.
+    """
     if num_samples < 3:
         raise ResolutionError("adiabaticity report needs at least 3 samples")
     ss = scenario.s_grid(num_samples)
@@ -205,7 +210,7 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
                 fn = spec.level(n).frame
                 coup = 1j * (fm.conj().T @ dh[k] @ fn) / gap
                 entry[(m, n)] = coup
-                local_max = max(local_max, float(np.max(np.abs(coup))))
+                local_max = max(local_max, float(np.linalg.svd(coup, compute_uv=False)[0]))  # spectral norm
         couplings.append(entry)
         min_gaps[k] = min(gaps)
         worst = max(worst, local_max)

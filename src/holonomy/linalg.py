@@ -39,8 +39,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """max|U^dag U - 1|; zero iff U is exactly unitary."""
-    u = as_square_matrix(u, "U")
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(unitarity_defects(as_square_matrix(u, "U"))[0])
 
 
 def _as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
@@ -53,6 +52,13 @@ def _as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DomainError(f"{name} has non-finite entries")
     return m if m.ndim == 3 else m[None]
+
+
+def unitarity_defects(u: np.ndarray, name: str = "U") -> np.ndarray:
+    """max|U_k^dag U_k - 1| of each matrix of a stack (m, d, d), or of one matrix, as (m,)."""
+    stack = _as_square_stack(u, name)
+    gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
+    return np.max(np.abs(gram - np.eye(stack.shape[1])), axis=(1, 2))
 
 
 def _first_over_scale(deviation: np.ndarray, stack: np.ndarray, tol: float) -> int | None:
@@ -84,16 +90,14 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "
 
 def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.ndarray:
     """Validate one (d, d) matrix or a stack (k, d, d) of unitary matrices."""
-    stack = _as_square_stack(u, name)
-    gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
-    defects = np.max(np.abs(gram - np.eye(stack.shape[1])), axis=(1, 2))
+    defects = unitarity_defects(u, name)
     bad = np.flatnonzero(defects > tol)
     if bad.size:
         k = int(bad[0])
         raise StructuralError(
             f"{name} is not unitary{_position(k, np.ndim(u) == 3)}: defect {defects[k]:.3e} exceeds {tol:.1e}"
         )
-    return stack if np.ndim(u) == 3 else stack[0]
+    return np.asarray(u, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ class OverlapMatrix:
     theta_end: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: a view would keep its whole stack alive
         svals = np.linalg.svd(m, compute_uv=False)
         if svals.size and svals.max() > 1.0 + OVERLAP_SINGULAR_TOL:
             raise DomainError(f"overlap matrix has singular value {svals.max():.6f} > 1")
@@ -61,19 +61,22 @@ def overlap_matrix(
     return OverlapMatrix(level_index=level_index, matrix=a.conj().T @ b, theta_start=theta_start, theta_end=theta_end)
 
 
-def wrap_angle(angle: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    out = float(np.mod(angle + np.pi, 2 * np.pi) - np.pi)
-    return np.pi if out == -np.pi else out
+def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
+    """Reduce an angle, or each angle of an array, to (-pi, pi]."""
+    out = np.mod(angle + np.pi, 2 * np.pi) - np.pi
+    out = np.where(out == -np.pi, np.pi, out)
+    return float(out) if np.ndim(angle) == 0 else out
 
 
 def unwrap_nearest_branch(angles: np.ndarray) -> np.ndarray:
-    """Cumulative unwrapping: each angle shifted by 2*pi*k to follow its predecessor."""
+    """Cumulative unwrapping: each angle shifted by 2*pi*k to follow its predecessor.
+
+    Each step adds its jump rounded to whole turns, ties to even: a jump of
+    exactly half a turn, with two equally near branches, adds none.
+    """
     angles = np.asarray(angles, dtype=float)
-    out = angles.copy()
-    for k in range(1, len(out)):
-        out[k] = angles[k] + 2 * np.pi * np.round((out[k - 1] - angles[k]) / (2 * np.pi))
-    return out
+    turns = np.concatenate([[0.0], np.cumsum(np.round(-np.diff(angles) / (2 * np.pi)))])
+    return angles + 2 * np.pi * turns
 
 
 def _sorted_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -137,7 +140,7 @@ def noncyclic_phase(
     unit disc); they are computed with a general complex eigensolver and
     ordered deterministically.
     """
-    gamma = np.asarray(gamma, dtype=complex)
+    gamma = np.array(gamma, dtype=complex)  # a copy, as in OverlapMatrix
     if gamma.shape != w.matrix.shape:
         raise DomainError(f"gamma shape {gamma.shape} does not match overlap {w.matrix.shape}")
     gcheck = w.matrix @ gamma

@@ -240,6 +240,32 @@ def level1_connection_value() -> float:
     return 1.0
 
 
+def _matrix2(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]], or the stack (m, 2, 2) of them when the entries are arrays (m,)."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Complex a * b, elementwise, with each real product rounded on its own.
+
+    numpy's complex multiply loops fuse multiply-adds where the CPU has them,
+    and scalar complex arithmetic does not; this product is the same for one
+    azimuth and for a stack, so a stacked closed form equals its per-point
+    values bit for bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def level2_connection(theta: float) -> Callable[[np.ndarray], np.ndarray]:
     """phi -> A2(phi), the 2x2 connection of the degenerate level per unit dphi.
 
@@ -248,12 +274,7 @@ def level2_connection(theta: float) -> Callable[[np.ndarray], np.ndarray]:
     k = connection_coeffs(theta)
     def a2(phi: np.ndarray) -> np.ndarray:
         off = 0.5 * k.nu * np.exp(1j * np.asarray(phi, dtype=float))
-        out = np.empty(off.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = k.mu
-        out[..., 1, 1] = k.sigma
-        out[..., 0, 1] = off
-        out[..., 1, 0] = np.conj(off)
-        return out
+        return _matrix2(k.mu, off, np.conj(off), k.sigma)
     return a2
 
 
@@ -274,20 +295,24 @@ def rotating_frame(theta: float) -> tuple[np.ndarray, Callable[[float, float], n
     return hp, reconstruct
 
 
-def gamma2_closed(theta: float, phi0: float, phi: float) -> np.ndarray:
-    """Closed-form holonomy of the degenerate level between azimuths phi0 and phi."""
+# gamma2_closed, w2_closed, w1_closed and pi2_closed take one azimuth phi or an
+# array of them (m,); an array gives the stack over it from one connection_coeffs.
+
+def gamma2_closed(theta: float, phi0: float, phi: float | np.ndarray) -> np.ndarray:
+    """Closed-form holonomy (2, 2) of the degenerate level between azimuths phi0 and phi."""
     k = connection_coeffs(theta)
+    phi = np.asarray(phi, dtype=float)
     dphi = phi - phi0
     cd = np.cos(0.5 * dphi * k.delta)
     sd = np.sin(0.5 * dphi * k.delta)
     kap = (k.mu - k.sigma - 1) / k.delta
     ems = np.exp(0.5j * (k.mu + k.sigma) * dphi)
     half_sum = np.exp(0.5j * (phi + phi0))
-    g11 = ems * np.exp(0.5j * dphi) * (cd + 1j * kap * sd)
-    g22 = ems * np.exp(-0.5j * dphi) * (cd - 1j * kap * sd)
-    g12 = 1j * (k.nu / k.delta) * ems * half_sum * sd
-    g21 = 1j * (k.nu / k.delta) * ems * np.conj(half_sum) * sd
-    return np.array([[g11, g12], [g21, g22]])
+    g11 = _cmul(_cmul(ems, np.exp(0.5j * dphi)), cd + 1j * kap * sd)
+    g22 = _cmul(_cmul(ems, np.exp(-0.5j * dphi)), cd - 1j * kap * sd)
+    g12 = _cmul(_cmul(1j * (k.nu / k.delta), ems), half_sum) * sd
+    g21 = _cmul(_cmul(1j * (k.nu / k.delta), ems), np.conj(half_sum)) * sd
+    return _matrix2(g11, g12, g21, g22)
 
 
 def gamma1_closed(phi0: float, phi: float) -> complex:
@@ -295,24 +320,29 @@ def gamma1_closed(phi0: float, phi: float) -> complex:
     return complex(np.exp(1j * (phi - phi0)))
 
 
-def w2_closed(theta: float, phi0: float, phi: float) -> np.ndarray:
-    """Endpoint overlap matrix of the degenerate level, w_ba = <b;phi0|a;phi>."""
-    k = connection_coeffs(theta)
-    dphi = phi - phi0
+def _w2_entries(k: ConnectionCoeffs, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries w11, w12 = w21 and w22 of the degenerate-level overlap matrix."""
     c = k.cos_theta
     w11 = 1 - k.mu * (1 - np.exp(-1j * dphi))
     w12 = -k.nu * (1 - np.exp(-1j * dphi))
     w22 = 1 - (1 + c**4) / (1 + c**2) * (1 - np.cos(dphi)) + 1j * k.mu * np.sin(dphi)
-    return np.array([[w11, w12], [w12, w22]])
+    return w11, w12, w22
 
 
-def w1_closed(theta: float, phi0: float, phi: float) -> float:
+def w2_closed(theta: float, phi0: float, phi: float | np.ndarray) -> np.ndarray:
+    """Endpoint overlap matrix (2, 2) of the degenerate level, w_ba = <b;phi0|a;phi>."""
+    w11, w12, w22 = _w2_entries(connection_coeffs(theta), np.asarray(phi, dtype=float) - phi0)
+    return _matrix2(w11, w12, w12, w22)
+
+
+def w1_closed(theta: float, phi0: float, phi: float | np.ndarray) -> float | np.ndarray:
     """Endpoint overlap of the nondegenerate level: cos^2(theta) + sin^2(theta) cos(dphi)."""
     c = float(np.cos(theta))
-    return c**2 + (1 - c**2) * float(np.cos(phi - phi0))
+    w = c**2 + (1 - c**2) * np.cos(np.asarray(phi, dtype=float) - phi0)
+    return float(w) if np.ndim(phi) == 0 else w
 
 
-def pi2_closed(theta: float, phi0: float, phi: float) -> complex:
+def pi2_closed(theta: float, phi0: float, phi: float | np.ndarray) -> complex | np.ndarray:
     """Gauge-invariant scalar Pi2 = trace(w2 Gamma2) as one elementary expression.
 
     Both amplitudes are derived directly from trace(w2 Gamma2), so the
@@ -321,25 +351,23 @@ def pi2_closed(theta: float, phi0: float, phi: float) -> complex:
     Pi2 = -2 exp(i pi (mu+sigma)) cos(pi Delta) at dphi = 2 pi.
     """
     k = connection_coeffs(theta)
+    phi = np.asarray(phi, dtype=float)
     dphi = phi - phi0
     ed = np.exp(0.5j * dphi)
-    x_amp = 0.25 / ed * (
+    x_amp = _cmul(
+        0.25 / ed,
         6 + 7 * k.mu + 4 * k.sigma
         + (2 - 7 * k.mu - 4 * k.sigma) * np.cos(dphi)
-        + 4j * np.sin(dphi)
+        + 4j * np.sin(dphi),
     )
-    c = k.cos_theta
-    w11 = 1 - k.mu * (1 - np.exp(-1j * dphi))
-    w12 = -k.nu * (1 - np.exp(-1j * dphi))
-    w22 = 1 - (1 + c**4) / (1 + c**2) * (1 - np.cos(dphi)) + 1j * k.mu * np.sin(dphi)
+    w11, w12, w22 = _w2_entries(k, dphi)
     y_amp = (
-        1j * ((k.mu - k.sigma - 1) / k.delta) * (w11 * ed - w22 / ed)
-        + 2j * (k.nu / k.delta) * np.cos(0.5 * (phi + phi0)) * w12
+        _cmul(1j * ((k.mu - k.sigma - 1) / k.delta), _cmul(w11, ed) - w22 / ed)
+        + _cmul(2j * (k.nu / k.delta) * np.cos(0.5 * (phi + phi0)), w12)
     )
     half = 0.5 * k.delta * dphi
-    return complex(
-        np.exp(0.5j * (k.mu + k.sigma) * dphi) * (x_amp * np.cos(half) + y_amp * np.sin(half))
-    )
+    pi2 = _cmul(np.exp(0.5j * (k.mu + k.sigma) * dphi), x_amp * np.cos(half) + y_amp * np.sin(half))
+    return complex(pi2) if np.ndim(phi) == 0 else pi2
 
 
 def pi2_cyclic(theta: float) -> complex:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import holonomy.adiabatic as adiabatic_module
 from holonomy.adiabatic import (
     AdiabaticScenario,
     adiabatic_noncyclic_phase,
@@ -11,7 +12,7 @@ from holonomy.adiabatic import (
 )
 from holonomy.errors import DomainError
 from holonomy.frames import Curve, OperatorFamily
-from holonomy.linalg import expm_skew, unitarity_defect
+from holonomy.linalg import SpectralLevel, Spectrum, eig_hermitian, expm_skew, unitarity_defect
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -23,6 +24,11 @@ def constant_scenario(tau=10.0):
     ss = np.linspace(0.0, 1.0, 33)
     curve = Curve(times=ss, points=ss[:, None], evaluator=lambda s: s[:, None])
     return AdiabaticScenario(family=family, curve=curve, tau=tau), h
+
+
+def random_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return expm_skew(0.5 * (g + g.conj().T), 1.0)
 
 
 def tycko_adiabatic(tau=50.0):
@@ -81,6 +87,33 @@ class TestAdiabaticityReport:
     def test_couplings_present_for_all_level_pairs(self):
         report = adiabaticity_report(tycko_adiabatic(), num_samples=11)
         assert set(report.couplings[0]) == {(0, 1), (1, 0)}
+
+    def test_ratio_independent_of_degenerate_basis(self, monkeypatch):
+        # rotate every eigh frame by its own random unitary: the spectral-norm
+        # ratio stays, a ratio of largest entries moves
+        def largest_entry_ratio(report):
+            return max(
+                max(float(np.max(np.abs(c))) for c in couplings.values()) / gap
+                for couplings, gap in zip(report.couplings, report.min_gaps)
+            )
+
+        scen = tycko_adiabatic(tau=50.0)
+        plain = adiabaticity_report(scen, num_samples=101)
+        rng = np.random.default_rng(47)
+
+        def rotated_eig(m):
+            spec = eig_hermitian(m)
+            levels = tuple(
+                SpectralLevel(lv.eigenvalue, lv.multiplicity, lv.frame @ random_unitary(rng, lv.multiplicity))
+                for lv in spec.levels
+            )
+            return Spectrum(dim=spec.dim, levels=levels)
+
+        monkeypatch.setattr(adiabatic_module, "eig_hermitian", rotated_eig)
+        rotated = adiabaticity_report(scen, num_samples=101)
+        assert abs(rotated.summary_ratio - plain.summary_ratio) <= 1e-13
+        assert abs(rotated.max_coupling - plain.max_coupling) <= 1e-13
+        assert abs(largest_entry_ratio(rotated) - largest_entry_ratio(plain)) > 1e-6
 
 
 class TestConvergenceStudy:

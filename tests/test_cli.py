@@ -9,6 +9,9 @@ from holonomy.cli import main
 from holonomy.config import parse_config_text
 from holonomy.errors import ConfigError
 from holonomy.io import read_curve_csv, read_generators_json, write_csv
+from holonomy.linalg import unitarity_defect
+from holonomy.propagate import holonomy
+from holonomy.runner import run_quadrupole_phase
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -240,9 +243,43 @@ class TestImport:
         assert out.stdout.strip() == "False"
 
 
+class TestQuadrupoleRun:
+    def test_level2_trace_equals_per_sample_reference(self):
+        scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
+        result = run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False)
+        lv = result.levels[1]
+        trace = holonomy(qd.level2_connection_samples(scenario, 41))
+        pis, defects = [], []
+        for phi, g in zip(result.phis, trace.matrices):
+            pis.append(np.trace(qd.w2_closed(scenario.theta, scenario.phi0, phi) @ g))
+            defects.append(unitarity_defect(g))
+        assert np.array_equal(lv.pi, pis)
+        assert np.array_equal(lv.unitarity_defects, defects)
+        gdev = max(
+            float(np.max(np.abs(g - qd.gamma2_closed(scenario.theta, scenario.phi0, phi))))
+            for phi, g in zip(result.phis, trace.matrices)
+        )
+        assert lv.oracle_gamma_deviation == gdev
+        assert lv.oracle_trace_deviation == max(
+            abs(p - qd.pi2_closed(scenario.theta, scenario.phi0, phi)) for phi, p in zip(result.phis, pis)
+        )
+
+    def test_reports_own_their_matrices(self):
+        scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
+        for lv in run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False).levels:
+            assert lv.report.gamma.base is None and lv.report.w.matrix.base is None
+
+
 class TestOracleVerifyCommand:
     def test_default_passes(self, quad_config):
         assert main(["oracle-verify", "--config", str(quad_config), "--random-points", "100"]) == 0
+
+    def test_json_report(self, quad_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(quad_config), "--random-points", "20", "--out", str(out)]) == 0
+        report = json.loads((out / "oracle_verify.json").read_text())
+        assert report["passed"] is True
+        assert all(check["passed"] is True for check in report["checks"].values())
 
     def test_coarse_grid_fails_with_diagnosis(self, quad_config, capsys):
         code = main([

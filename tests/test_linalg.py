@@ -8,7 +8,9 @@ from holonomy.linalg import (
     frame_orthonormality_defect,
     hermiticity_defect,
     polar_unitary_factor,
+    require_unitary,
     unitarity_defect,
+    unitarity_defects,
 )
 from holonomy.quadrupole import FieldPoint, hamiltonian
 
@@ -136,6 +138,24 @@ class TestDefects:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             hermiticity_defect(np.array([[np.inf, 0], [0, 0]], dtype=complex))
+
+    def test_stacked_unitarity_defects_equal_per_matrix(self):
+        rng = np.random.default_rng(37)
+        for d in (1, 2, 3):
+            m = rng.normal(size=(200, d, d)) + 1j * rng.normal(size=(200, d, d))
+            stack = np.linalg.qr(m)[0] * rng.uniform(0.999, 1.001, size=(200, 1, 1))
+            defects = unitarity_defects(stack)
+            assert defects.shape == (200,)
+            assert np.array_equal(defects, [unitarity_defect(u) for u in stack])
+            assert np.array_equal(unitarity_defects(stack[0]), defects[:1])
+
+    def test_require_unitary_names_first_bad_matrix(self):
+        stack = np.repeat(np.eye(2, dtype=complex)[None], 4, axis=0)
+        stack[2] *= 1.1
+        with pytest.raises(StructuralError, match="matrix 2 of the stack"):
+            require_unitary(stack)
+        assert require_unitary(stack[:2]).shape == (2, 2, 2)
+        assert require_unitary(stack[0]).shape == (2, 2)
 
     def test_non_contiguous_views_accepted(self):
         m = np.array([[0, 1j], [0, 0]])

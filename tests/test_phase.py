@@ -3,6 +3,7 @@ import pytest
 
 from holonomy.errors import DomainError, UndefinedPhaseError
 from holonomy.linalg import expm_skew
+from holonomy.propagate import holonomy
 from holonomy.phase import (
     OverlapMatrix,
     abelian_phase,
@@ -192,6 +193,48 @@ class TestAngleHelpers:
         wrapped = np.array([wrap_angle(a) for a in truth])
         unwrapped = unwrap_nearest_branch(wrapped)
         assert np.max(np.abs(unwrapped - truth)) <= 1e-12
+
+    def test_wrap_angle_array_equals_scalar_calls(self):
+        angles = np.concatenate([[-np.pi, np.pi, -3 * np.pi, 3 * np.pi, 0.0], np.linspace(-20, 20, 101)])
+        wrapped = wrap_angle(angles)
+        assert np.array_equal(wrapped, [wrap_angle(float(a)) for a in angles])
+        assert wrapped[0] == np.pi and wrapped[2] == np.pi
+        assert np.all((wrapped > -np.pi) & (wrapped <= np.pi))
+
+    @staticmethod
+    def sequential_unwrap(angles):
+        """The step-by-step rule: each angle moved by whole turns next to its unwrapped predecessor."""
+        out = np.array(angles, dtype=float)
+        for k in range(1, len(out)):
+            out[k] = angles[k] + 2 * np.pi * np.round((out[k - 1] - angles[k]) / (2 * np.pi))
+        return out
+
+    def test_unwrap_matches_sequential_rule(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            walk = np.cumsum(rng.normal(scale=rng.uniform(0.1, 2.5), size=801))
+            wrapped = wrap_angle(walk)
+            assert np.array_equal(unwrap_nearest_branch(wrapped), self.sequential_unwrap(wrapped))
+
+    def test_unwrap_matches_sequential_rule_near_half_turns(self):
+        # jumps a hair either side of +-pi, over many accumulated turns
+        rng = np.random.default_rng(43)
+        for scale in (1e-6, 1e-9, 1e-12):
+            jumps = rng.choice([-1.0, 1.0], size=801) * np.pi + rng.choice([-1.0, 1.0], size=801) * scale
+            wrapped = wrap_angle(np.cumsum(jumps))
+            assert np.array_equal(unwrap_nearest_branch(wrapped), self.sequential_unwrap(wrapped))
+
+
+class TestReportOwnership:
+    def test_report_copies_matrices_out_of_stacks(self):
+        # a report keeps only its endpoint matrices, not the run's whole stacks
+        scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=1.0, duration=2.0)
+        trace = holonomy(qd.level2_connection_samples(scenario, 65))
+        w2 = qd.w2_closed(TYCKO, 0.0, scenario.phi_at(trace.times))
+        report = noncyclic_phase(OverlapMatrix(level_index=1, matrix=w2[-1]), trace.final)
+        assert not np.shares_memory(report.gamma, trace.matrices)
+        assert not np.shares_memory(report.w.matrix, w2)
+        assert np.array_equal(report.gamma, trace.final) and np.array_equal(report.w.matrix, w2[-1])
 
 
 class TestGaugeBehavior:

@@ -276,6 +276,34 @@ class TestPi2Closed:
         assert max(devs) > 0.1
 
 
+class TestStackedClosedForms:
+    @pytest.mark.parametrize(
+        "form", [qd.gamma2_closed, qd.w2_closed, qd.w1_closed, qd.pi2_closed], ids=lambda f: f.__name__
+    )
+    def test_stack_equals_per_point_calls(self, form):
+        rng = np.random.default_rng(23)
+        for theta in rng.uniform(0.05, np.pi - 0.05, 5):
+            phi0 = rng.uniform(-2 * np.pi, 2 * np.pi)
+            phis = phi0 + rng.uniform(-8 * np.pi, 8 * np.pi, 257)  # several turns either way
+            stack = form(theta, phi0, phis)
+            assert np.array_equal(stack, np.array([form(theta, phi0, p) for p in phis]))
+
+    def test_scalar_azimuth_keeps_result_types(self):
+        for matrix in (qd.gamma2_closed(TYCKO, 0.2, 1.3), qd.w2_closed(TYCKO, 0.2, 1.3)):
+            assert matrix.shape == (2, 2) and matrix.dtype == complex
+        assert type(qd.pi2_closed(TYCKO, 0.2, 1.3)) is complex
+        assert type(qd.w1_closed(TYCKO, 0.2, 1.3)) is float
+
+    def test_coefficients_computed_once_per_stack(self, monkeypatch):
+        thetas = []
+        original = qd.connection_coeffs
+        monkeypatch.setattr(qd, "connection_coeffs", lambda theta: thetas.append(theta) or original(theta))
+        phis = np.linspace(0.0, 4 * np.pi, 101)
+        for form in (qd.gamma2_closed, qd.w2_closed, qd.pi2_closed):
+            assert len(form(TYCKO, 0.0, phis)) == len(phis)
+        assert thetas == [TYCKO] * 3
+
+
 class TestOracleConnection:
     def test_ode_reproduces_closed_form(self):
         scenario = qd.PrecessionScenario(theta=TYCKO, omega=2 * np.pi / 40, phi_final=4 * np.pi)
