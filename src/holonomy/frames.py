@@ -162,22 +162,32 @@ class FrameField:
 
 @dataclass(frozen=True)
 class ConnectionSamples:
-    """Per-sample E^n, A^n, D^n matrices for one level, plus optional evaluators."""
+    """Per-level E^n, A^n, D^n: sampled matrices, batched evaluators, or both.
+
+    The samples ``a``/``e`` may be left out when both evaluators are given;
+    ``multiplicity`` must then be given too, otherwise it is read off ``a``.
+    """
 
     level_index: int
-    times: np.ndarray            # (m,)
-    a: np.ndarray                # (m, l, l) connection matrices
-    e: np.ndarray                # (m, l, l) energy matrices
+    times: np.ndarray                # (m,)
+    a: np.ndarray | None = None      # (m, l, l) connection matrices
+    e: np.ndarray | None = None      # (m, l, l) energy matrices
     evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None  # batched: ts (m,) -> (m, l, l)
     evaluator_e: Callable[[np.ndarray], np.ndarray] | None = None
+    multiplicity: int | None = None
+
+    def __post_init__(self):
+        if self.a is not None and self.e is not None:
+            if self.multiplicity is None:
+                object.__setattr__(self, "multiplicity", self.a.shape[1])
+        elif self.evaluator_a is None or self.evaluator_e is None or self.multiplicity is None:
+            raise DomainError("a connection without sampled A and E needs both evaluators and its multiplicity")
 
     @property
     def d(self) -> np.ndarray:
+        if self.a is None or self.e is None:
+            raise DomainError("the connection has no samples of A and E; use its evaluators")
         return self.e - self.a
-
-    @property
-    def multiplicity(self) -> int:
-        return self.a.shape[1]
 
 
 def _generator_from_samples(times: np.ndarray, mats: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -24,18 +24,24 @@ import numpy as np
 from .frames import ConnectionSamples, _generator_from_samples
 
 
+def _half_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h_ab = (lam_a - lam_b) / 2 over each spectrum of a stack (..., l), and sinc(h) = sin(h) / h."""
+    half = 0.5 * (lam[..., :, None] - lam[..., None, :])
+    return half, np.sinc(half / np.pi)
+
+
 def _exp_i_and_frechet_many(g: np.ndarray, gdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched (exp(iG), d/dt exp(iG)) for stacked Hermitian G with derivative Gdot.
 
-    Uses the divided-difference kernel of x -> exp(ix) on the spectrum of G
-    (exact for Hermitian arguments).
+    Uses the divided-difference kernel of x -> exp(ix) on the spectrum of G,
+    (e^{i lam_a} - e^{i lam_b}) / (lam_a - lam_b) = i e^{i (lam_a + lam_b)/2} sinc(h_ab),
+    which needs no branch at equal eigenvalues and does not cancel near them.
     """
     lam, q = np.linalg.eigh(g)
     f = np.exp(1j * lam)
     v = np.einsum("...ij,...j,...kj->...ik", q, f, q.conj())
-    num = f[..., :, None] - f[..., None, :]
-    den = lam[..., :, None] - lam[..., None, :]
-    kernel = np.where(np.abs(den) > 1e-14, num / np.where(den == 0, 1.0, den), 1j * f[..., :, None])
+    half, sinc = _half_gaps(lam)
+    kernel = 1j * np.exp(1j * (lam[..., :, None] - half)) * sinc
     inner = np.einsum("...ji,...jk,...kl->...il", q.conj(), gdot, q)
     dv = np.einsum("...ij,...jk,...lk->...il", q, kernel * inner, q.conj())
     return v, dv
@@ -52,32 +58,34 @@ class SmoothGauge:
     cos_coeffs: np.ndarray  # (order, l, l) Hermitian
     sin_coeffs: np.ndarray  # (order, l, l) Hermitian
 
-    def _phase(self, t) -> np.ndarray:
-        return 2 * np.pi * (np.asarray(t, dtype=float) - self.t0) / (self.t1 - self.t0)
+    def generator(self, t, derivative: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """G(t), or (G(t), dG/dt) from the same cosines and sines when ``derivative``.
 
-    def generator(self, t) -> np.ndarray:
-        """G(t); accepts a scalar or an array of times (stacked output)."""
-        s = self._phase(t)
+        Accepts a scalar or an array of times (stacked output).
+        """
+        s = 2 * np.pi * (np.asarray(t, dtype=float) - self.t0) / (self.t1 - self.t0)
         ks = np.arange(1, len(self.cos_coeffs) + 1)
         angles = np.multiply.outer(s, ks)  # (..., order)
-        return (
+        cos, sin = np.cos(angles), np.sin(angles)
+        g = (
             self.base
-            + np.tensordot(np.cos(angles), self.cos_coeffs, axes=([-1], [0]))
-            + np.tensordot(np.sin(angles), self.sin_coeffs, axes=([-1], [0]))
+            + np.tensordot(cos, self.cos_coeffs, axes=([-1], [0]))
+            + np.tensordot(sin, self.sin_coeffs, axes=([-1], [0]))
         )
+        if not derivative:
+            return g
+        rate = 2 * np.pi / (self.t1 - self.t0)
+        gdot = rate * (
+            np.tensordot(-sin * ks, self.cos_coeffs, axes=([-1], [0]))
+            + np.tensordot(cos * ks, self.sin_coeffs, axes=([-1], [0]))
+        )
+        return g, gdot
 
     def generator_derivative(self, t) -> np.ndarray:
-        s = self._phase(t)
-        rate = 2 * np.pi / (self.t1 - self.t0)
-        ks = np.arange(1, len(self.cos_coeffs) + 1)
-        angles = np.multiply.outer(s, ks)
-        return rate * (
-            np.tensordot(-np.sin(angles) * ks, self.cos_coeffs, axes=([-1], [0]))
-            + np.tensordot(np.cos(angles) * ks, self.sin_coeffs, axes=([-1], [0]))
-        )
+        return self.generator(t, derivative=True)[1]
 
     def value_and_derivative(self, t) -> tuple[np.ndarray, np.ndarray]:
-        return _exp_i_and_frechet_many(self.generator(t), self.generator_derivative(t))
+        return _exp_i_and_frechet_many(*self.generator(t, derivative=True))
 
     def __call__(self, t) -> np.ndarray:
         lam, q = np.linalg.eigh(self.generator(t))
@@ -109,7 +117,14 @@ def random_smooth_gauge(
 
 
 class _TransformedConnectionEvaluator:
-    """A~ (or E~) under a smooth gauge, batched: ts (m,) -> (m, l, l)."""
+    """A~ (or E~) under a smooth gauge, batched: ts (m,) -> (m, l, l).
+
+    One eigendecomposition G = Q Lam Q^dag per node set gives both terms of
+    the gauge law in the eigenbasis of G, with h_ab = (lam_a - lam_b) / 2:
+
+        Q^dag (v^dag X v) Q        = e^{-2ih} o (Q^dag X Q)
+        Q^dag (i v^dag dv/dt) Q    = -e^{-ih} o sinc(h) o (Q^dag Gdot Q)   (Daleckii-Krein)
+    """
 
     def __init__(self, connection: ConnectionSamples, gauge: SmoothGauge, which: str):
         base = connection.evaluator_a if which == "a" else connection.evaluator_e
@@ -123,33 +138,47 @@ class _TransformedConnectionEvaluator:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         base = np.asarray(self._base(ts), dtype=complex)
         if self._which == "a":
-            v, dv = self._gauge.value_and_derivative(ts)
-            vh = np.conj(np.swapaxes(v, -1, -2))
-            out = np.einsum("...ij,...jk,...kl->...il", vh, base, v) + 1j * np.einsum("...ij,...jk->...ik", vh, dv)
-            return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-        v = self._gauge(ts)
-        vh = np.conj(np.swapaxes(v, -1, -2))
-        return np.einsum("...ij,...jk,...kl->...il", vh, base, v)
+            g, gdot = self._gauge.generator(ts, derivative=True)
+        else:
+            g = self._gauge.generator(ts)
+        lam, q = np.linalg.eigh(g)
+        half, sinc = _half_gaps(lam)
+        rot = np.exp(-1j * half)
+        qh = np.conj(np.swapaxes(q, -1, -2))
+        inner = rot * rot * _sandwich(qh, base, q)
+        if self._which == "a":
+            inner -= rot * sinc * _sandwich(qh, gdot, q)
+        out = _sandwich(q, inner, qh)
+        return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
     def __call__(self, ts) -> np.ndarray:
         return self.many(ts)
 
 
-def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> ConnectionSamples:
-    """Apply the exact gauge law to a connection.
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ x @ right over stacks (m, l, l) of small matrices.
 
-    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v.  When the input
-    connection has no evaluators, A and E between the samples come from the
-    same interpolant the integrators use for sampled data.
+    The products run with the stack axis innermost, so numpy's loops run over
+    m; on the (m, l, l) layout einsum and matmul spend their time in overhead
+    per tiny matrix.
     """
-    a_tilde = _TransformedConnectionEvaluator(connection, gauge, "a")
-    e_tilde = _TransformedConnectionEvaluator(connection, gauge, "e")
-    ts = connection.times
+    lt, xt, rt = (np.ascontiguousarray(np.moveaxis(z, 0, -1)) for z in (left, x, right))  # (l, l, m)
+    lx = (lt[:, :, None] * xt[None]).sum(axis=1)
+    return np.moveaxis((lx[:, :, None] * rt[None]).sum(axis=1), -1, 0)
+
+
+def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> ConnectionSamples:
+    """Apply the exact gauge law to a connection; the result has evaluators only.
+
+    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v, evaluated on demand at
+    the times the integrator asks for; nothing is sampled here.  When the
+    input connection has no evaluators, A and E between the samples come from
+    the same interpolant the integrators use for sampled data.
+    """
     return ConnectionSamples(
         level_index=connection.level_index,
-        times=ts.copy(),
-        a=a_tilde.many(ts),
-        e=e_tilde.many(ts),
-        evaluator_a=a_tilde,
-        evaluator_e=e_tilde,
+        times=connection.times.copy(),
+        evaluator_a=_TransformedConnectionEvaluator(connection, gauge, "a"),
+        evaluator_e=_TransformedConnectionEvaluator(connection, gauge, "e"),
+        multiplicity=connection.multiplicity,
     )

@@ -175,9 +175,11 @@ def expm_skew(h: np.ndarray, s: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
-def expm_skew_many(hs: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """Batched exp(-i*s*H_k) over a stack of Hermitian matrices (m, d, d)."""
-    w, v = np.linalg.eigh(hs)
+def expm_skew_many(w: np.ndarray, v: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """Batched exp(-i*s*H_k) from the decomposition (w, v) = np.linalg.eigh(H) of a stack (m, d, d).
+
+    The caller decomposes once and can read the spectrum too (the steppers' |K| h check).
+    """
     phases = np.exp(-1j * s * w)
     return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
 

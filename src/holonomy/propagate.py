@@ -7,9 +7,11 @@ the step level because each step is the exponential of a Hermitian generator:
 * ``magnus4``: fourth-order Magnus step built from the two Gauss-Legendre
   nodes of the step, with the leading commutator correction.
 
-Time ordering is embodied operationally by the left-multiplication order of
-the step factors.  Grid refinement is the caller's responsibility; the trace
-carries a per-step |K| h diagnostic.
+Each step generator is eigendecomposed once: its eigenvalues give the |K| h
+check and its eigenvectors the step exponential.  Time ordering is embodied
+operationally by the left-multiplication order of the step factors.  Grid
+refinement is the caller's responsibility; the trace carries the largest
+per-step |K| h.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
         comm = np.einsum("kij,kjl->kil", k2, k1) - np.einsum("kij,kjl->kil", k1, k2)
         heff = 0.5 * (k1 + k2) * hs[:, None, None] - 1j * (np.sqrt(3.0) / 12.0) * (hs[:, None, None] ** 2) * comm
 
-    # |K| h per step from the effective generator's spectral range
-    step_eigs = np.linalg.eigvalsh(heff)
+    # one decomposition per step: its eigenvalues give |K| h, its eigenvectors the step exponential
+    step_eigs, step_vecs = np.linalg.eigh(heff)
     step_norms = np.max(np.abs(step_eigs), axis=1)
     max_step_norm = float(np.max(step_norms))
     if max_step_norm >= STEP_NORM_LIMIT:
@@ -114,7 +116,7 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
             f"step {worst} violates |K| h < {STEP_NORM_LIMIT}: got {max_step_norm:.3f}; refine the grid"
         )
 
-    steps = expm_skew_many(heff)
+    steps = expm_skew_many(step_eigs, step_vecs)
     out = np.empty((len(ts),) + problem.initial.shape, dtype=complex)
     out[0] = problem.initial
     acc = problem.initial

@@ -429,6 +429,8 @@ def run_gauge_test(
         raise ConfigError("the gauge test is defined for the quadrupole system")
     scenario = config.precession_scenario()
     count = config.gauge_count if count is None else count
+    if count < 1:
+        raise ConfigError(f"the gauge count must be >= 1, got {count}")
     num_samples = max(config.grid, 1600) + 1
 
     conn = qd.level2_connection_samples(scenario, num_samples)
@@ -446,8 +448,7 @@ def run_gauge_test(
         gauge = random_smooth_gauge(2, 0.0, t_final, seed=seq)
         conn_t = transform_connection(conn, gauge)
         trace_t = holonomy(conn_t, method=config.method)
-        v0 = gauge(0.0)
-        vt = gauge(t_final)
+        v0, vt = gauge(np.array([0.0, t_final]))
         w_t = v0.conj().T @ w_base @ vt
         gamma_t = trace_t.final
         dpi[i] = abs(np.trace(w_t @ gamma_t) - pi_base)

@@ -409,3 +409,7 @@ class TestGaugeTestCommand:
         assert main([
             "gauge-test", "--config", str(quad_config), "--count", "2", "--tolerance", "1e-18",
         ]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_invalid_count_is_config_error(self, quad_config, count):
+        assert main(["gauge-test", "--config", str(quad_config), "--count", count]) == 2

@@ -5,6 +5,7 @@ from holonomy.errors import DomainError, StructuralError
 from holonomy.linalg import (
     eig_hermitian,
     expm_skew,
+    expm_skew_many,
     frame_orthonormality_defect,
     hermiticity_defect,
     polar_unitary_factor,
@@ -118,6 +119,13 @@ class TestExpmSkew:
         rng = np.random.default_rng(23)
         for _ in range(5):
             assert unitarity_defect(expm_skew(random_hermitian(rng, 6), 1.7)) <= 1e-12
+
+    def test_many_from_decomposition(self):
+        rng = np.random.default_rng(24)
+        hs = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        got = expm_skew_many(*np.linalg.eigh(hs), 0.4)
+        for k in range(4):
+            assert np.max(np.abs(got[k] - expm_skew(hs[k], 0.4))) <= 1e-14
 
 
 class TestDefects:
