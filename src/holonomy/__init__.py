@@ -35,6 +35,7 @@ from .frames import (
     curve_from_function,
     family_from_generators,
     transport_frame,
+    transport_frames,
     verify_invariant,
 )
 from .propagate import (
@@ -88,6 +89,7 @@ __all__ = [
     "curve_from_function",
     "family_from_generators",
     "transport_frame",
+    "transport_frames",
     "verify_invariant",
     "MatrixOdeProblem",
     "PropagatorTrace",

@@ -80,29 +80,28 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _phase_rows(result: RunResult) -> tuple[list[str], list[list]]:
+def _phase_rows(result: RunResult) -> tuple[list[str], list[tuple]]:
     quad = result.system == "quadrupole"
     header = ["t"] + (["phi"] if quad else []) + [
         "level", "re_pi", "im_pi", "abs_pi",
         "phase_angle", "phase_angle_unwrapped", "visibility", "unitarity_defect",
     ]
-    rows: list[list] = []
+    rows: list[tuple] = []
     for lv in result.levels:
-        for k, t in enumerate(lv.times):
-            row: list = [float(t)]
-            if quad:
-                row.append(float(result.phis[k]))
-            row += [
-                lv.label,
-                lv.pi[k].real,
-                lv.pi[k].imag,
-                abs(lv.pi[k]),
-                None if lv.phase_angles is None else float(lv.phase_angles[k]),
-                None if lv.phase_unwrapped is None else float(lv.phase_unwrapped[k]),
-                None if lv.visibilities is None else float(lv.visibilities[k]),
-                float(lv.unitarity_defects[k]),
-            ]
-            rows.append(row)
+        n = len(lv.times)
+        optional = [
+            [None] * n if column is None else column.tolist()
+            for column in (lv.phase_angles, lv.phase_unwrapped, lv.visibilities)
+        ]
+        columns = [lv.times.tolist()] + ([result.phis.tolist()] if quad else []) + [
+            [lv.label] * n,
+            lv.pi.real.tolist(),
+            lv.pi.imag.tolist(),
+            list(map(abs, lv.pi.tolist())),  # libm hypot, as abs of each scalar; np.abs of the array rounds differently
+            *optional,
+            lv.unitarity_defects.tolist(),
+        ]
+        rows += zip(*columns)
     return header, rows
 
 

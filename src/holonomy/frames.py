@@ -2,9 +2,13 @@
 
 A :class:`Curve` is a time-stamped path through parameter space.  An
 :class:`OperatorFamily` maps parameter vectors to Hermitian matrices.
-:func:`transport_frame` follows one spectral level along a curve and
+:func:`transport_frames` follows spectral levels along a curve from one
+eigendecomposition of the sampled family, shared by the levels, and
 (optionally) applies discrete parallel transport so that the frames vary
-smoothly; :func:`connection_matrices` then produces the per-level matrices
+smoothly.  The transport is a cumulative product of the polar factors of
+the raw overlaps, taken from one stacked SVD and projected back onto the
+unitaries by one stacked polar decomposition.  :func:`connection_matrices`
+then produces the per-level matrices
 
     E^n(t)   = <a| H(t) |b>                (energy matrix)
     A^n(t)   = i <a| d/dt |b>              (connection matrix)
@@ -23,9 +27,10 @@ import numpy as np
 
 from .errors import DomainError, LevelCrossingError, ResolutionError, StructuralError
 from .linalg import (
-    Spectrum,
     _first_over_scale,
-    eig_hermitian,
+    _level_bounds,
+    _level_splits,
+    _ordered_products,
     polar_unitary_factor,
     require_hermitian,
     require_unitary,
@@ -147,6 +152,7 @@ class FrameField:
     eigenvalues: np.ndarray         # (m,) level eigenvalue per sample
     cyclic: bool = False
     cyclic_misalignment: float | None = None  # aligned transport around a loop
+    min_overlap_singular_value: float | None = None  # aligned transport: smallest over successive overlaps
 
     @property
     def num_samples(self) -> int:
@@ -222,8 +228,71 @@ def _generator_from_samples(times: np.ndarray, mats: np.ndarray) -> Callable[[np
     return evaluate
 
 
-def _spectra_along(family: OperatorFamily, curve: Curve, degeneracy_tol: float | None) -> list[Spectrum]:
-    return [eig_hermitian(h, degeneracy_tol) for h in family(curve.points)]
+def transport_frames(
+    family: OperatorFamily,
+    curve: Curve,
+    levels: Sequence[int] | None = None,
+    gauge: str = "aligned",
+    degeneracy_tol: float | None = None,
+) -> tuple[FrameField, ...]:
+    """Follow spectral levels along a curve, all from one eigendecomposition of the sampled family.
+
+    ``levels`` are 0-based level indices, counted at the first sample
+    (default: every level).  The eigenvalues of each sample are clustered
+    into levels as ``eig_hermitian`` does; a sample whose multiplicity
+    pattern differs from the first one's is a level crossing.
+
+    ``gauge="raw"`` keeps the frames exactly as emitted by the
+    eigendecomposition at each sample (arbitrary per-sample orientation).
+    ``gauge="aligned"`` post-multiplies each frame by the unitary polar factor
+    of its overlap with the previous aligned frame (discrete parallel
+    transport), leaving the first frame unchanged.
+    """
+    if gauge not in ("raw", "aligned"):
+        raise DomainError(f"unknown gauge {gauge!r}")
+    vals, vecs = np.linalg.eigh(family(curve.points))
+    splits = _level_splits(vals, degeneracy_tol)
+    bounds = _level_bounds(splits[0])
+    levels = tuple(range(len(bounds))) if levels is None else tuple(levels)
+    for level in levels:
+        if not 0 <= level < len(bounds):
+            raise DomainError(f"level index {level} out of range; the family has {len(bounds)} levels")
+    changed = np.flatnonzero(np.any(splits != splits[0], axis=1))
+    if changed.size:
+        k = int(changed[0])
+        raise LevelCrossingError(
+            f"level structure changed at sample {k}: "
+            f"{_multiplicities(bounds)} -> {_multiplicities(_level_bounds(splits[k]))}"
+        )
+
+    fields = []
+    for level in levels:
+        a, b = bounds[level]
+        frames = vecs[:, :, a:b]
+        smallest = misalignment = None
+        if gauge == "aligned":
+            frames, smallest = _parallel_transport(frames)
+            if curve.cyclic:
+                misalignment = float(np.max(np.abs(frames[-1] - frames[0])))
+        else:
+            frames = frames.copy()
+            if curve.cyclic:
+                # identical endpoint parameters and a deterministic eigensolver make
+                # the raw endpoint frames coincide; force exact equality anyway
+                frames[-1] = frames[0]
+        fields.append(
+            FrameField(
+                level_index=level,
+                multiplicity=b - a,
+                times=curve.times.copy(),
+                frames=frames,
+                eigenvalues=np.mean(vals[:, a:b], axis=1),
+                cyclic=curve.cyclic,
+                cyclic_misalignment=misalignment,
+                min_overlap_singular_value=smallest,
+            )
+        )
+    return tuple(fields)
 
 
 def transport_frame(
@@ -233,58 +302,36 @@ def transport_frame(
     gauge: str = "aligned",
     degeneracy_tol: float | None = None,
 ) -> FrameField:
-    """Follow one spectral level along a curve.
+    """Follow one spectral level along a curve; see :func:`transport_frames`."""
+    return transport_frames(family, curve, (level,), gauge, degeneracy_tol)[0]
 
-    ``gauge="raw"`` keeps the frames exactly as emitted by the
-    eigendecomposition at each sample (arbitrary per-sample orientation).
-    ``gauge="aligned"`` post-multiplies each frame by the unitary polar factor
-    of its overlap with the previous frame (discrete parallel transport),
-    leaving the first frame unchanged.
+
+def _multiplicities(bounds: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    return tuple(b - a for a, b in bounds)
+
+
+def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
+    """Aligned frames from raw ones (m, dim, l), and the smallest overlap singular value.
+
+    Aligning G_k = F_k polar(G_{k-1}^dag F_k)^dag in sequence is a cumulative
+    product: polar(V O) = V polar(O) for a unitary V, so G_k = F_k U_k with
+    U_k = polar(O_k)^dag U_{k-1} and the raw overlaps O_k = F_{k-1}^dag F_k.
+    One stacked SVD gives every polar(O_k) and every singular value.
     """
-    if gauge not in ("raw", "aligned"):
-        raise DomainError(f"unknown gauge {gauge!r}")
-    spectra = _spectra_along(family, curve, degeneracy_tol)
-    pattern = spectra[0].multiplicities
-    if not 0 <= level < len(pattern):
-        raise DomainError(f"level {level} out of range; family has {len(pattern)} levels")
-    for k, spec in enumerate(spectra):
-        if spec.multiplicities != pattern:
-            raise LevelCrossingError(
-                f"level structure changed at sample {k}: {pattern} -> {spec.multiplicities}"
-            )
-
-    mult = pattern[level]
-    frames = np.array([spec.level(level).frame for spec in spectra])
-    eigenvalues = np.array([spec.level(level).eigenvalue for spec in spectra])
-
-    misalignment = None
-    if gauge == "aligned":
-        for k in range(1, len(frames)):
-            overlap = frames[k - 1].conj().T @ frames[k]
-            svals = np.linalg.svd(overlap, compute_uv=False)
-            if svals.min() < MIN_OVERLAP_SINGULAR_VALUE:
-                raise ResolutionError(
-                    f"curve under-resolved between samples {k - 1} and {k}: "
-                    f"min overlap singular value {svals.min():.3f}"
-                )
-            # closest unitary to the overlap; makes the new overlap Hermitian PSD
-            frames[k] = frames[k] @ polar_unitary_factor(overlap).conj().T
-        if curve.cyclic:
-            misalignment = float(np.max(np.abs(frames[-1] - frames[0])))
-    elif curve.cyclic:
-        # identical endpoint parameters and a deterministic eigensolver make
-        # the raw endpoint frames coincide; force exact equality anyway
-        frames[-1] = frames[0]
-
-    return FrameField(
-        level_index=level,
-        multiplicity=mult,
-        times=curve.times.copy(),
-        frames=frames,
-        eigenvalues=eigenvalues,
-        cyclic=curve.cyclic,
-        cyclic_misalignment=misalignment,
-    )
+    overlaps = np.conj(np.swapaxes(frames[:-1], 1, 2)) @ frames[1:]
+    u, svals, vh = np.linalg.svd(overlaps)
+    smallest = svals[:, -1]
+    bad = np.flatnonzero(smallest < MIN_OVERLAP_SINGULAR_VALUE)
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise ResolutionError(
+            f"curve under-resolved between samples {k - 1} and {k}: "
+            f"min overlap singular value {smallest[k - 1]:.3f}"
+        )
+    steps = np.conj(np.swapaxes(u @ vh, 1, 2))
+    chain = _ordered_products(steps, np.eye(frames.shape[2], dtype=complex))
+    # thousands of products drift off the unitaries by roundoff; one stacked polar projects them back
+    return frames @ polar_unitary_factor(chain), float(np.min(smallest))
 
 
 def _central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -32,14 +32,39 @@ def fmt(value) -> str:
     return str(value)
 
 
+_F17 = "%.17g".__mod__
+_BLOCK_ROWS = 2048
+_FLOAT_OR_BLANK = {float, np.float64, type(None)}
+
+
+def _format_column(values: tuple) -> list[str]:
+    """The cells of one column as ``fmt`` renders them; floats and blanks, or ints, in one pass."""
+    types = set(map(type, values))
+    if types <= _FLOAT_OR_BLANK:
+        return ["" if v is None else _F17(v) for v in values]
+    if types == {int}:
+        return list(map(str, values))
+    return list(map(fmt, values))
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows; each cell as ``fmt`` renders it, quoted by the csv module where needed.
+
+    ``rows`` is read once.  Blocks of rows of one width are formatted a
+    column at a time; a block bounds the formatted cells held at once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = list(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            if len({len(row) for row in block}) == 1 and len(block[0]) > 0:
+                writer.writerows(zip(*map(_format_column, zip(*block))))
+            else:
+                writer.writerows([fmt(v) for v in row] for row in block)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

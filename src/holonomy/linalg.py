@@ -18,6 +18,7 @@ from .errors import DomainError, StructuralError
 HERMITICITY_TOL = 1e-12   # relative to max|entry|
 UNITARITY_TOL = 1e-10     # absolute
 DEGENERACY_REL_TOL = 1e-8  # relative gap threshold for clustering
+_TINY = np.finfo(float).tiny
 
 
 def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -141,6 +142,27 @@ class Spectrum:
         return float(np.max(np.abs(proj - np.eye(self.dim))))
 
 
+def _level_splits(vals: np.ndarray, degeneracy_tol: float | None = None) -> np.ndarray:
+    """Where a new level starts in each row of ascending eigenvalues (m, d), as (m, d - 1) booleans.
+
+    Neighbours further apart than ``degeneracy_tol`` (default: 1e-8 * the
+    row's max|lambda|) belong to different levels.
+    """
+    if degeneracy_tol is None:
+        tol = DEGENERACY_REL_TOL * np.maximum(np.abs(vals).max(axis=1, keepdims=True), _TINY)
+    elif degeneracy_tol <= 0:
+        raise DomainError("degeneracy_tol must be positive")
+    else:
+        tol = degeneracy_tol
+    return vals[:, 1:] - vals[:, :-1] > tol
+
+
+def _level_bounds(splits: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Column ranges (start, stop) of the levels of one row of ``_level_splits``."""
+    edges = [0, *(k + 1 for k, split in enumerate(splits.tolist()) if split), len(splits) + 1]
+    return tuple(zip(edges[:-1], edges[1:]))
+
+
 def eig_hermitian(m: np.ndarray, degeneracy_tol: float | None = None) -> Spectrum:
     """Eigendecompose a Hermitian matrix, merging near-equal eigenvalues.
 
@@ -152,20 +174,22 @@ def eig_hermitian(m: np.ndarray, degeneracy_tol: float | None = None) -> Spectru
     """
     m = require_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_REL_TOL * max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
-    elif degeneracy_tol <= 0:
-        raise DomainError("degeneracy_tol must be positive")
+    bounds = _level_bounds(_level_splits(vals[None], degeneracy_tol)[0])
+    levels = tuple(
+        SpectralLevel(float(np.mean(vals[a:b])), b - a, vecs[:, a:b].copy()) for a, b in bounds
+    )
+    return Spectrum(dim=m.shape[0], levels=levels)
 
-    levels: list[SpectralLevel] = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > degeneracy_tol:
-            cluster = vals[start:k]
-            frame = vecs[:, start:k].copy()
-            levels.append(SpectralLevel(float(np.mean(cluster)), k - start, frame))
-            start = k
-    return Spectrum(dim=m.shape[0], levels=tuple(levels))
+
+def _ordered_products(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """The time-ordered products M_0 = initial, M_{k+1} = steps[k] @ M_k of a stack (m, d, d), as (m + 1, d, l)."""
+    out = np.empty((len(steps) + 1,) + initial.shape, dtype=complex)
+    out[0] = initial
+    acc = initial
+    for k in range(len(steps)):
+        acc = steps[k] @ acc
+        out[k + 1] = acc
+    return out
 
 
 def expm_skew(h: np.ndarray, s: float = 1.0) -> np.ndarray:
@@ -198,6 +222,6 @@ def subspace_projector_distance(frame_a: np.ndarray, frame_b: np.ndarray) -> flo
 
 
 def polar_unitary_factor(m: np.ndarray) -> np.ndarray:
-    """Unitary factor Q of the polar decomposition M = Q * P with P >= 0."""
+    """Unitary factor Q of the polar decomposition M = Q * P with P >= 0, of one matrix or of each of a stack."""
     u, _, vh = np.linalg.svd(np.asarray(m, dtype=complex))
     return u @ vh

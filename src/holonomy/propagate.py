@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .frames import ConnectionSamples, FrameField, _generator_from_samples
-from .linalg import HERMITICITY_TOL, expm_skew_many, require_hermitian, require_unitary
+from .linalg import HERMITICITY_TOL, _ordered_products, expm_skew_many, require_hermitian, require_unitary
 
 METHODS = ("midpoint_exp", "magnus4")
 STEP_NORM_LIMIT = 1.0  # reject steps with |K| h beyond this
@@ -116,13 +116,7 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
             f"step {worst} violates |K| h < {STEP_NORM_LIMIT}: got {max_step_norm:.3f}; refine the grid"
         )
 
-    steps = expm_skew_many(step_eigs, step_vecs)
-    out = np.empty((len(ts),) + problem.initial.shape, dtype=complex)
-    out[0] = problem.initial
-    acc = problem.initial
-    for k in range(len(hs)):
-        acc = steps[k] @ acc
-        out[k + 1] = acc
+    out = _ordered_products(expm_skew_many(step_eigs, step_vecs), problem.initial)
     return PropagatorTrace(times=ts.copy(), matrices=out, method=method, max_step_norm=max_step_norm)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from . import quadrupole as qd
 from .adiabatic import AdiabaticScenario, adiabaticity_report, convergence_study
 from .config import ScenarioConfig
-from .errors import ConfigError
-from .frames import Curve, OperatorFamily, connection_matrices, transport_frame
+from .errors import ConfigError, DomainError
+from .frames import Curve, OperatorFamily, connection_matrices, transport_frames
 from .gauges import random_smooth_gauge, transform_connection
 from .io import read_curve_csv, read_generators_json
 from .linalg import unitarity_defects
@@ -47,6 +47,8 @@ class LevelTrace:
     report: PhaseReport | None = None            # endpoint report
     oracle_gamma_deviation: float | None = None
     oracle_trace_deviation: float | None = None
+    min_overlap_singular_value: float | None = None  # transported frames only
+    cyclic_misalignment: float | None = None         # transported frames on a loop
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,9 @@ class RunResult:
                 rec["oracle_gamma_deviation"] = lv.oracle_gamma_deviation
             if lv.oracle_trace_deviation is not None:
                 rec["oracle_trace_deviation"] = lv.oracle_trace_deviation
+            if lv.min_overlap_singular_value is not None:
+                rec["min_overlap_singular_value"] = lv.min_overlap_singular_value
+                rec["cyclic_misalignment"] = lv.cyclic_misalignment  # None on an open curve
             levels[str(lv.label)] = rec
         out = {
             "system": self.system,
@@ -255,20 +260,18 @@ def run_custom_phase(
     family, curve = _custom_family(config)
     method = method or config.method
 
-    from .linalg import eig_hermitian
-
-    spectrum0 = eig_hermitian(family(curve.points[0]))
-    num_levels = len(spectrum0.levels)
-    labels = tuple(range(1, num_levels + 1)) if config.levels is None else config.levels
-    if any(not 1 <= l <= num_levels for l in labels):
-        raise ConfigError(f"levels {labels} out of range; family has {num_levels} levels")
+    indices = None if config.levels is None else tuple(label - 1 for label in config.levels)
+    try:
+        fields = transport_frames(family, curve, indices, gauge="aligned")
+    except DomainError as exc:  # the inputs are read and checked: only a level index can be out of range
+        raise ConfigError(f"levels {config.levels} do not exist: {exc}") from None
+    hams = family(curve.points)
 
     out: list[LevelTrace] = []
     max_step = 0.0
-    for label in labels:
-        level = label - 1
-        frames = transport_frame(family, curve, level, gauge="aligned")
-        conn = connection_matrices(frames, family(curve.points))
+    for frames in fields:
+        level = frames.level_index
+        conn = connection_matrices(frames, hams)
         trace = holonomy(conn, method=method)
         w = frames.frames[0].conj().T @ frames.frames
         pis = np.trace(w @ trace.matrices, axis1=1, axis2=2)
@@ -290,7 +293,7 @@ def run_custom_phase(
         report = noncyclic_phase(w_final, trace.final, dynamical_phase=dyn)
         out.append(
             LevelTrace(
-                label=label,
+                label=level + 1,
                 multiplicity=frames.multiplicity,
                 times=frames.times,
                 pi=pis,
@@ -299,6 +302,8 @@ def run_custom_phase(
                 phase_unwrapped=unwrapped,
                 visibilities=vis,
                 report=report,
+                min_overlap_singular_value=frames.min_overlap_singular_value,
+                cyclic_misalignment=frames.cyclic_misalignment,
             )
         )
         max_step = max(max_step, trace.max_step_norm)
@@ -392,10 +397,10 @@ def run_adiabatic(config: ScenarioConfig, tau_list: list[float]) -> list[tuple[f
         )
 
     defects = convergence_study(scen, tau_list, method=config.method)
-    return [
-        (tau, defect, adiabaticity_report(scen.with_tau(tau), num_samples=101).summary_ratio)
-        for tau, defect in defects
-    ]
+    # dH/dt, and so every coupling over a fixed spectrum, scales as 1/tau: one report serves the ladder
+    tau0 = defects[0][0]
+    ratio0 = adiabaticity_report(scen.with_tau(tau0), num_samples=101).summary_ratio
+    return [(tau, defect, ratio0 * (tau0 / tau)) for tau, defect in defects]
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,34 @@ class TestIO:
         assert f"{value:.17g}".encode() in raw
         assert b"\r\n" in raw  # RFC-4180 line endings
 
+    def test_csv_columns_match_cell_by_cell_writer(self, tmp_path):
+        # the column pass writes the bytes of formatting each cell with fmt
+        import io as stdio
+
+        from holonomy.io import fmt
+
+        rng = np.random.default_rng(4)
+        floats = rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6)
+        rows = [
+            [float(floats[k]), floats[k], None if k % 2 else float(k), k, np.int64(k), bool(k % 2),
+             np.float32(0.1 * k), "a,b" if k == 3 else 'q"t', complex(k, 1)]
+            for k in range(6)
+        ]
+        rows[2][0] = float("nan")
+        rows[4][1] = -np.inf
+        rows[5][0] = -0.0
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        long = [[0.1 * k, None if k > 3000 else k, "a,b" if k == 4000 else 0.5] for k in range(5000)]  # several blocks
+        for table in (rows, [[None], [1.5]], [[None], [None]], [["x", 2], [3]], [], long):
+            expected = stdio.StringIO(newline="")
+            writer = csv.writer(expected, quoting=csv.QUOTE_MINIMAL)
+            writer.writerow(header)
+            for row in table:
+                writer.writerow([fmt(v) for v in row])
+            path = tmp_path / "x.csv"
+            write_csv(path, header, iter(table))  # an iterator: read once
+            assert path.read_bytes() == expected.getvalue().encode()
+
     def test_csv_blank_for_none(self, tmp_path):
         path = tmp_path / "x.csv"
         write_csv(path, ["a", "b"], [[None, 1.5]])
@@ -206,6 +234,29 @@ class TestPhaseCommand:
         )
         assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_level_out_of_range_before_crossing(self, tmp_path, capsys):
+        # the same crossing family asked for a third level: a configuration error, not a crossing
+        gen = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        gen_path = tmp_path / "g.json"
+        gen_path.write_text(json.dumps({"generators": [gen]}))
+        curve_path = tmp_path / "c.csv"
+        ts = np.linspace(0, 1, 33)
+        curve_path.write_text("\n".join(f"{t},{1.0 - 2.0 * t}" for t in ts) + "\n")
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(
+            f"system = custom-family\ngenerators_file = {gen_path}\ncurve_file = {curve_path}\nlevels = 1,3\n"
+        )
+        assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error: levels (1, 3)" in capsys.readouterr().err
+
+    def test_custom_summary_reports_transport_margins(self, custom_inputs, tmp_path):
+        out = tmp_path / "out"
+        assert main(["phase", "--config", str(custom_inputs), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for rec in summary["levels"].values():
+            assert rec["min_overlap_singular_value"] == pytest.approx(1.0, abs=1e-12)  # a constant curve
+            assert rec["cyclic_misalignment"] is None  # an open curve has no closure to report
 
 
 class TestLoggingAndWarnings:
@@ -376,6 +427,20 @@ class TestAdiabaticCommand:
         assert defects[0] > defects[1] > defects[2]
         assert 1.3 <= defects[0] / defects[1] <= 3.0
         assert ratios[0] == pytest.approx(2 * ratios[1], rel=1e-6)
+
+    def test_ratios_rescale_one_report(self, quad_config):
+        # one report at the first tau, scaled by tau0 / tau, equals a report per tau
+        from holonomy.adiabatic import adiabaticity_report
+        from holonomy.runner import run_adiabatic
+
+        config = parse_config_text(BASE_CONFIG)
+        taus = [30.0, 70.0, 110.0]
+        rows = run_adiabatic(config, taus)
+        scen = qd.adiabatic_scenario(config.precession_scenario())
+        for (tau, _, ratio), expected_tau in zip(rows, taus):
+            assert tau == expected_tau
+            expected = adiabaticity_report(scen.with_tau(tau), num_samples=101).summary_ratio
+            assert ratio == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_constant_custom_family(self, custom_inputs, tmp_path):
         out = tmp_path / "a"

@@ -1,0 +1,178 @@
+"""Property tests over random Hermitian families: batched frame transport.
+
+``transport_frames`` aligns all samples of a level at once: one stacked
+eigendecomposition, one stacked SVD of the raw overlaps, a cumulative product
+of their polar factors and one stacked polar re-projection.  The reference
+here is the per-sample loop it replaced: an eigendecomposition per sample,
+then each frame aligned to its aligned predecessor in sequence.
+"""
+
+import re
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from holonomy.errors import LevelCrossingError, ResolutionError
+from holonomy.frames import MIN_OVERLAP_SINGULAR_VALUE, Curve, OperatorFamily, transport_frames
+from holonomy.linalg import eig_hermitian, frame_orthonormality_defect, polar_unitary_factor
+
+SETTINGS = dict(derandomize=True, deadline=None)
+
+
+def sequential_transport(family, curve, level):
+    """Aligned frames of one level, one sample at a time."""
+    spectra = [eig_hermitian(h) for h in family(curve.points)]
+    pattern = spectra[0].multiplicities
+    for k, spec in enumerate(spectra):
+        if spec.multiplicities != pattern:
+            raise LevelCrossingError(f"level structure changed at sample {k}: {pattern} -> {spec.multiplicities}")
+    frames = np.array([spec.level(level).frame for spec in spectra])
+    for k in range(1, len(frames)):
+        overlap = frames[k - 1].conj().T @ frames[k]
+        svals = np.linalg.svd(overlap, compute_uv=False)
+        if svals.min() < MIN_OVERLAP_SINGULAR_VALUE:
+            raise ResolutionError(
+                f"curve under-resolved between samples {k - 1} and {k}: min overlap singular value {svals.min():.3f}"
+            )
+        frames[k] = frames[k] @ polar_unitary_factor(overlap).conj().T
+    return frames
+
+
+def failing_sample(exc: Exception) -> int:
+    """The sample index an error message names before its colon (the later one of a pair)."""
+    return int(re.search(r"(\d+):", str(exc)).group(1))
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2
+
+
+@st.composite
+def spectra(draw, min_levels=1):
+    """(multiplicities, seed): d <= 5 with one degenerate level, in any position, and min_levels levels or more."""
+    d = draw(st.integers(min_levels + 1, 5))
+    degenerate = draw(st.integers(2, d - min_levels + 1))
+    mults = draw(st.permutations([degenerate] + [1] * (d - degenerate)))
+    return tuple(mults), draw(st.integers(0, 2**32 - 1))
+
+
+def level_values(rng, mults):
+    """Eigenvalues, each level repeated by its multiplicity, with gaps between 0.5 and 1.5."""
+    return np.repeat(np.cumsum(rng.uniform(0.5, 1.5, len(mults))), mults)
+
+
+def rotating_family(values, g, w):
+    """H(theta) = U diag(values(theta)) U^dag, U = W exp(i theta G); theta is the curve's one parameter.
+
+    ``values`` maps the parameter stack (m,) to the eigenvalues (m, d).
+    """
+    gw, gv = np.linalg.eigh(g)
+
+    def evaluate(thetas):
+        s = thetas[:, 0]
+        u = w @ (gv * np.exp(1j * s[:, None, None] * gw)) @ gv.conj().T
+        return (u * values(s)[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
+
+    return OperatorFamily(dim=len(w), evaluator=evaluate)
+
+
+def constant(lam):
+    return lambda s: np.broadcast_to(lam, (len(s), len(lam)))
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(spectra(), st.integers(20, 1000), st.floats(0.2, 2.0), st.floats(0.5, 3.0))
+def test_batched_transport_equals_sequential(spectrum, num_samples, rate, span):
+    mults, seed = spectrum
+    rng = np.random.default_rng(seed)
+    d = sum(mults)
+    g = rate * random_hermitian(rng, d) / np.sqrt(d)
+    family = rotating_family(constant(level_values(rng, mults)), g, random_unitary(rng, d))
+    curve = Curve(times=np.linspace(0.0, 1.0, num_samples), points=np.linspace(0.0, span, num_samples)[:, None])
+    fields = transport_frames(family, curve)
+    assert [f.multiplicity for f in fields] == list(mults)
+    for level, field in enumerate(fields):
+        reference = sequential_transport(family, curve, level)
+        assert np.max(np.abs(field.frames - reference)) <= 1e-12
+
+
+@settings(max_examples=4, **SETTINGS)
+@given(spectra())
+def test_long_loop_frames_stay_orthonormal(spectrum):
+    # exp(i theta G) with integer eigenvalues of G closes after one turn of the angle theta,
+    # so the curve (cos theta, sin theta) is a closed loop of the family
+    mults, seed = spectrum
+    rng = np.random.default_rng(seed)
+    d = sum(mults)
+    v = random_unitary(rng, d)
+    g = (v * rng.integers(-2, 3, size=d)) @ v.conj().T
+    inner = rotating_family(constant(level_values(rng, mults)), g, random_unitary(rng, d))
+    family = OperatorFamily(dim=d, evaluator=lambda p: inner.evaluator(np.arctan2(p[:, 1], p[:, 0])[:, None]))
+    angles = np.linspace(0.0, 2 * np.pi, 8001)
+    points = np.column_stack([np.cos(angles), np.sin(angles)])
+    points[-1] = points[0]
+    curve = Curve(times=angles, points=points, cyclic=True)
+    for field in transport_frames(family, curve):
+        assert max(frame_orthonormality_defect(f) for f in field.frames) <= 1e-14
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(spectra(min_levels=2), st.integers(3, 60), st.data())
+def test_under_resolved_step_found_at_the_same_sample(spectrum, num_samples, data):
+    # a plane rotation carries a vector of one level into another level; one
+    # step of the curve turns it by delta, so that overlap has singular value |cos delta| < 0.5
+    mults, seed = spectrum
+    rng = np.random.default_rng(seed)
+    d = sum(mults)
+    starts = np.cumsum((0,) + mults[:-1])
+    level = data.draw(st.integers(0, len(mults) - 1), label="level")
+    other = data.draw(st.integers(0, len(mults) - 2), label="other")
+    other += other >= level
+    a, b = starts[level], starts[other]
+    g = np.zeros((d, d), dtype=complex)
+    g[a, b], g[b, a] = -1j, 1j  # exp(i theta G) rotates e_a towards e_b
+    family = rotating_family(constant(level_values(rng, mults)), g, random_unitary(rng, d))
+    jump = data.draw(st.integers(1, num_samples - 1), label="jump")
+    delta = data.draw(st.floats(1.3, 1.8), label="delta")
+    thetas = 0.01 * np.arange(num_samples) + delta * (np.arange(num_samples) >= jump)
+    curve = Curve(times=np.arange(num_samples, dtype=float), points=thetas[:, None])
+    errors = []
+    for transport in (lambda: transport_frames(family, curve, (level,)), lambda: sequential_transport(family, curve, level)):
+        try:
+            transport()
+        except ResolutionError as exc:
+            errors.append(failing_sample(exc))
+    assert errors == [jump, jump]
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(spectra(), st.integers(5, 200), st.floats(0.0, 1.0), st.floats(0.05, 0.95))
+def test_forced_crossing_found_at_the_same_sample(spectrum, num_samples, rate, crossing):
+    # an extra eigenvalue sweeps through the degenerate level, which it meets at s = crossing:
+    # the multiplicity pattern changes there
+    mults, seed = spectrum
+    rng = np.random.default_rng(seed)
+    d = sum(mults) + 1
+    lam = level_values(rng, mults)
+    target = lam[np.argmax(np.repeat(mults, mults))]
+
+    def values(s):
+        return np.column_stack([np.broadcast_to(lam, (len(s), d - 1)), target + 2.0 * (s - crossing)])
+
+    family = rotating_family(values, rate * random_hermitian(rng, d) / np.sqrt(d), random_unitary(rng, d))
+    curve = Curve(times=np.linspace(0.0, 1.0, num_samples), points=np.linspace(0.0, 1.0, num_samples)[:, None])
+    errors = []
+    for transport in (lambda: transport_frames(family, curve, (0,)), lambda: sequential_transport(family, curve, 0)):
+        try:
+            transport()
+        except LevelCrossingError as exc:
+            errors.append((failing_sample(exc), str(exc)))
+    assert len(errors) == 2 and errors[0] == errors[1]
+    assert curve.times[errors[0][0]] >= crossing - 1e-9
