@@ -29,7 +29,7 @@ from .frames import (
     connection_matrices,
     transport_frame,
 )
-from .linalg import eig_hermitian
+from .linalg import _level_bounds, _level_splits, eig_hermitian
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
 from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, holonomy, propagate
 
@@ -175,52 +175,47 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
 
     Each coupling block is measured by its spectral norm, which a change of
     basis inside a degenerate level leaves unchanged; its largest entry would
-    depend on the arbitrary basis that ``eigh`` returns.
+    depend on the arbitrary basis that ``eigh`` returns.  One stacked ``eigh``
+    decomposes every sample; its eigenvalues are clustered as ``eig_hermitian``
+    clusters them, and a sample whose multiplicity pattern differs from the
+    first one's is a level crossing.
     """
     if num_samples < 3:
         raise ResolutionError("adiabaticity report needs at least 3 samples")
     ss = scenario.s_grid(num_samples)
-    hams = scenario.hamiltonian_at(ss)
-    spectra = [eig_hermitian(h) for h in hams]
-    pattern = spectra[0].multiplicities
-    for k, spec in enumerate(spectra):
-        if spec.multiplicities != pattern:
-            raise LevelCrossingError(f"level structure changed at sample {k}")
+    hams = scenario.hamiltonian_at(ss)  # validated by the family
+    vals, vecs = np.linalg.eigh(hams)
+    splits = _level_splits(vals)
+    changed = np.flatnonzero(np.any(splits != splits[0], axis=1))
+    if changed.size:
+        raise LevelCrossingError(f"level structure changed at sample {int(changed[0])}")
+    bounds = _level_bounds(splits[0])
+    energies = np.stack([np.mean(vals[:, a:b], axis=1) for a, b in bounds], axis=1)  # (m, levels)
+    gaps = energies[:, None, :] - energies[:, :, None]  # gaps[k, m, n] = E_n - E_m
+    off_diagonal = ~np.eye(len(bounds), dtype=bool)
+    vanishing = np.argwhere((np.abs(gaps) < 1e-14) & off_diagonal)
+    if vanishing.size:
+        k, m, n = vanishing[0]
+        raise LevelCrossingError(f"vanishing gap between levels {m} and {n} at sample {k}")
 
     dt = scenario.tau * np.gradient(ss)
     dh = np.gradient(hams, axis=0) / dt[:, None, None]
-
-    couplings: list[dict] = []
-    min_gaps = np.empty(num_samples)
-    worst = 0.0
-    ratio = 0.0
-    for k, spec in enumerate(spectra):
-        entry: dict = {}
-        gaps = []
-        local_max = 0.0
-        for m in range(len(spec.levels)):
-            for n in range(len(spec.levels)):
-                if m == n:
-                    continue
-                gap = spec.level(n).eigenvalue - spec.level(m).eigenvalue
-                gaps.append(abs(gap))
-                if abs(gap) < 1e-14:
-                    raise LevelCrossingError(f"vanishing gap between levels {m} and {n} at sample {k}")
-                fm = spec.level(m).frame
-                fn = spec.level(n).frame
-                coup = 1j * (fm.conj().T @ dh[k] @ fn) / gap
-                entry[(m, n)] = coup
-                local_max = max(local_max, float(np.linalg.svd(coup, compute_uv=False)[0]))  # spectral norm
-        couplings.append(entry)
-        min_gaps[k] = min(gaps)
-        worst = max(worst, local_max)
-        ratio = max(ratio, local_max / min_gaps[k])
+    frames = [vecs[:, :, a:b] for a, b in bounds]
+    pairs = [(m, n) for m in range(len(bounds)) for n in range(len(bounds)) if m != n]
+    blocks = [
+        1j * (np.conj(np.swapaxes(frames[m], 1, 2)) @ dh @ frames[n]) / gaps[:, m, n, None, None]
+        for m, n in pairs
+    ]
+    # the largest singular value of every block of every sample, (m, pairs)
+    norms = np.stack([np.linalg.svd(block, compute_uv=False)[:, 0] for block in blocks], axis=1)
+    local_max = np.max(norms, axis=1)
+    min_gaps = np.min(np.abs(gaps[:, off_diagonal]), axis=1)
     return AdiabaticityReport(
         times=scenario.tau * ss,
-        couplings=tuple(couplings),
+        couplings=tuple(dict(zip(pairs, sample)) for sample in zip(*blocks)),
         min_gaps=min_gaps,
-        max_coupling=worst,
-        summary_ratio=float(ratio),
+        max_coupling=float(np.max(local_max)),
+        summary_ratio=float(np.max(local_max / min_gaps)),
     )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import ConnectionSamples, _generator_from_samples
+from .linalg import _stack_matmul
 
 
 def _half_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +157,9 @@ class _TransformedConnectionEvaluator:
 
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ x @ right over stacks (m, l, l) of small matrices.
-
-    The products run with the stack axis innermost, so numpy's loops run over
-    m; on the (m, l, l) layout einsum and matmul spend their time in overhead
-    per tiny matrix.
-    """
+    """left @ x @ right over stacks (m, l, l) of small matrices, with the stack axis innermost."""
     lt, xt, rt = (np.ascontiguousarray(np.moveaxis(z, 0, -1)) for z in (left, x, right))  # (l, l, m)
-    lx = (lt[:, :, None] * xt[None]).sum(axis=1)
-    return np.moveaxis((lx[:, :, None] * rt[None]).sum(axis=1), -1, 0)
+    return np.moveaxis(_stack_matmul(_stack_matmul(lt, xt), rt), -1, 0)
 
 
 def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> ConnectionSamples:

@@ -74,25 +74,21 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def read_curve_csv(path: str | Path, cyclic: bool = False) -> Curve:
-    """Read curve samples (t, theta1 ... thetaN) from CSV."""
-    rows: list[list[str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if row and any(cell.strip() for cell in row):
-                rows.append([cell.strip() for cell in row])
-    if not rows:
+    """Read curve samples (t, theta1 ... thetaN) from CSV; lines without a non-blank cell are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.replace(",", "").strip()]
+    if not lines:
         raise ConfigError(f"curve file {path} is empty")
     try:
-        float(rows[0][0])
-        data_rows = rows
+        float(next(csv.reader(lines[:1]))[0])
     except ValueError:
-        data_rows = rows[1:]  # header row
-    if len(data_rows) < 2:
+        lines = lines[1:]  # header row
+    if len(lines) < 2:
         raise ConfigError(f"curve file {path} needs at least two samples")
     try:
-        data = np.array([[float(cell) for cell in row] for row in data_rows])
-    except ValueError as exc:
-        raise ConfigError(f"curve file {path} has a non-numeric cell: {exc}") from None
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:  # a non-numeric cell or rows of different lengths
+        raise ConfigError(f"curve file {path} is not a table of numbers: {exc}") from None
     if data.shape[1] < 2:
         raise ConfigError("curve records need a time column and at least one parameter column")
     return Curve(times=data[:, 0], points=data[:, 1:], cyclic=cyclic)

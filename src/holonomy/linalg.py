@@ -181,14 +181,36 @@ def eig_hermitian(m: np.ndarray, degeneracy_tol: float | None = None) -> Spectru
     return Spectrum(dim=m.shape[0], levels=levels)
 
 
+def _stack_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over stacks (d, k, m) x (k, l, m) -> (d, l, m) with the stack axis innermost.
+
+    On this layout numpy's loops run over the m matrices; on the (m, d, d)
+    layout einsum and matmul spend their time in overhead per tiny matrix.
+    """
+    return np.einsum("ijm,jkm->ikm", a, b, out=out)
+
+
 def _ordered_products(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """The time-ordered products M_0 = initial, M_{k+1} = steps[k] @ M_k of a stack (m, d, d), as (m + 1, d, l)."""
-    out = np.empty((len(steps) + 1,) + initial.shape, dtype=complex)
+    """The time-ordered products M_0 = initial, M_{k+1} = steps[k] @ M_k of a stack (m, d, d), as (m + 1, d, l).
+
+    An inclusive Hillis-Steele scan (Hillis & Steele, CACM 29, 1170 (1986)):
+    after the pass with shift s, entry k holds steps[k] @ ... @ steps[k - 2s + 1],
+    so ceil(log2 m) passes of one stacked product each give every prefix.  The
+    later factor stays on the left, which keeps the time order.
+    """
+    m = len(steps)
+    # an explicit copy: for (m, 1, 1) steps the moved axes are already contiguous and would alias
+    p = np.array(np.moveaxis(steps, 0, -1), dtype=complex, order="C")  # (d, d, m)
+    q = np.empty_like(p)
+    shift = 1
+    while shift < m:
+        _stack_matmul(p[..., shift:], p[..., :-shift], out=q[..., shift:])
+        q[..., :shift] = p[..., :shift]
+        p, q = q, p
+        shift *= 2
+    out = np.empty((m + 1,) + initial.shape, dtype=complex)
     out[0] = initial
-    acc = initial
-    for k in range(len(steps)):
-        acc = steps[k] @ acc
-        out[k + 1] = acc
+    np.einsum("ijm,jk->mik", p, initial, out=out[1:])
     return out
 
 

@@ -23,6 +23,7 @@ from .linalg import require_unitary
 
 VISIBILITY_FLOOR = 1e-12
 OVERLAP_SINGULAR_TOL = 1e-10
+IMAG_ROUNDOFF_FLOOR = 4 * np.finfo(float).eps  # per unit of multiplicity, absolute
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,19 @@ def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     out = np.mod(angle + np.pi, 2 * np.pi) - np.pi
     out = np.where(out == -np.pi, np.pi, out)
     return float(out) if np.ndim(angle) == 0 else out
+
+
+def phase_angles(pi: np.ndarray, multiplicity: int = 1) -> np.ndarray:
+    """arg(Pi) of each trace of a stack, wrapped to (-pi, pi].
+
+    An imaginary part smaller than IMAG_ROUNDOFF_FLOOR * multiplicity is
+    roundoff of a real trace and reads as zero, so a negative real Pi reads
+    +pi whatever the sign its roundoff took.  The floor is absolute: the
+    roundoff of a trace of unit-scale products does not shrink with |Pi|.
+    """
+    pi = np.asarray(pi, dtype=complex)
+    real = np.abs(pi.imag) < IMAG_ROUNDOFF_FLOOR * multiplicity
+    return wrap_angle(np.angle(np.where(real, pi.real + 0j, pi)))
 
 
 def unwrap_nearest_branch(angles: np.ndarray) -> np.ndarray:

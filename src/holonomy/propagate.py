@@ -8,10 +8,11 @@ the step level because each step is the exponential of a Hermitian generator:
   nodes of the step, with the leading commutator correction.
 
 Each step generator is eigendecomposed once: its eigenvalues give the |K| h
-check and its eigenvectors the step exponential.  Time ordering is embodied
-operationally by the left-multiplication order of the step factors.  Grid
-refinement is the caller's responsibility; the trace carries the largest
-per-step |K| h.
+check and its eigenvectors the step exponential.  The trace holds every
+prefix M(t_k) = S_k ... S_1 M(t_0) of the time-ordered step product; one
+log-depth scan over the steps (``linalg._ordered_products``) forms them all,
+with the later step factor always on the left.  Grid refinement is the
+caller's responsibility; the trace carries the largest per-step |K| h.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from .phase import (
     OverlapMatrix,
     PhaseReport,
     noncyclic_phase,
+    phase_angles,
     unwrap_nearest_branch,
-    wrap_angle,
 )
 from .propagate import holonomy
 
@@ -166,7 +166,7 @@ def run_quadrupole_phase(
             w = qd.w1_closed(scenario.theta, scenario.phi0, phis)
             pi = w * gam
             defects = np.abs(np.abs(gam) ** 2 - 1.0)
-            angles = wrap_angle(np.angle(pi))
+            angles = phase_angles(pi)
             vis = np.abs(w)
             report = noncyclic_phase(
                 OverlapMatrix(level_index=0, matrix=np.array([[w[-1]]])),
@@ -287,7 +287,7 @@ def run_custom_phase(
         if frames.multiplicity == 1:
             energies = np.real(conn.e[:, 0, 0])
             dyn = float(-np.sum(0.5 * (energies[1:] + energies[:-1]) * np.diff(frames.times)))
-            angles = wrap_angle(np.angle(pis))
+            angles = phase_angles(pis, frames.multiplicity)
             unwrapped = unwrap_nearest_branch(angles)
             vis = np.abs(np.einsum("i,ki->k", frames.frames[0][:, 0].conj(), frames.frames[:, :, 0]))
         report = noncyclic_phase(w_final, trace.final, dynamical_phase=dyn)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from holonomy.cli import main
-from holonomy.config import parse_config_text
+from holonomy.config import parse_config, parse_config_text
 from holonomy.errors import ConfigError
 from holonomy.io import read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defect
 from holonomy.propagate import holonomy
-from holonomy.runner import run_quadrupole_phase
+from holonomy.runner import run_custom_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -124,6 +124,38 @@ class TestIO:
     def test_curve_bad_cell(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("t,a\n0,1\n1,x\n")
+        with pytest.raises(ConfigError):
+            read_curve_csv(path)
+
+    def test_curve_blank_lines_spaces_and_quotes(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text('\n"t","a"\n\n 0 , 1.5\n  \n,\n"1",-2e-3\r\n\n')
+        curve = read_curve_csv(path)
+        assert np.array_equal(curve.times, [0.0, 1.0])
+        assert np.array_equal(curve.points, [[1.5], [-2e-3]])
+
+    def test_curve_cells_parse_as_float(self, tmp_path):
+        values = [0.1, 1 / 3, -2.5e-300, 6.02214076e23, 0.30000000000000004]
+        path = tmp_path / "c.csv"
+        path.write_text("".join(f"{k},{v!r}\n" for k, v in enumerate(values)))
+        assert read_curve_csv(path).points[:, 0].tolist() == values
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",                        # empty
+            "\n  \n,,\n",              # blank lines only
+            "t,a\n",                   # a header row only
+            "t,a\n0,1\n",              # one sample
+            "0,1,2\n1,2\n2,3,4\n",     # ragged rows
+            "0,1\n1,2,3\n",            # a longer row
+            "0,1\n1,\n",               # an empty cell
+            "0\n1\n2\n",               # no parameter column
+        ],
+    )
+    def test_curve_rejects(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
         with pytest.raises(ConfigError):
             read_curve_csv(path)
 
@@ -259,6 +291,28 @@ class TestPhaseCommand:
             assert rec["cyclic_misalignment"] is None  # an open curve has no closure to report
 
 
+    def test_real_trace_angles_read_zero_or_pi(self, tmp_path):
+        # a spin-1/2 field turning 1.8 times in a plane, in a complex basis: each level's Pi is
+        # cos(a/2) up to roundoff, negative over a third of the samples; -|Pi| reads +pi, never -pi
+        w = np.array([[np.exp(0.7j), 0], [0, 1]]) @ np.array(
+            [[np.cos(0.4), -np.sin(0.4) * np.exp(-1.1j)], [np.sin(0.4) * np.exp(1.1j), np.cos(0.4)]]
+        )
+        gens = [w @ g @ w.conj().T for g in (np.diag([1.0, -1.0]), np.array([[0, 1.0], [1.0, 0]]))]
+        gen_path = tmp_path / "gens.json"
+        gen_path.write_text(json.dumps({"generators": [[[[z.real, z.imag] for z in row] for row in g] for g in gens]}))
+        a = np.linspace(0.0, 3.6 * np.pi, 2001)
+        curve_path = tmp_path / "curve.csv"
+        curve_path.write_text("".join(
+            f"{float(t)!r},{float(np.cos(x))!r},{float(np.sin(x))!r}\n" for t, x in zip(np.linspace(0, 10, 2001), a)
+        ))
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(f"system = custom-family\ngenerators_file = {gen_path}\ncurve_file = {curve_path}\n")
+        for lv in run_custom_phase(parse_config(cfg)).levels:
+            assert np.max(np.abs(lv.pi - np.cos(a / 2))) <= 1e-6
+            assert np.array_equal(lv.phase_angles, np.where(lv.pi.real < 0, np.pi, 0.0))
+            assert np.array_equal(lv.phase_unwrapped, lv.phase_angles)
+
+
 class TestLoggingAndWarnings:
     def test_holonomy_log_env_sets_level(self, quad_config, tmp_path, monkeypatch):
         import logging
@@ -311,9 +365,9 @@ class TestQuadrupoleRun:
             for phi, g in zip(result.phis, trace.matrices)
         )
         assert lv.oracle_gamma_deviation == gdev
-        assert lv.oracle_trace_deviation == max(
-            abs(p - qd.pi2_closed(scenario.theta, scenario.phi0, phi)) for phi, p in zip(result.phis, pis)
-        )
+        # np.abs, as the runner uses: Python's abs(complex) can differ from it by 1 ulp
+        closed = [qd.pi2_closed(scenario.theta, scenario.phi0, phi) for phi in result.phis]
+        assert lv.oracle_trace_deviation == float(np.max(np.abs(np.array(pis) - np.array(closed))))
 
     def test_reports_own_their_matrices(self):
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)

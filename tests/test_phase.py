@@ -10,6 +10,7 @@ from holonomy.phase import (
     diagonal_decomposition,
     noncyclic_phase,
     overlap_matrix,
+    phase_angles,
     unwrap_nearest_branch,
     wrap_angle,
 )
@@ -200,6 +201,24 @@ class TestAngleHelpers:
         assert np.array_equal(wrapped, [wrap_angle(float(a)) for a in angles])
         assert wrapped[0] == np.pi and wrapped[2] == np.pi
         assert np.all((wrapped > -np.pi) & (wrapped <= np.pi))
+
+    def test_phase_angles_read_roundoff_of_a_real_trace_as_real(self):
+        # negative real traces as small as 3e-4 with +-1e-16 imaginary roundoff: all read +pi
+        rng = np.random.default_rng(43)
+        moduli = np.geomspace(3e-4, 2.0, 64)
+        noise = rng.choice([-1.0, 1.0], size=64) * 1e-16
+        negative = phase_angles(-moduli + 1j * noise)
+        assert np.all(negative == np.pi)
+        assert np.all(phase_angles(moduli + 1j * noise) == 0.0)
+        assert np.all(phase_angles(-moduli - 0.0j) == np.pi)
+        # the floor scales with the multiplicity and does not touch a resolved imaginary part
+        assert np.all(phase_angles(-1.0 + 1.5e-15j * np.array([1, -1]), multiplicity=2) == np.pi)
+        assert phase_angles(np.array([-1.0 - 1.5e-15j]))[0] == pytest.approx(-np.pi + 1.5e-15, abs=1e-18)
+        tilted = np.array([-3e-4 + 1e-8j, 1e-3 - 1e-9j])
+        assert np.array_equal(phase_angles(tilted), wrap_angle(np.angle(tilted)))
+        # the unwrapped series of a real trace that changes sign stays on one branch
+        flips = phase_angles(np.array([1.0, -1.0 - 1e-16j, 1.0, -1.0 + 1e-16j, -1.0 - 1e-16j]))
+        assert np.array_equal(unwrap_nearest_branch(flips), [0.0, np.pi, 0.0, np.pi, np.pi])
 
     @staticmethod
     def sequential_unwrap(angles):

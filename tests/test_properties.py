@@ -4,18 +4,20 @@
 eigendecomposition, one stacked SVD of the raw overlaps, a cumulative product
 of their polar factors and one stacked polar re-projection.  The reference
 here is the per-sample loop it replaced: an eigendecomposition per sample,
-then each frame aligned to its aligned predecessor in sequence.
+then each frame aligned to its aligned predecessor in sequence.  The
+cumulative product itself, a log-depth scan, is checked against the
+sequential loop of step products it replaced.
 """
 
 import re
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonomy.errors import LevelCrossingError, ResolutionError
 from holonomy.frames import MIN_OVERLAP_SINGULAR_VALUE, Curve, OperatorFamily, transport_frames
-from holonomy.linalg import eig_hermitian, frame_orthonormality_defect, polar_unitary_factor
+from holonomy.linalg import _ordered_products, eig_hermitian, frame_orthonormality_defect, polar_unitary_factor
 
 SETTINGS = dict(derandomize=True, deadline=None)
 
@@ -45,8 +47,14 @@ def failing_sample(exc: Exception) -> int:
 
 
 def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return random_unitaries(rng, 1, d)[0]
+
+
+def random_unitaries(rng, m, d):
+    """A stack (m, d, d) of random unitaries."""
+    q, r = np.linalg.qr(rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d)))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_hermitian(rng, d):
@@ -176,3 +184,31 @@ def test_forced_crossing_found_at_the_same_sample(spectrum, num_samples, rate, c
             errors.append((failing_sample(exc), str(exc)))
     assert len(errors) == 2 and errors[0] == errors[1]
     assert curve.times[errors[0][0]] >= crossing - 1e-9
+
+
+def sequential_products(steps, initial):
+    """M_0 = initial, M_{k+1} = steps[k] @ M_k, one step at a time."""
+    out = [initial]
+    for step in steps:
+        out.append(step @ out[-1])
+    return np.array(out)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(st.integers(1, 5), st.integers(1, 3000), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(d=1, m=1, columns=1, seed=0)
+@example(d=1, m=3000, columns=1, seed=1)
+@example(d=2, m=2, columns=2, seed=2)
+@example(d=3, m=1025, columns=2, seed=3)
+def test_ordered_products_equal_sequential_loop(d, m, columns, seed):
+    rng = np.random.default_rng(seed)
+    l = min(columns, d)  # a square or a rectangular initial value with orthonormal columns
+    steps = random_unitaries(rng, m, d)
+    initial = random_unitary(rng, d)[:, :l]
+    before = steps.copy()
+    products = _ordered_products(steps, initial)
+    assert np.array_equal(steps, before)  # an (m, 1, 1) stack must not be scanned in place
+    assert products.shape == (m + 1, d, l) and np.array_equal(products[0], initial)
+    assert np.max(np.abs(products - sequential_products(steps, initial))) <= 1e-12
+    gram = np.conj(np.swapaxes(products, 1, 2)) @ products
+    assert np.max(np.abs(gram - np.eye(l))) <= 1e-12
