@@ -23,7 +23,7 @@ from .linalg import require_unitary
 
 VISIBILITY_FLOOR = 1e-12
 OVERLAP_SINGULAR_TOL = 1e-10
-IMAG_ROUNDOFF_FLOOR = 4 * np.finfo(float).eps  # per unit of multiplicity, absolute
+IMAG_ROUNDOFF_FLOOR = 4 * np.finfo(float).eps  # absolute: the roundoff of a unit-scale trace
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,16 @@ def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     return float(out) if np.ndim(angle) == 0 else out
 
 
-def phase_angles(pi: np.ndarray, multiplicity: int = 1) -> np.ndarray:
-    """arg(Pi) of each trace of a stack, wrapped to (-pi, pi].
+def phase_angles(pi: complex | np.ndarray) -> float | np.ndarray:
+    """arg of one Abelian phase factor, or of each of a stack, wrapped to (-pi, pi].
 
-    An imaginary part smaller than IMAG_ROUNDOFF_FLOOR * multiplicity is
-    roundoff of a real trace and reads as zero, so a negative real Pi reads
-    +pi whatever the sign its roundoff took.  The floor is absolute: the
-    roundoff of a trace of unit-scale products does not shrink with |Pi|.
+    An imaginary part smaller than IMAG_ROUNDOFF_FLOOR is roundoff of a real
+    factor and reads as zero, so a negative real Pi reads +pi whatever the
+    sign its roundoff took.  The floor is absolute: the roundoff of a
+    product of unit-scale factors does not shrink with |Pi|.
     """
     pi = np.asarray(pi, dtype=complex)
-    real = np.abs(pi.imag) < IMAG_ROUNDOFF_FLOOR * multiplicity
+    real = np.abs(pi.imag) < IMAG_ROUNDOFF_FLOOR
     return wrap_angle(np.angle(np.where(real, pi.real + 0j, pi)))
 
 
@@ -166,12 +166,9 @@ def noncyclic_phase(
         wval = complex(w.matrix[0, 0])
         gval = complex(gamma[0, 0])
         visibility = abs(wval)
-        if visibility > VISIBILITY_FLOOR:
-            phase_angle = wrap_angle(float(np.angle(wval * gval)))
-            overlap_angle = wrap_angle(float(np.angle(wval)))
-        else:
-            phase_angle = None
-            overlap_angle = None
+        phase_angle, overlap_angle, holonomy_angle = map(float, phase_angles(np.array([wval * gval, wval, gval])))
+        if visibility <= VISIBILITY_FLOOR:
+            phase_angle = overlap_angle = None
         return PhaseReport(
             level_index=w.level_index,
             multiplicity=1,
@@ -182,7 +179,7 @@ def noncyclic_phase(
             eigenvalues=eigs,
             phase_angle=phase_angle,
             overlap_angle=overlap_angle,
-            holonomy_angle=wrap_angle(float(np.angle(gval))),
+            holonomy_angle=holonomy_angle,
             visibility=visibility,
             dynamical_phase=dynamical_phase,
         )
@@ -209,7 +206,7 @@ def abelian_phase(w: complex, gamma: complex, visibility_floor: float = VISIBILI
     visibility = abs(w)
     if visibility <= visibility_floor:
         raise UndefinedPhaseError("endpoint states are orthogonal; the noncyclic phase is undefined")
-    return wrap_angle(float(np.angle(w * gamma))), visibility
+    return phase_angles(w * gamma), visibility
 
 
 def diagonal_decomposition(

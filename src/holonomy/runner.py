@@ -287,7 +287,7 @@ def run_custom_phase(
         if frames.multiplicity == 1:
             energies = np.real(conn.e[:, 0, 0])
             dyn = float(-np.sum(0.5 * (energies[1:] + energies[:-1]) * np.diff(frames.times)))
-            angles = phase_angles(pis, frames.multiplicity)
+            angles = phase_angles(pis)
             unwrapped = unwrap_nearest_branch(angles)
             vis = np.abs(np.einsum("i,ki->k", frames.frames[0][:, 0].conj(), frames.frames[:, :, 0]))
         report = noncyclic_phase(w_final, trace.final, dynamical_phase=dyn)

@@ -211,14 +211,23 @@ class TestAngleHelpers:
         assert np.all(negative == np.pi)
         assert np.all(phase_angles(moduli + 1j * noise) == 0.0)
         assert np.all(phase_angles(-moduli - 0.0j) == np.pi)
-        # the floor scales with the multiplicity and does not touch a resolved imaginary part
-        assert np.all(phase_angles(-1.0 + 1.5e-15j * np.array([1, -1]), multiplicity=2) == np.pi)
+        # a resolved imaginary part is left alone
         assert phase_angles(np.array([-1.0 - 1.5e-15j]))[0] == pytest.approx(-np.pi + 1.5e-15, abs=1e-18)
         tilted = np.array([-3e-4 + 1e-8j, 1e-3 - 1e-9j])
         assert np.array_equal(phase_angles(tilted), wrap_angle(np.angle(tilted)))
         # the unwrapped series of a real trace that changes sign stays on one branch
         flips = phase_angles(np.array([1.0, -1.0 - 1e-16j, 1.0, -1.0 + 1e-16j, -1.0 - 1e-16j]))
         assert np.array_equal(unwrap_nearest_branch(flips), [0.0, np.pi, 0.0, np.pi, np.pi])
+
+    def test_report_angles_follow_the_same_rule(self):
+        # a negative real overlap and holonomy with roundoff of either sign: every angle reads +pi,
+        # as the CSV columns of the runners do
+        for w, g in [(-1.0 - 1e-16j, 1.0 + 1e-16j), (1.0 - 1e-16j, -1.0 - 1e-16j), (-0.5 + 1e-16j, -1.0 - 1e-16j)]:
+            report = noncyclic_phase(OverlapMatrix(level_index=0, matrix=np.array([[w]])), np.array([[g]]))
+            expected = [phase_angles(w * g), phase_angles(w), phase_angles(g)]
+            assert [report.phase_angle, report.overlap_angle, report.holonomy_angle] == expected
+            assert all(a in (0.0, np.pi) for a in expected)
+            assert abelian_phase(w, g)[0] == report.phase_angle
 
     @staticmethod
     def sequential_unwrap(angles):
