@@ -7,8 +7,9 @@ eigendecomposition of the sampled family, shared by the levels, and
 (optionally) applies discrete parallel transport so that the frames vary
 smoothly.  The transport is a cumulative product of the polar factors of
 the raw overlaps, taken from one stacked SVD and projected back onto the
-unitaries by one stacked polar decomposition.  :func:`connection_matrices`
-then produces the per-level matrices
+unitaries by one stacked polar decomposition; on such frames
+:func:`transport_holonomy` gives the holonomy without a connection.
+:func:`connection_matrices` produces the per-level matrices
 
     E^n(t)   = <a| H(t) |b>                (energy matrix)
     A^n(t)   = i <a| d/dt |b>              (connection matrix)
@@ -332,6 +333,21 @@ def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
     chain = _ordered_products(steps, np.eye(frames.shape[2], dtype=complex))
     # thousands of products drift off the unitaries by roundoff; one stacked polar projects them back
     return frames @ polar_unitary_factor(chain), float(np.min(smallest))
+
+
+def transport_holonomy(frames: FrameField) -> np.ndarray:
+    """Gamma_k (m, l, l) of aligned frames, where the connection vanishes: the identity for l > 1.
+
+    An Abelian level keeps the link phases of successive frames, exp(-i sum_{j<=k}
+    arg(1 + g_{j-1}^dag (g_j - g_{j-1}))): they cancel the roundoff drift of the
+    transport chain, and the difference form keeps each link's roundoff at eps*h, not eps.
+    """
+    m, l = frames.num_samples, frames.multiplicity
+    if l > 1:
+        return np.broadcast_to(np.eye(l, dtype=complex), (m, l, l))
+    g = frames.frames[:, :, 0]
+    links = 1 + np.einsum("ki,ki->k", g[:-1].conj(), g[1:] - g[:-1])
+    return np.exp(-1j * np.concatenate([[0.0], np.cumsum(np.angle(links))]))[:, None, None]
 
 
 def _central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -235,11 +235,6 @@ def eigenframe(p: FieldPoint) -> Spectrum:
     )
 
 
-def level1_connection_value() -> float:
-    """Scalar connection of the nondegenerate level per unit dphi (pure gauge)."""
-    return 1.0
-
-
 def _matrix2(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]], or the stack (m, 2, 2) of them when the entries are arrays (m,)."""
     out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)

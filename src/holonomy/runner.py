@@ -4,7 +4,8 @@ The quadrupole pipeline follows the closed-form oracle route: the oracle
 connection is integrated numerically, endpoint overlaps come from the
 closed-form overlap matrices, and deviations from the closed-form holonomy
 and trace are reported as diagnostics.  Custom operator families run the
-generic machinery (eigenframe transport, finite-difference connections).
+generic route: one eigendecomposition, parallel transport of the frames, and
+Pi from their endpoint overlaps (the discrete Wilson line; no integrator).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import quadrupole as qd
 from .adiabatic import AdiabaticScenario, adiabaticity_report, convergence_study
 from .config import ScenarioConfig
 from .errors import ConfigError, DomainError
-from .frames import Curve, OperatorFamily, connection_matrices, transport_frames
+from .frames import Curve, OperatorFamily, transport_frames, transport_holonomy
 from .gauges import random_smooth_gauge, transform_connection
 from .io import read_curve_csv, read_generators_json
 from .linalg import unitarity_defects
@@ -69,6 +70,7 @@ class RunResult:
         for lv in self.levels:
             rec = lv.report.to_record() if lv.report is not None else {}
             rec["level"] = lv.label
+            rec["convention"] = "oracle" if self.system == "quadrupole" else "parallel-transport"
             rec["max_unitarity_defect"] = float(np.max(lv.unitarity_defects))
             if lv.oracle_gamma_deviation is not None:
                 rec["oracle_gamma_deviation"] = lv.oracle_gamma_deviation
@@ -252,52 +254,37 @@ def _adiabaticity_ratio_for_curve(family: OperatorFamily, curve: Curve) -> float
     return adiabaticity_report(scen, num_samples=min(201, curve.num_samples)).summary_ratio
 
 
-def run_custom_phase(
-    config: ScenarioConfig,
-    method: str | None = None,
-) -> RunResult:
+def run_custom_phase(config: ScenarioConfig) -> RunResult:
     start = time.perf_counter()
     family, curve = _custom_family(config)
-    method = method or config.method
 
     indices = None if config.levels is None else tuple(label - 1 for label in config.levels)
     try:
         fields = transport_frames(family, curve, indices, gauge="aligned")
     except DomainError as exc:  # the inputs are read and checked: only a level index can be out of range
         raise ConfigError(f"levels {config.levels} do not exist: {exc}") from None
-    hams = family(curve.points)
 
     out: list[LevelTrace] = []
-    max_step = 0.0
     for frames in fields:
-        level = frames.level_index
-        conn = connection_matrices(frames, hams)
-        trace = holonomy(conn, method=method)
+        gammas = transport_holonomy(frames)
         w = frames.frames[0].conj().T @ frames.frames
-        pis = np.trace(w @ trace.matrices, axis1=1, axis2=2)
-        defects = unitarity_defects(trace.matrices)
-        w_final = OverlapMatrix(
-            level_index=level,
-            matrix=w[-1],
-            theta_start=curve.points[0],
-            theta_end=curve.points[-1],
-        )
-        dyn = None
-        angles = vis = unwrapped = None
+        pis = np.trace(w @ gammas, axis1=1, axis2=2)
+        dyn = angles = vis = unwrapped = None
         if frames.multiplicity == 1:
-            energies = np.real(conn.e[:, 0, 0])
+            energies = frames.eigenvalues
             dyn = float(-np.sum(0.5 * (energies[1:] + energies[:-1]) * np.diff(frames.times)))
             angles = phase_angles(pis)
             unwrapped = unwrap_nearest_branch(angles)
-            vis = np.abs(np.einsum("i,ki->k", frames.frames[0][:, 0].conj(), frames.frames[:, :, 0]))
-        report = noncyclic_phase(w_final, trace.final, dynamical_phase=dyn)
+            vis = np.abs(w[:, 0, 0])
+        w_final = OverlapMatrix(frames.level_index, w[-1], theta_start=curve.points[0], theta_end=curve.points[-1])
+        report = noncyclic_phase(w_final, gammas[-1], dynamical_phase=dyn)
         out.append(
             LevelTrace(
-                label=level + 1,
+                label=frames.level_index + 1,
                 multiplicity=frames.multiplicity,
                 times=frames.times,
                 pi=pis,
-                unitarity_defects=defects,
+                unitarity_defects=unitarity_defects(gammas),
                 phase_angles=angles,
                 phase_unwrapped=unwrapped,
                 visibilities=vis,
@@ -306,14 +293,11 @@ def run_custom_phase(
                 cyclic_misalignment=frames.cyclic_misalignment,
             )
         )
-        max_step = max(max_step, trace.max_step_norm)
 
-    ratio = _adiabaticity_ratio_for_curve(family, curve)
     return RunResult(
         system="custom-family",
         levels=tuple(out),
-        adiabaticity_ratio=ratio,
-        max_step_norm=max_step,
+        adiabaticity_ratio=_adiabaticity_ratio_for_curve(family, curve),
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -10,9 +10,11 @@ from holonomy.config import parse_config, parse_config_text
 from holonomy.errors import ConfigError
 from holonomy.io import read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defect
+from holonomy.phase import IMAG_ROUNDOFF_FLOOR
 from holonomy.propagate import holonomy
 from holonomy.runner import run_custom_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
+from test_generic_route import write_precession
 
 TYCKO = qd.TYCKO_THETA
 
@@ -218,6 +220,7 @@ class TestPhaseCommand:
         assert abs(complex(lv2["re_pi"], lv2["im_pi"]) - expected) <= 1e-8
         assert summary["levels"]["1"]["visibility"] == pytest.approx(1.0, abs=1e-12)
         assert lv2["oracle_gamma_deviation"] <= 1e-8
+        assert [rec["convention"] for rec in summary["levels"].values()] == ["oracle", "oracle"]
 
     def test_zero_length_run_single_row(self, tmp_path):
         cfg = tmp_path / "z.cfg"
@@ -289,6 +292,7 @@ class TestPhaseCommand:
         for rec in summary["levels"].values():
             assert rec["min_overlap_singular_value"] == pytest.approx(1.0, abs=1e-12)  # a constant curve
             assert rec["cyclic_misalignment"] is None  # an open curve has no closure to report
+            assert rec["convention"] == "parallel-transport"
 
 
     def test_real_trace_angles_read_zero_or_pi(self, tmp_path):
@@ -312,6 +316,16 @@ class TestPhaseCommand:
             assert np.array_equal(lv.phase_angles, np.where(lv.pi.real < 0, np.pi, 0.0))
             assert np.array_equal(lv.phase_unwrapped, lv.phase_angles)
 
+    def test_abelian_link_phases_keep_a_real_trace_real(self, tmp_path):
+        # one closed precession with 8001 samples: level 1's Pi is real, negative in thousands of
+        # samples; without the link phases of its transported frames, roundoff of the transport
+        # chain lifts |Im Pi| above the floor there and an angle reads off 0 or pi
+        cfg = write_precession(tmp_path, 8001, theta=1.3648274175113995, phi0=5.955375740432253)
+        lv = run_custom_phase(parse_config(cfg)).levels[0]
+        assert np.count_nonzero(lv.pi.real < 0) > 1000
+        assert np.max(np.abs(lv.pi.imag)) < IMAG_ROUNDOFF_FLOOR
+        assert np.all((lv.phase_angles == 0.0) | (lv.phase_angles == np.pi))
+
 
 class TestLoggingAndWarnings:
     def test_holonomy_log_env_sets_level(self, quad_config, tmp_path, monkeypatch):
@@ -333,8 +347,9 @@ class TestLoggingAndWarnings:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_linalg_out(self):
-        # scipy.linalg is about half of the import time and no command needs it
+    @staticmethod
+    def fresh_interpreter(code):
+        """stdout of ``code`` run by a new Python process that imports this package."""
         import os
         import subprocess
         import sys
@@ -343,9 +358,19 @@ class TestImport:
         import holonomy
 
         env = dict(os.environ, PYTHONPATH=str(Path(holonomy.__file__).parents[1]))
-        code = "import sys, holonomy.cli; print('scipy.linalg' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # scipy.linalg is about half of the import time and no command needs it
+        code = "import sys, holonomy.cli; print('scipy.linalg' in sys.modules)"
+        assert self.fresh_interpreter(code) == "False"
+
+    def test_custom_phase_leaves_scipy_out(self, tmp_path):
+        # the custom route is eigendecomposition, frame transport and overlaps: no spline, no integrator
+        argv = ["phase", "--config", str(write_precession(tmp_path, 41)), "--out", str(tmp_path / "out")]
+        code = f"import sys; from holonomy.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+        assert self.fresh_interpreter(code) == "0 False"
 
 
 class TestQuadrupoleRun:

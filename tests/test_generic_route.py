@@ -4,8 +4,9 @@ The spin-1 quadrupole H = (J.R)^2 is linear in the six products R_i R_j,
 with the generators (J_i J_j + J_j J_i)/2.  Around one closed precession of R
 at polar angle theta, the gauge-invariant cyclic trace of the degenerate
 level is 2 cos(2 pi |(mu, nu)|), and that of the nondegenerate level is 1.
-The route (eigenframe transport, finite-difference connection, spline,
-Magnus holonomy) converges to it at second order in the sample spacing.
+The route (one eigendecomposition, parallel transport of the frames, and the
+discrete Wilson line of their endpoint overlaps) converges to it at second
+order in the sample spacing.
 """
 
 import csv

@@ -6,7 +6,9 @@ of their polar factors and one stacked polar re-projection.  The reference
 here is the per-sample loop it replaced: an eigendecomposition per sample,
 then each frame aligned to its aligned predecessor in sequence.  The
 cumulative product itself, a log-depth scan, is checked against the
-sequential loop of step products it replaced.
+sequential loop of step products it replaced.  The traces Pi = tr(w Gamma)
+of the transported frames are geometric: retiming the samples leaves them
+unchanged.
 """
 
 import re
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonomy.errors import LevelCrossingError, ResolutionError
-from holonomy.frames import MIN_OVERLAP_SINGULAR_VALUE, Curve, OperatorFamily, transport_frames
+from holonomy.frames import MIN_OVERLAP_SINGULAR_VALUE, Curve, OperatorFamily, transport_frames, transport_holonomy
 from holonomy.linalg import _ordered_products, eig_hermitian, frame_orthonormality_defect, polar_unitary_factor
 
 SETTINGS = dict(derandomize=True, deadline=None)
@@ -109,6 +111,31 @@ def test_batched_transport_equals_sequential(spectrum, num_samples, rate, span):
     for level, field in enumerate(fields):
         reference = sequential_transport(family, curve, level)
         assert np.max(np.abs(field.frames - reference)) <= 1e-12
+
+
+def transported_traces(family, curve):
+    """Pi_k = tr(w_k Gamma_k) of every level, from its parallel-transported frames."""
+    traces = []
+    for field in transport_frames(family, curve):
+        w = field.frames[0].conj().T @ field.frames
+        traces.append(np.trace(w @ transport_holonomy(field), axis1=1, axis2=2))
+    return traces
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(spectra(), st.integers(20, 1000), st.floats(0.2, 2.0), st.floats(0.5, 3.0), st.floats(0.01, 100.0))
+def test_traces_do_not_depend_on_the_sample_times(spectrum, num_samples, rate, span, speed):
+    # the same points reached at other, strictly increasing times, with a random speed profile
+    mults, seed = spectrum
+    rng = np.random.default_rng(seed)
+    d = sum(mults)
+    g = rate * random_hermitian(rng, d) / np.sqrt(d)
+    family = rotating_family(constant(level_values(rng, mults)), g, random_unitary(rng, d))
+    points = np.linspace(0.0, span, num_samples)[:, None]
+    retimed = speed * np.cumsum(rng.uniform(0.01, 1.0, num_samples))
+    uniform = transported_traces(family, Curve(times=np.linspace(0.0, 1.0, num_samples), points=points))
+    for pi, pi_retimed in zip(uniform, transported_traces(family, Curve(times=retimed, points=points)), strict=True):
+        assert np.max(np.abs(pi - pi_retimed)) <= 1e-14
 
 
 @settings(max_examples=4, **SETTINGS)
