@@ -29,7 +29,7 @@ from .frames import (
     connection_matrices,
     transport_frame,
 )
-from .linalg import _level_bounds, _level_splits, eig_hermitian
+from .linalg import _level_bounds, _level_splits, eig_hermitian, eigh_many
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
 from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, holonomy, propagate
 
@@ -175,16 +175,16 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
 
     Each coupling block is measured by its spectral norm, which a change of
     basis inside a degenerate level leaves unchanged; its largest entry would
-    depend on the arbitrary basis that ``eigh`` returns.  One stacked ``eigh``
-    decomposes every sample; its eigenvalues are clustered as ``eig_hermitian``
-    clusters them, and a sample whose multiplicity pattern differs from the
-    first one's is a level crossing.
+    depend on the arbitrary basis that ``eigh_many`` returns.  One stacked
+    ``eigh_many`` decomposes every sample; its eigenvalues are clustered as
+    ``eig_hermitian`` clusters them, and a sample whose multiplicity pattern
+    differs from the first one's is a level crossing.
     """
     if num_samples < 3:
         raise ResolutionError("adiabaticity report needs at least 3 samples")
     ss = scenario.s_grid(num_samples)
     hams = scenario.hamiltonian_at(ss)  # validated by the family
-    vals, vecs = np.linalg.eigh(hams)
+    vals, vecs = eigh_many(hams)
     splits = _level_splits(vals)
     changed = np.flatnonzero(np.any(splits != splits[0], axis=1))
     if changed.size:

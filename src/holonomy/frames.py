@@ -32,6 +32,7 @@ from .linalg import (
     _level_bounds,
     _level_splits,
     _ordered_products,
+    eigh_many,
     polar_unitary_factor,
     require_hermitian,
     require_unitary,
@@ -251,7 +252,7 @@ def transport_frames(
     """
     if gauge not in ("raw", "aligned"):
         raise DomainError(f"unknown gauge {gauge!r}")
-    vals, vecs = np.linalg.eigh(family(curve.points))
+    vals, vecs = eigh_many(family(curve.points))
     splits = _level_splits(vals, degeneracy_tol)
     bounds = _level_bounds(splits[0])
     levels = tuple(range(len(bounds))) if levels is None else tuple(levels)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import ConnectionSamples, _generator_from_samples
-from .linalg import _stack_matmul
+from .linalg import _stack_matmul, eigh_many, expm_skew_many
 
 
 def _half_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -38,9 +38,8 @@ def _exp_i_and_frechet_many(g: np.ndarray, gdot: np.ndarray) -> tuple[np.ndarray
     (e^{i lam_a} - e^{i lam_b}) / (lam_a - lam_b) = i e^{i (lam_a + lam_b)/2} sinc(h_ab),
     which needs no branch at equal eigenvalues and does not cancel near them.
     """
-    lam, q = np.linalg.eigh(g)
-    f = np.exp(1j * lam)
-    v = np.einsum("...ij,...j,...kj->...ik", q, f, q.conj())
+    lam, q = eigh_many(g)
+    v = expm_skew_many(lam, q, -1.0)
     half, sinc = _half_gaps(lam)
     kernel = 1j * np.exp(1j * (lam[..., :, None] - half)) * sinc
     inner = np.einsum("...ji,...jk,...kl->...il", q.conj(), gdot, q)
@@ -89,8 +88,7 @@ class SmoothGauge:
         return _exp_i_and_frechet_many(*self.generator(t, derivative=True))
 
     def __call__(self, t) -> np.ndarray:
-        lam, q = np.linalg.eigh(self.generator(t))
-        return np.einsum("...ij,...j,...kj->...ik", q, np.exp(1j * lam), q.conj())
+        return expm_skew_many(*eigh_many(self.generator(t)), -1.0)
 
     def derivative(self, t) -> np.ndarray:
         return self.value_and_derivative(t)[1]
@@ -142,7 +140,7 @@ class _TransformedConnectionEvaluator:
             g, gdot = self._gauge.generator(ts, derivative=True)
         else:
             g = self._gauge.generator(ts)
-        lam, q = np.linalg.eigh(g)
+        lam, q = eigh_many(g)
         half, sinc = _half_gaps(lam)
         rot = np.exp(-1j * half)
         qh = np.conj(np.swapaxes(q, -1, -2))

@@ -24,6 +24,7 @@ from .linalg import require_unitary
 VISIBILITY_FLOOR = 1e-12
 OVERLAP_SINGULAR_TOL = 1e-10
 IMAG_ROUNDOFF_FLOOR = 4 * np.finfo(float).eps  # absolute: the roundoff of a unit-scale trace
+MODULUS_TIE_TOL = 1e-12  # eigenvalue moduli closer than this are ordered by argument
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,16 @@ def unwrap_nearest_branch(angles: np.ndarray) -> np.ndarray:
 
 
 def _sorted_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues ordered by descending modulus, then ascending argument."""
+    """Eigenvalues ordered by descending modulus, then ascending argument.
+
+    Neighbouring moduli closer than ``MODULUS_TIE_TOL`` count as equal, so the
+    eigenvalues of a unitary, whose moduli are 1 up to roundoff, are ordered
+    by argument alone.
+    """
     ev = np.linalg.eigvals(m)
-    order = np.lexsort((np.angle(ev), -np.abs(ev)))
-    return ev[order]
+    ev = ev[np.argsort(-np.abs(ev), kind="stable")]
+    tie_group = np.concatenate([[0], np.cumsum(-np.diff(np.abs(ev)) >= MODULUS_TIE_TOL)])
+    return ev[np.lexsort((np.angle(ev), tie_group))]
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ the step level because each step is the exponential of a Hermitian generator:
 * ``magnus4``: fourth-order Magnus step built from the two Gauss-Legendre
   nodes of the step, with the leading commutator correction.
 
-Each step generator is eigendecomposed once: its eigenvalues give the |K| h
-check and its eigenvectors the step exponential.  The trace holds every
-prefix M(t_k) = S_k ... S_1 M(t_0) of the time-ordered step product; one
-log-depth scan over the steps (``linalg._ordered_products``) forms them all,
-with the later step factor always on the left.  Grid refinement is the
-caller's responsibility; the trace carries the largest per-step |K| h.
+Each step generator is eigendecomposed once, by ``linalg.eigh_many`` (in
+closed form for the 1x1 and 2x2 generators of Abelian and doublet levels):
+its eigenvalues give the |K| h check and its eigenvectors the step
+exponential.  The trace holds every prefix M(t_k) = S_k ... S_1 M(t_0) of
+the time-ordered step product; one log-depth scan over the steps
+(``linalg._ordered_products``) forms them all, with the later step factor
+always on the left.  Grid refinement is the caller's responsibility; the
+trace carries the largest per-step |K| h.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .frames import ConnectionSamples, FrameField, _generator_from_samples
-from .linalg import HERMITICITY_TOL, _ordered_products, expm_skew_many, require_hermitian, require_unitary
+from .linalg import HERMITICITY_TOL, _ordered_products, eigh_many, expm_skew_many, require_hermitian, require_unitary
 
 METHODS = ("midpoint_exp", "magnus4")
 STEP_NORM_LIMIT = 1.0  # reject steps with |K| h beyond this
@@ -108,7 +110,7 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
         heff = 0.5 * (k1 + k2) * hs[:, None, None] - 1j * (np.sqrt(3.0) / 12.0) * (hs[:, None, None] ** 2) * comm
 
     # one decomposition per step: its eigenvalues give |K| h, its eigenvectors the step exponential
-    step_eigs, step_vecs = np.linalg.eigh(heff)
+    step_eigs, step_vecs = eigh_many(heff)
     step_norms = np.max(np.abs(step_eigs), axis=1)
     max_step_norm = float(np.max(step_norms))
     if max_step_norm >= STEP_NORM_LIMIT:

@@ -7,6 +7,12 @@ level is 2 cos(2 pi |(mu, nu)|), and that of the nondegenerate level is 1.
 The route (one eigendecomposition, parallel transport of the frames, and the
 discrete Wilson line of their endpoint overlaps) converges to it at second
 order in the sample spacing.
+
+A spin-1/2 family, H = sigma . R, gives the same route a 2x2 answer: around a
+cone of polar angle theta, the level with spin projection m along R picks up
+Berry's phase -m Omega, with Omega = 2 pi (1 - cos theta) the enclosed solid
+angle: +pi (1 - cos theta) for the lower level and -pi (1 - cos theta) for
+the upper one.
 """
 
 import csv
@@ -34,12 +40,18 @@ def write_precession(tmp_path, num_samples, theta=TYCKO, phi0=0.3, duration=50.0
     phis = phi0 + 2 * np.pi * ts / duration
     r = np.stack([np.cos(phis), np.sin(phis), np.full_like(phis, 1.0 / np.tan(theta))], axis=1)
     params = np.stack([r[:, i] * r[:, j] * (1.0 if i == j else 2.0) for i, j in PAIRS], axis=1)
+    return write_closed_loop(tmp_path, GENERATORS, ts, params, levels)
+
+
+def write_closed_loop(tmp_path, generators, ts, params, levels="all"):
+    """Generator, curve and config files of a closed curve through ``params``; returns the config path."""
+    params = params.copy()
     params[-1] = params[0]  # close the loop exactly
     tmp_path.mkdir(parents=True, exist_ok=True)
     gens = tmp_path / "generators.json"
     gens.write_text(json.dumps({
-        "dimension": 3,
-        "generators": [[[[z.real, z.imag] for z in row] for row in g] for g in GENERATORS],
+        "dimension": len(generators[0]),
+        "generators": [[[[z.real, z.imag] for z in row] for row in g] for g in generators],
     }))
     curve = tmp_path / "curve.csv"
     curve.write_text("".join(
@@ -96,3 +108,22 @@ def test_cli_phase_on_the_same_inputs(tmp_path):
     assert summary["levels"]["1"]["cyclic_misalignment"] <= 1e-12
     assert summary["levels"]["2"]["cyclic_misalignment"] > 1e-3
 
+
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.1, 2.3])
+def test_spin_half_cone_gives_half_the_solid_angle(tmp_path, theta):
+    phis = np.linspace(0.0, 2 * np.pi, 401)
+    r = np.column_stack([np.sin(theta) * np.cos(phis), np.sin(theta) * np.sin(phis), np.full_like(phis, np.cos(theta))])
+    cfg = write_closed_loop(tmp_path, SIGMA, np.linspace(0.0, 10.0, 401), r)
+    result = run_custom_phase(parse_config(cfg))
+    pi = {lv.label: lv.pi[-1] for lv in result.levels}
+    berry = np.pi * (1.0 - np.cos(theta))
+    assert abs(pi[1] - np.exp(1j * berry)) <= 1e-4
+    assert abs(pi[2] - np.exp(-1j * berry)) <= 1e-4
+    assert abs(pi[1] - np.conj(pi[2])) <= 1e-12

@@ -4,6 +4,7 @@ import pytest
 from holonomy.errors import DomainError, StructuralError
 from holonomy.linalg import (
     eig_hermitian,
+    eigh_many,
     expm_skew,
     expm_skew_many,
     frame_orthonormality_defect,
@@ -19,6 +20,20 @@ from holonomy.quadrupole import FieldPoint, hamiltonian
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (m + m.conj().T)
+
+
+EPS = np.finfo(float).eps
+
+
+def random_hermitian_stack(rng, shape, d):
+    m = rng.normal(size=(*shape, d, d)) + 1j * rng.normal(size=(*shape, d, d))
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+
+
+def random_unitary_stack(rng, m, d):
+    q, r = np.linalg.qr(rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d)))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def taylor_expm_oracle(h, s, terms=30, squarings=8):
@@ -90,6 +105,100 @@ class TestEigHermitian:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):
             eig_hermitian(np.eye(2), degeneracy_tol=-1.0)
+
+
+class TestEighMany:
+    """The closed forms at d = 1 and d = 2 against LAPACK, on eigh's contract."""
+
+    @staticmethod
+    def assert_decomposition(h, w, v):
+        d = h.shape[-1]
+        scale = np.max(np.abs(h), axis=(-2, -1))
+        assert w.shape == h.shape[:-1] and v.shape == h.shape
+        assert np.all(np.diff(w, axis=-1) >= 0)
+        rebuilt = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+        assert np.all(np.max(np.abs(rebuilt - h), axis=(-2, -1)) <= 8 * EPS * scale)
+        gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+        assert np.max(np.abs(gram - np.eye(d))) <= 8 * EPS
+        reference = np.linalg.eigh(h).eigenvalues
+        assert np.all(np.max(np.abs(w - reference), axis=-1) <= 8 * EPS * scale)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_stacks_match_lapack(self, d):
+        rng = np.random.default_rng(41)
+        h = random_hermitian_stack(rng, (500,), d)
+        w, v = eigh_many(h)
+        self.assert_decomposition(h, w, v)
+        # the random spectra are well separated, so each eigenvector is fixed up to a phase
+        projectors = v[..., :, None, :] * np.conj(v[..., None, :, :])
+        _, v_ref = np.linalg.eigh(h)
+        reference = v_ref[..., :, None, :] * np.conj(v_ref[..., None, :, :])
+        assert np.max(np.abs(projectors - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("diagonal, order", [((1.0, 2.0), (0, 1)), ((2.0, -1.0), (1, 0))])
+    def test_diagonal_input_gives_unit_vectors(self, diagonal, order):
+        w, v = eigh_many(np.diag(diagonal).astype(complex))
+        assert np.array_equal(w, np.sort(diagonal))
+        assert np.array_equal(np.abs(v), np.eye(2)[:, order])
+
+    def test_multiple_of_identity(self):
+        for c in (0.0, 1.0, -3.5e7):
+            w, v = eigh_many(c * np.eye(2, dtype=complex))
+            assert np.array_equal(w, [c, c])
+            assert np.max(np.abs(np.conj(v.T) @ v - np.eye(2))) <= 8 * EPS
+
+    def test_subnormal_entries(self):
+        # b/|b| by division gives NaN here; the phase comes from arg b instead
+        tiny = 5e-324
+        h = np.array([[tiny, tiny - 1j * tiny], [tiny + 1j * tiny, tiny]])
+        w, v = eigh_many(h)
+        assert np.all(np.isfinite(w)) and np.max(np.abs(np.conj(v.T) @ v - np.eye(2))) <= 8 * EPS
+
+    @pytest.mark.parametrize("gap", [10.0**-k for k in range(6, 16)])
+    def test_near_degenerate_pairs(self, gap):
+        rng = np.random.default_rng(42)
+        u = random_unitary_stack(rng, 200, 2)
+        centre = rng.uniform(-1.0, 1.0, 200)
+        h = (u * np.stack([centre, centre + gap], axis=-1)[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
+        self.assert_decomposition(h, *eigh_many(h))
+
+    @pytest.mark.parametrize("scale", [10.0**k for k in range(-8, 9, 2)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scales(self, scale, d):
+        h = scale * random_hermitian_stack(np.random.default_rng(43), (200,), d)
+        self.assert_decomposition(h, *eigh_many(h))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_leading_shapes(self, shape, d):
+        h = random_hermitian_stack(np.random.default_rng(44), shape, d)
+        w, v = eigh_many(h)
+        self.assert_decomposition(h, w, v)
+        flat_w, flat_v = eigh_many(h.reshape(-1, d, d))
+        assert np.array_equal(w.reshape(-1, d), flat_w) and np.array_equal(v.reshape(-1, d, d), flat_v)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reads_the_lower_triangle(self, d):
+        rng = np.random.default_rng(45)
+        h = random_hermitian_stack(rng, (50,), d)
+        scrambled = h + np.triu(rng.normal(size=(d, d)), 1) + 1j * np.diag(rng.normal(size=d))
+        w, v = eigh_many(scrambled)
+        assert np.array_equal(w, eigh_many(h)[0]) and np.array_equal(v, eigh_many(h)[1])
+        assert np.max(np.abs(w - np.linalg.eigh(scrambled).eigenvalues)) <= 8 * EPS * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_input_gives_real_vectors(self, d):
+        m = np.random.default_rng(46).normal(size=(20, d, d))
+        h = m + np.swapaxes(m, 1, 2)
+        w, v = eigh_many(h)
+        assert w.dtype == v.dtype == np.float64
+        self.assert_decomposition(h, w, v)
+
+    def test_larger_matrices_are_lapack(self):
+        h = random_hermitian_stack(np.random.default_rng(47), (10,), 3)
+        w, v = eigh_many(h)
+        w_ref, v_ref = np.linalg.eigh(h)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
 
 class TestExpmSkew:

@@ -107,6 +107,25 @@ class TestNoncyclicPhase:
         assert np.array_equal(a, b)
         assert abs(a[0]) >= abs(a[1]) - 1e-15
 
+    def test_unit_modulus_eigenvalues_ordered_by_argument(self):
+        # a closed loop's w Gamma is unitary: moduli that differ by roundoff must not decide the order
+        rng = np.random.default_rng(6)
+        q = random_unitary(rng, 3)
+        args = np.array([2.0, -0.998, 0.5])
+        orders = []
+        for sign in (1.0, -1.0):
+            moduli = 1.0 + sign * np.array([1e-15, -1e-15, 0.0])
+            gcheck = (q * (moduli * np.exp(1j * args))) @ q.conj().T
+            w = OverlapMatrix(level_index=1, matrix=gcheck)
+            orders.append(np.angle(noncyclic_phase(w, np.eye(3, dtype=complex)).eigenvalues))
+        assert orders[0] == pytest.approx(np.sort(args), abs=1e-12)
+        assert orders[1] == pytest.approx(np.sort(args), abs=1e-12)
+
+    def test_larger_modulus_comes_first(self):
+        w = OverlapMatrix(level_index=1, matrix=np.diag([0.5j, -0.9, 0.5]).astype(complex))
+        eigs = noncyclic_phase(w, np.eye(3, dtype=complex)).eigenvalues
+        assert np.array_equal(eigs, [-0.9, 0.5, 0.5j])
+
     def test_shape_mismatch_rejected(self):
         w = OverlapMatrix(level_index=0, matrix=np.eye(2, dtype=complex))
         with pytest.raises(DomainError):

@@ -8,18 +8,28 @@ then each frame aligned to its aligned predecessor in sequence.  The
 cumulative product itself, a log-depth scan, is checked against the
 sequential loop of step products it replaced.  The traces Pi = tr(w Gamma)
 of the transported frames are geometric: retiming the samples leaves them
-unchanged.
+unchanged.  The closed-form 2x2 eigendecomposition that every stepper and
+gauge uses gives the exponentials of scipy's ``expm``.
 """
 
 import re
 
 import numpy as np
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holonomy.errors import LevelCrossingError, ResolutionError
 from holonomy.frames import MIN_OVERLAP_SINGULAR_VALUE, Curve, OperatorFamily, transport_frames, transport_holonomy
-from holonomy.linalg import _ordered_products, eig_hermitian, frame_orthonormality_defect, polar_unitary_factor
+from holonomy.linalg import (
+    _ordered_products,
+    eig_hermitian,
+    eigh_many,
+    expm_skew_many,
+    frame_orthonormality_defect,
+    polar_unitary_factor,
+)
 
 SETTINGS = dict(derandomize=True, deadline=None)
 
@@ -239,3 +249,15 @@ def test_ordered_products_equal_sequential_loop(d, m, columns, seed):
     assert np.max(np.abs(products - sequential_products(steps, initial))) <= 1e-12
     gram = np.conj(np.swapaxes(products, 1, 2)) @ products
     assert np.max(np.abs(gram - np.eye(l))) <= 1e-12
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(arrays(np.float64, st.tuples(st.integers(1, 16), st.just(4)), elements=st.floats(-4.0, 4.0)))
+def test_closed_form_2x2_exponentials_equal_scipy_expm(entries):
+    # rows (a, c, Re b, Im b) of H = [[a, conj(b)], [b, c]]; hypothesis reaches b = 0 and a = c
+    h = np.empty((len(entries), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = entries[:, 0], entries[:, 1]
+    h[:, 1, 0] = entries[:, 2] + 1j * entries[:, 3]
+    h[:, 0, 1] = np.conj(h[:, 1, 0])
+    got = expm_skew_many(*eigh_many(h))
+    assert np.max(np.abs(got - scipy.linalg.expm(-1j * h))) <= 1e-13

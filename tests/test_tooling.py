@@ -1,12 +1,19 @@
-"""The per-layer tracer in perfbench/ names private functions of the package; they must exist."""
+"""Repository rules that code review would otherwise have to keep.
 
+The per-layer tracer in perfbench/ names private functions of the package;
+they must exist.  Every Hermitian eigendecomposition in the package goes
+through ``linalg.eigh_many``.
+"""
+
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +39,21 @@ def test_every_target_wraps(tracer):
         importlib.import_module(f"holonomy.{short}")
     names = {name for name, *_ in tracer.Tracer()._targets()}
     assert "propagate._eval_nodes" in names and "linalg.expm_skew_many" in names
+
+
+def test_eigh_many_is_the_one_eigensolver():
+    # every call of an ``eigh`` attribute (np.linalg.eigh, scipy.linalg.eigh) and every
+    # ``from ... import eigh``, located by module and line
+    calls = []
+    for path in sorted((ROOT / "src" / "holonomy").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "eigh":
+                calls.append((path.stem, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and any(alias.name == "eigh" for alias in node.names):
+                calls.append((path.stem, node.lineno))
+        if path.stem == "linalg":
+            helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "eigh_many")
+    inside = [(module, line) for module, line in calls
+              if module == "linalg" and helper.lineno <= line <= helper.end_lineno]
+    assert inside and calls == inside, f"eigh outside linalg.eigh_many: {sorted(set(calls) - set(inside))}"
