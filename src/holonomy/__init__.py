@@ -31,7 +31,6 @@ from .frames import (
     FrameField,
     OperatorFamily,
     apply_gauge,
-    connection_matrices,
     curve_from_function,
     family_from_generators,
     transport_frame,
@@ -85,7 +84,6 @@ __all__ = [
     "FrameField",
     "OperatorFamily",
     "apply_gauge",
-    "connection_matrices",
     "curve_from_function",
     "family_from_generators",
     "transport_frame",

@@ -8,9 +8,17 @@ for large tau, the adiabatic propagator
     delta_n(t) = -integral_0^t E_n dt',
 
 where Gamma0^n is the holonomy of the level's Berry connection.  U0 is
-assembled from whatever smooth frame field is available (parallel-transported
-eigenframes by default, analytic frames when the scenario provides them); as
-an operator it is independent of that gauge choice.
+assembled from whatever smooth frame field is available; as an operator it is
+independent of that gauge choice.  Every level follows one rule:
+
+* without a hook, one ``transport_frames`` call follows all levels with
+  parallel-transported eigenframes, whose connection vanishes, so Gamma0^n
+  is the discrete Wilson line of the frames (``transport_holonomy``) and no
+  integrator runs;
+* a scenario's ``level_fn`` hook supplies analytic frames together with
+  their analytic connection, and Gamma0^n integrates that connection.
+
+The energies E_n are the level eigenvalues the frames carry.
 """
 
 from __future__ import annotations
@@ -21,14 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, LevelCrossingError, ResolutionError
-from .frames import (
-    ConnectionSamples,
-    Curve,
-    FrameField,
-    OperatorFamily,
-    connection_matrices,
-    transport_frame,
-)
+from .frames import ConnectionSamples, Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
 from .linalg import _level_bounds, _level_splits, eig_hermitian, eigh_many
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
 from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, holonomy, propagate
@@ -42,11 +43,9 @@ class AdiabaticScenario:
     curve: Curve                      # parameterized by s in [0, 1]
     tau: float
     levels: tuple[int, ...] | None = None  # None: all levels
-    # optional analytic hooks (index by level); the returned maps are batched
-    # over s: connection ss (m,) -> (m, l, l), energy ss (m,) -> (m,)
-    frame_fn: Callable[[int, np.ndarray], FrameField] | None = None
-    connection_fn: Callable[[int], Callable[[np.ndarray], np.ndarray]] | None = None
-    energy_fn: Callable[[int], Callable[[np.ndarray], np.ndarray]] | None = None
+    # optional analytic hook: (level, s grid) -> (the level's frames on the grid,
+    # its connection in those frames, batched over s: ss (m,) -> (m, l, l))
+    level_fn: Callable[[int, np.ndarray], tuple[FrameField, Callable[[np.ndarray], np.ndarray]]] | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -60,9 +59,7 @@ class AdiabaticScenario:
             curve=self.curve,
             tau=tau,
             levels=self.levels,
-            frame_fn=self.frame_fn,
-            connection_fn=self.connection_fn,
-            energy_fn=self.energy_fn,
+            level_fn=self.level_fn,
         )
 
     def s_grid(self, num_samples: int) -> np.ndarray:
@@ -98,17 +95,27 @@ class AdiabaticScenario:
         return Curve(times=ss, points=self.theta_at(ss), cyclic=False, evaluator=self.curve.evaluator)
 
 
-def _level_frames(scenario: AdiabaticScenario, level: int, num_samples: int) -> FrameField:
-    if scenario.frame_fn is not None:
-        return scenario.frame_fn(level, scenario.s_grid(num_samples))
-    return transport_frame(scenario.family, scenario.sampled_curve(num_samples), level, gauge="aligned")
-
-
-def _level_connection(scenario: AdiabaticScenario, frames: FrameField) -> ConnectionSamples:
-    evaluator = None
-    if scenario.connection_fn is not None:
-        evaluator = scenario.connection_fn(frames.level_index)
-    return connection_matrices(frames, scenario.hamiltonian_at(frames.times), evaluator_a=evaluator)
+def _level_holonomies(
+    scenario: AdiabaticScenario,
+    levels: Sequence[int],
+    num_samples: int,
+    method: str,
+) -> list[tuple[FrameField, PropagatorTrace]]:
+    """Frames of each level on the s grid and their holonomy Gamma0, by the module's one rule."""
+    if scenario.level_fn is None:
+        fields = transport_frames(scenario.family, scenario.sampled_curve(num_samples), levels, gauge="aligned")
+        return [
+            (f, PropagatorTrace(times=f.times, matrices=transport_holonomy(f), method=method, max_step_norm=0.0))
+            for f in fields
+        ]
+    out = []
+    for level in levels:
+        frames, connection = scenario.level_fn(level, scenario.s_grid(num_samples))
+        conn = ConnectionSamples(
+            level_index=level, times=frames.times, evaluator_a=connection, multiplicity=frames.multiplicity
+        )
+        out.append((frames, holonomy(conn, method=method)))
+    return out
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -119,12 +126,7 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _dynamical_phases(scenario: AdiabaticScenario, frames: FrameField) -> np.ndarray:
     """delta_n(s_k) = -tau * integral_0^{s_k} E_n(s') ds'."""
-    ss = frames.times
-    if scenario.energy_fn is not None:
-        energies = np.asarray(scenario.energy_fn(frames.level_index)(ss), dtype=float)
-    else:
-        energies = frames.eigenvalues
-    return -scenario.tau * _cumulative_trapezoid(energies, ss)
+    return -scenario.tau * _cumulative_trapezoid(frames.eigenvalues, frames.times)
 
 
 def adiabatic_propagator(
@@ -132,25 +134,18 @@ def adiabatic_propagator(
     num_samples: int = 801,
     method: str = "magnus4",
 ) -> PropagatorTrace:
-    """Assemble U0(t) on the grid t = tau * s."""
+    """Assemble U0(t) on the grid t = tau * s; ``method`` integrates a hook's connection."""
     spectrum0 = eig_hermitian(scenario.hamiltonian_at(np.zeros(1))[0])
     levels = scenario.level_indices(len(spectrum0.levels))
-    if scenario.levels is None:
-        pass
-    elif sum(spectrum0.level(l).multiplicity for l in levels) != scenario.family.dim:
-        raise DomainError("adiabatic propagator needs the levels to cover the full dimension")
 
     frame_fields: list[FrameField] = []
     traces: list[PropagatorTrace] = []
-    for level in levels:
-        frames = _level_frames(scenario, level, num_samples)
-        conn = _level_connection(scenario, frames)
-        gamma = holonomy(conn, method=method)
+    for frames, gamma in _level_holonomies(scenario, levels, num_samples, method):
         delta = _dynamical_phases(scenario, frames)
         u = gamma.matrices * np.exp(1j * delta)[:, None, None]
         traces.append(PropagatorTrace(times=gamma.times, matrices=u, method=method, max_step_norm=gamma.max_step_norm))
         frame_fields.append(frames)
-    trace_s = assemble_evolution(frame_fields, traces)
+    trace_s = assemble_evolution(frame_fields, traces)  # requires the levels to cover the full dimension
     return PropagatorTrace(
         times=scenario.tau * trace_s.times,
         matrices=trace_s.matrices,
@@ -264,17 +259,15 @@ def adiabatic_noncyclic_phase(
     """Noncyclic phase report of one level in the adiabatic limit at time t.
 
     Built from the scenario's frame field: w from the endpoint frames, Gamma
-    from the holonomy of the level connection, and the dynamical phase from
-    the energy quadrature.
+    by the module's one rule, and the dynamical phase from the energy
+    quadrature.
     """
     if t is None:
         t = scenario.tau
     if not 0 <= t <= scenario.tau + 1e-12:
         raise DomainError("t must lie within the scenario duration")
 
-    frames = _level_frames(scenario, level, num_samples)
-    conn = _level_connection(scenario, frames)
-    gamma_trace = holonomy(conn, method=method)
+    [(frames, gamma_trace)] = _level_holonomies(scenario, (level,), num_samples, method)
     delta = _dynamical_phases(scenario, frames)
 
     s_target = t / scenario.tau

@@ -7,15 +7,22 @@ eigendecomposition of the sampled family, shared by the levels, and
 (optionally) applies discrete parallel transport so that the frames vary
 smoothly.  The transport is a cumulative product of the polar factors of
 the raw overlaps, taken from one stacked SVD and projected back onto the
-unitaries by one stacked polar decomposition; on such frames
-:func:`transport_holonomy` gives the holonomy without a connection.
-:func:`connection_matrices` produces the per-level matrices
+unitaries by one stacked polar decomposition.  The connection of such
+frames vanishes, so :func:`transport_holonomy` gives their holonomy as the
+discrete Wilson line of the frames; the ``phase`` and ``adiabatic`` routes of
+a custom family take it from there.
+
+A :class:`ConnectionSamples` carries the per-level matrices
 
     E^n(t)   = <a| H(t) |b>                (energy matrix)
     A^n(t)   = i <a| d/dt |b>              (connection matrix)
     D^n(t)   = E^n(t) - A^n(t)             (evolution generator)
 
-all Hermitian l_n x l_n, where |a>, |b> run over the level frame.
+all Hermitian l_n x l_n, where |a>, |b> run over the level frame, as batched
+evaluators or as samples; between samples they come from the one interpolant
+of this module.  :func:`connection_matrices` samples them along a frame field
+from finite differences of the frames and a Hamiltonian stack, for frames
+whose connection does not vanish (an invariant's eigenframes, for one).
 """
 
 from __future__ import annotations
@@ -172,8 +179,10 @@ class FrameField:
 class ConnectionSamples:
     """Per-level E^n, A^n, D^n: sampled matrices, batched evaluators, or both.
 
-    The samples ``a``/``e`` may be left out when both evaluators are given;
-    ``multiplicity`` must then be given too, otherwise it is read off ``a``.
+    A is required, sampled or as an evaluator; without samples of A,
+    ``multiplicity`` must be given, otherwise it is read off ``a``.  E is
+    optional: a holonomy reads only A, while ``lewis_riesenfeld_u`` and a
+    gauge transform need E too.
     """
 
     level_index: int
@@ -185,17 +194,26 @@ class ConnectionSamples:
     multiplicity: int | None = None
 
     def __post_init__(self):
-        if self.a is not None and self.e is not None:
+        if self.a is not None:
             if self.multiplicity is None:
                 object.__setattr__(self, "multiplicity", self.a.shape[1])
-        elif self.evaluator_a is None or self.evaluator_e is None or self.multiplicity is None:
-            raise DomainError("a connection without sampled A and E needs both evaluators and its multiplicity")
+        elif self.evaluator_a is None or self.multiplicity is None:
+            raise DomainError("a connection without sampled A needs its evaluator and its multiplicity")
 
     @property
     def d(self) -> np.ndarray:
         if self.a is None or self.e is None:
             raise DomainError("the connection has no samples of A and E; use its evaluators")
         return self.e - self.a
+
+    def evaluator(self, which: str) -> Callable[[np.ndarray], np.ndarray]:
+        """Batched A (``which="a"``) or E (``"e"``): the analytic evaluator, else the interpolant of the samples."""
+        analytic, samples = (self.evaluator_a, self.a) if which == "a" else (self.evaluator_e, self.e)
+        if analytic is not None:
+            return analytic
+        if samples is None:
+            raise DomainError(f"the connection has no {which.upper()}, neither sampled nor as an evaluator")
+        return _generator_from_samples(self.times, samples)
 
 
 def _generator_from_samples(times: np.ndarray, mats: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -360,19 +378,12 @@ def _central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def connection_matrices(
-    frames: FrameField,
-    hamiltonians: np.ndarray,
-    evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> ConnectionSamples:
-    """Compute E^n, A^n, D^n along a frame field.
+def connection_matrices(frames: FrameField, hamiltonians: np.ndarray) -> ConnectionSamples:
+    """Sample E^n, A^n, D^n along a frame field.
 
     ``hamiltonians`` is the stack H(t_k) (m, dim, dim) at the frame times.
     A^n comes from central finite differences of the frames (one-sided at the
-    endpoints), hermitized as (M + M^dag)/2; an analytic ``evaluator_a`` may be
-    supplied to bypass differentiation downstream, in which case E^n between
-    the samples comes from the interpolant the sampled route uses.  E^n is
-    exact per sample.
+    endpoints), hermitized as (M + M^dag)/2; E^n is exact per sample.
     """
     if frames.num_samples < 3:
         raise ResolutionError("connection matrices need at least 3 samples")
@@ -388,14 +399,7 @@ def connection_matrices(
     a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
     e = np.conj(np.swapaxes(frames.frames, 1, 2)) @ hams @ frames.frames
     e = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
-    return ConnectionSamples(
-        level_index=frames.level_index,
-        times=ts.copy(),
-        a=a,
-        e=e,
-        evaluator_a=evaluator_a,
-        evaluator_e=None if evaluator_a is None else _generator_from_samples(ts, e),
-    )
+    return ConnectionSamples(level_index=frames.level_index, times=ts.copy(), a=a, e=e)
 
 
 def apply_gauge(frames: FrameField, v: Callable[[np.ndarray], np.ndarray]) -> FrameField:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ConnectionSamples, _generator_from_samples
+from .frames import ConnectionSamples
 from .linalg import _stack_matmul, eigh_many, expm_skew_many
 
 
@@ -126,10 +126,7 @@ class _TransformedConnectionEvaluator:
     """
 
     def __init__(self, connection: ConnectionSamples, gauge: SmoothGauge, which: str):
-        base = connection.evaluator_a if which == "a" else connection.evaluator_e
-        if base is None:
-            base = _generator_from_samples(connection.times, connection.a if which == "a" else connection.e)
-        self._base = base
+        self._base = connection.evaluator(which)
         self._gauge = gauge
         self._which = which
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .frames import ConnectionSamples, FrameField, _generator_from_samples
+from .frames import ConnectionSamples, FrameField
 from .linalg import HERMITICITY_TOL, _ordered_products, eigh_many, expm_skew_many, require_hermitian, require_unitary
 
 METHODS = ("midpoint_exp", "magnus4")
@@ -131,11 +131,11 @@ def holonomy(
     """Path-ordered exponential of i * integral A^n dt.
 
     Solves i dG/dt = -A^n(t) G with G(t_0) = 1.  Uses the connection's
-    analytic evaluator when present, otherwise a spline through the samples.
+    analytic evaluator when present, otherwise the interpolant of its samples.
     The result depends on the sampled geometry, not on traversal speed.
     """
     ts = connection.times if times is None else np.asarray(times, dtype=float)
-    a = connection.evaluator_a or _generator_from_samples(connection.times, connection.a)
+    a = connection.evaluator("a")
     l = connection.multiplicity
     problem = MatrixOdeProblem(generator=lambda nodes: -a(nodes), initial=np.eye(l, dtype=complex), times=ts)
     return propagate(problem, method)
@@ -152,11 +152,8 @@ def lewis_riesenfeld_u(
     l = connection.multiplicity
     if u0 is None:
         u0 = np.eye(l, dtype=complex)
-    a, e = connection.evaluator_a, connection.evaluator_e
-    if a is not None and e is not None:
-        gen = lambda nodes: e(nodes) - a(nodes)
-    else:
-        gen = _generator_from_samples(connection.times, connection.d)
+    a, e = connection.evaluator("a"), connection.evaluator("e")
+    gen = lambda nodes: e(nodes) - a(nodes)
     problem = MatrixOdeProblem(generator=gen, initial=np.asarray(u0, dtype=complex), times=ts)
     return propagate(problem, method)
 

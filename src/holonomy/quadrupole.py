@@ -310,9 +310,10 @@ def gamma2_closed(theta: float, phi0: float, phi: float | np.ndarray) -> np.ndar
     return _matrix2(g11, g12, g21, g22)
 
 
-def gamma1_closed(phi0: float, phi: float) -> complex:
-    """Abelian holonomy factor of the nondegenerate level, exp(i (phi - phi0))."""
-    return complex(np.exp(1j * (phi - phi0)))
+def gamma1_closed(phi0: float, phi: float | np.ndarray) -> complex | np.ndarray:
+    """Abelian holonomy factor of the nondegenerate level, exp(i (phi - phi0)); an array of phi gives an array."""
+    gamma = np.exp(1j * (np.asarray(phi, dtype=float) - phi0))
+    return complex(gamma) if np.ndim(phi) == 0 else gamma
 
 
 def _w2_entries(k: ConnectionCoeffs, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,21 +415,19 @@ def level2_connection_samples(scenario: PrecessionScenario, num_samples: int) ->
     def eval_a(nodes: np.ndarray) -> np.ndarray:
         return scenario.omega * a2(scenario.phi_at(nodes))
 
-    eval_e = _constant_generator(e2 * np.eye(2))
     return ConnectionSamples(
-        level_index=1, times=ts, a=eval_a(ts), e=eval_e(ts),
-        evaluator_a=eval_a, evaluator_e=eval_e,
+        level_index=1, times=ts, evaluator_a=eval_a, evaluator_e=_constant_generator(e2 * np.eye(2)), multiplicity=2
     )
 
 
 def level1_connection_samples(scenario: PrecessionScenario, num_samples: int) -> ConnectionSamples:
     """Oracle connection of the nondegenerate level: A = omega (pure gauge), E = 0."""
-    ts = scenario.times(num_samples)
-    eval_a = _constant_generator(scenario.omega * np.eye(1))
-    eval_e = _constant_generator(np.zeros((1, 1)))
     return ConnectionSamples(
-        level_index=0, times=ts, a=eval_a(ts), e=eval_e(ts),
-        evaluator_a=eval_a, evaluator_e=eval_e,
+        level_index=0,
+        times=scenario.times(num_samples),
+        evaluator_a=_constant_generator(scenario.omega * np.eye(1)),
+        evaluator_e=_constant_generator(np.zeros((1, 1))),
+        multiplicity=1,
     )
 
 
@@ -446,11 +445,11 @@ def frame_consistent_level2(theta: float) -> np.ndarray:
 
 
 def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | None = None):
-    """Adiabatic scenario for the precessing quadrupole, with analytic hooks.
+    """Adiabatic scenario for the precessing quadrupole, with an analytic hook.
 
-    The frames, connections and energies along the drive are supplied in
-    closed form, so the assembled adiabatic propagator carries no
-    finite-difference error.
+    The hook supplies each level's frames along the drive, with their
+    eigenvalues, and the connection of those frames in closed form, so the
+    assembled adiabatic propagator carries no transport error.
     """
     from .adiabatic import AdiabaticScenario
 
@@ -464,10 +463,10 @@ def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | N
     ss = np.linspace(0.0, 1.0, 65)
     curve = Curve(times=ss, points=phi_of_s(ss), cyclic=False, evaluator=phi_of_s)
 
-    def frame_fn(level: int, s_grid: np.ndarray) -> FrameField:
+    def level_fn(level: int, s_grid: np.ndarray) -> tuple[FrameField, Callable[[np.ndarray], np.ndarray]]:
         s_grid = np.asarray(s_grid, dtype=float)
         field = FieldPoint(scenario.rho, phi_of_s(s_grid)[:, 0], scenario.zeta, scenario.coupling)
-        return FrameField(
+        frames = FrameField(
             level_index=level,
             multiplicity=1 if level == 0 else 2,
             times=s_grid,
@@ -475,22 +474,14 @@ def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | N
             eigenvalues=np.full(len(s_grid), 0.0 if level == 0 else e2),
             cyclic=False,
         )
-
-    def connection_fn(level: int) -> Callable[[np.ndarray], np.ndarray]:
-        return _constant_generator(np.zeros((1, 1)) if level == 0 else dphi_total * a2_const)
-
-    def energy_fn(level: int) -> Callable[[np.ndarray], np.ndarray]:
-        energy = 0.0 if level == 0 else e2
-        return lambda ss: np.full(len(ss), energy)
+        return frames, _constant_generator(np.zeros((1, 1)) if level == 0 else dphi_total * a2_const)
 
     return AdiabaticScenario(
         family=scenario.hamiltonian_family(),
         curve=curve,
         tau=scenario.duration,
         levels=levels,
-        frame_fn=frame_fn,
-        connection_fn=connection_fn,
-        energy_fn=energy_fn,
+        level_fn=level_fn,
     )
 
 

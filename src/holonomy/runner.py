@@ -1,8 +1,10 @@
 """Run pipelines behind the CLI: phase traces, sweeps, ladders, gauge tests.
 
 The quadrupole pipeline follows the closed-form oracle route: the oracle
-connection is integrated numerically, endpoint overlaps come from the
-closed-form overlap matrices, and deviations from the closed-form holonomy
+connection of the degenerate level is integrated numerically, the
+nondegenerate level's constant connection has the closed-form holonomy
+exp(i (phi - phi0)), endpoint overlaps come from the closed-form overlap
+matrices, and deviations from the closed-form holonomy
 and trace are reported as diagnostics.  Custom operator families run the
 generic route: one eigendecomposition, parallel transport of the frames, and
 Pi from their endpoint overlaps (the discrete Wilson line; no integrator).
@@ -162,9 +164,7 @@ def run_quadrupole_phase(
 
     for label in labels:
         if label == 1:
-            conn = qd.level1_connection_samples(scenario, num_samples)
-            trace = holonomy(conn, method=method)
-            gam = trace.matrices[:, 0, 0]
+            gam = qd.gamma1_closed(scenario.phi0, phis)
             w = qd.w1_closed(scenario.theta, scenario.phi0, phis)
             pi = w * gam
             defects = np.abs(np.abs(gam) ** 2 - 1.0)
@@ -215,7 +215,7 @@ def run_quadrupole_phase(
                     oracle_trace_deviation=pdev,
                 )
             )
-        max_step = max(max_step, trace.max_step_norm)
+            max_step = trace.max_step_norm
 
     ratio = None
     if with_adiabaticity:

@@ -46,7 +46,7 @@ class TestAdiabaticPropagator:
     def test_analytic_and_transported_routes_agree(self):
         # the assembled operator is independent of the frame gauge, so the
         # analytic-frame route and the generic transported route must agree up
-        # to finite-difference error in the transported connection
+        # to the discrete transport error of the generic frames
         scen_hooked = tycko_adiabatic(tau=30.0)
         scen_generic = AdiabaticScenario(
             family=scen_hooked.family, curve=scen_hooked.curve, tau=scen_hooked.tau
@@ -54,6 +54,18 @@ class TestAdiabaticPropagator:
         a = adiabatic_propagator(scen_hooked, num_samples=801).final
         b = adiabatic_propagator(scen_generic, num_samples=801).final
         assert np.max(np.abs(a - b)) <= 1e-4
+
+    def test_transported_route_is_second_order(self):
+        # the hook's analytic frames and connection make the hooked U0 the reference;
+        # quadrupling the samples must cut the generic route's gap by O(h^2) ~ 16
+        scen_hooked = tycko_adiabatic(tau=30.0)
+        scen_generic = AdiabaticScenario(family=scen_hooked.family, curve=scen_hooked.curve, tau=scen_hooked.tau)
+        gaps = []
+        for num in (201, 801):
+            a = adiabatic_propagator(scen_hooked, num_samples=num).final
+            b = adiabatic_propagator(scen_generic, num_samples=num).final
+            gaps.append(np.max(np.abs(a - b)))
+        assert gaps[0] >= 10 * gaps[1]
 
     def test_tau_required_positive(self):
         scen, _ = constant_scenario()
@@ -184,8 +196,7 @@ class TestScenarioValidation:
     def test_levels_must_cover_for_propagator(self):
         scen = tycko_adiabatic(tau=30.0)
         partial = AdiabaticScenario(
-            family=scen.family, curve=scen.curve, tau=scen.tau, levels=(1,),
-            frame_fn=scen.frame_fn, connection_fn=scen.connection_fn, energy_fn=scen.energy_fn,
+            family=scen.family, curve=scen.curve, tau=scen.tau, levels=(1,), level_fn=scen.level_fn,
         )
         with pytest.raises(DomainError):
             adiabatic_propagator(partial, num_samples=65)

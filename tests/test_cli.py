@@ -372,6 +372,16 @@ class TestImport:
         code = f"import sys; from holonomy.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
         assert self.fresh_interpreter(code) == "0 False"
 
+    def test_custom_adiabatic_leaves_scipy_out(self, tmp_path):
+        # U0 of a custom family takes Gamma from the transported frames: no connection spline
+        # (801 curve samples: the U0 grid interpolates the curve linearly, which splits the doublet between samples)
+        argv = [
+            "adiabatic", "--config", str(write_precession(tmp_path, 801)), "--out", str(tmp_path / "out"),
+            "--tau-list", "50,100",
+        ]
+        code = f"import sys; from holonomy.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+        assert self.fresh_interpreter(code) == "0 False"
+
 
 class TestQuadrupoleRun:
     def test_level2_trace_equals_per_sample_reference(self):

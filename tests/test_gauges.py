@@ -104,7 +104,9 @@ class TestTransformConnection:
         from holonomy.frames import ConnectionSamples
 
         _, conn = tycko_connection(num=801)
-        stripped = ConnectionSamples(level_index=1, times=conn.times, a=conn.a, e=conn.e)
+        stripped = ConnectionSamples(
+            level_index=1, times=conn.times, a=conn.evaluator_a(conn.times), e=conn.evaluator_e(conn.times)
+        )
         gauge = random_smooth_gauge(2, 0.0, float(conn.times[-1]), seed=7)
         transformed = transform_connection(stripped, gauge)
         reference = transform_connection(conn, gauge)

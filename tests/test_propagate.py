@@ -152,7 +152,9 @@ class TestHolonomy:
         # strip the evaluators: the spline route must still be accurate
         scenario = tycko_scenario()
         base = qd.level2_connection_samples(scenario, 801)
-        sampled = ConnectionSamples(level_index=1, times=base.times, a=base.a, e=base.e)
+        sampled = ConnectionSamples(
+            level_index=1, times=base.times, a=base.evaluator_a(base.times), e=base.evaluator_e(base.times)
+        )
         trace = holonomy(sampled, method="magnus4")
         ref = qd.gamma2_closed(TYCKO, 0.0, scenario.phi_final)
         assert np.max(np.abs(trace.final - ref)) <= 1e-8
@@ -228,8 +230,8 @@ class TestLewisRiesenfeldU:
         scenario = tycko_scenario()
         base = qd.level2_connection_samples(scenario, 201)
         conn = ConnectionSamples(
-            level_index=1, times=base.times, a=base.a,
-            e=np.zeros_like(base.e),
+            level_index=1, times=base.times, a=base.evaluator_a(base.times),
+            e=np.zeros((201, 2, 2), dtype=complex),
             evaluator_a=base.evaluator_a,
             evaluator_e=lambda ts: np.zeros((len(ts), 2, 2), dtype=complex),
         )
@@ -250,8 +252,8 @@ class TestLewisRiesenfeldU:
         assert np.max(np.abs(u - factorized)) <= 1e-9
 
     def test_analytic_connection_keeps_energy_smooth(self):
-        # constant frame, so A = 0 analytically; E = diag(1 + 3t^2, -2t) is a
-        # quadratic that the interpolated energy and magnus4 both integrate exactly
+        # constant frames, so the finite-difference A is exactly 0; E = diag(1 + 3t^2, -2t)
+        # is a quadratic that the spline reproduces and magnus4 integrates exactly
         ts = np.linspace(0.0, 1.0, 21)
         frames = FrameField(
             level_index=0, multiplicity=2, times=ts,
@@ -260,7 +262,7 @@ class TestLewisRiesenfeldU:
         hams = np.zeros((21, 2, 2), dtype=complex)
         hams[:, 0, 0] = 1 + 3 * ts**2
         hams[:, 1, 1] = -2 * ts
-        conn = connection_matrices(frames, hams, evaluator_a=lambda nodes: np.zeros((len(nodes), 2, 2)))
+        conn = connection_matrices(frames, hams)
         trace = lewis_riesenfeld_u(conn, method="magnus4")
         exact = np.zeros((21, 2, 2), dtype=complex)
         exact[:, 0, 0] = np.exp(-1j * (ts + ts**3))

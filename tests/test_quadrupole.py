@@ -293,6 +293,11 @@ class TestStackedClosedForms:
             assert matrix.shape == (2, 2) and matrix.dtype == complex
         assert type(qd.pi2_closed(TYCKO, 0.2, 1.3)) is complex
         assert type(qd.w1_closed(TYCKO, 0.2, 1.3)) is float
+        assert type(qd.gamma1_closed(0.2, 1.3)) is complex
+
+    def test_gamma1_stack_equals_per_point_calls(self):
+        phis = 0.4 + np.random.default_rng(29).uniform(-8 * np.pi, 8 * np.pi, 257)
+        assert np.array_equal(qd.gamma1_closed(0.4, phis), np.array([qd.gamma1_closed(0.4, p) for p in phis]))
 
     def test_coefficients_computed_once_per_stack(self, monkeypatch):
         thetas = []
@@ -320,6 +325,13 @@ class TestOracleConnection:
         a2 = qd.level2_connection(np.pi / 2)
         for phi in (0.0, 1.0, 4.0):
             assert np.max(np.abs(a2(phi) - np.diag([0.0, -1.5]))) <= 1e-15
+
+    def test_level1_holonomy_is_the_closed_form(self):
+        # the run reports the closed form; integrating the constant connection agrees to roundoff
+        scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.3, omega=0.31, phi_final=0.3 + 5 * np.pi)
+        trace = holonomy(qd.level1_connection_samples(scenario, 801))
+        closed = qd.gamma1_closed(scenario.phi0, scenario.phi_at(trace.times))
+        assert np.max(np.abs(trace.matrices[:, 0, 0] - closed)) <= 1e-12
 
     def test_level1_cycle_is_pure_gauge(self):
         scenario = qd.PrecessionScenario(theta=TYCKO, omega=0.31, phi_final=2 * np.pi)
