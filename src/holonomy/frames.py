@@ -6,8 +6,8 @@ A :class:`Curve` is a time-stamped path through parameter space.  An
 eigendecomposition of the sampled family, shared by the levels, and
 (optionally) applies discrete parallel transport so that the frames vary
 smoothly.  The transport is a cumulative product of the polar factors of
-the raw overlaps, taken from one stacked SVD and projected back onto the
-unitaries by one stacked polar decomposition.  The connection of such
+the raw overlaps, taken in closed form from one stacked ``polar_many`` and
+projected back onto the unitaries by one more.  The connection of such
 frames vanishes, so :func:`transport_holonomy` gives their holonomy as the
 discrete Wilson line of the frames; the ``phase`` and ``adiabatic`` routes of
 a custom family take it from there.
@@ -40,6 +40,7 @@ from .linalg import (
     _level_splits,
     _ordered_products,
     eigh_many,
+    polar_many,
     polar_unitary_factor,
     require_hermitian,
     require_unitary,
@@ -170,9 +171,6 @@ class FrameField:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-    def frame(self, k: int) -> np.ndarray:
-        return self.frames[k]
 
 
 @dataclass(frozen=True)
@@ -336,11 +334,11 @@ def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
     Aligning G_k = F_k polar(G_{k-1}^dag F_k)^dag in sequence is a cumulative
     product: polar(V O) = V polar(O) for a unitary V, so G_k = F_k U_k with
     U_k = polar(O_k)^dag U_{k-1} and the raw overlaps O_k = F_{k-1}^dag F_k.
-    One stacked SVD gives every polar(O_k) and every singular value.
+    One stacked ``polar_many`` (closed form for l <= 2) gives every polar(O_k)
+    and every smallest singular value.
     """
     overlaps = np.conj(np.swapaxes(frames[:-1], 1, 2)) @ frames[1:]
-    u, svals, vh = np.linalg.svd(overlaps)
-    smallest = svals[:, -1]
+    polars, smallest = polar_many(overlaps)
     bad = np.flatnonzero(smallest < MIN_OVERLAP_SINGULAR_VALUE)
     if bad.size:
         k = int(bad[0]) + 1
@@ -348,7 +346,7 @@ def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
             f"curve under-resolved between samples {k - 1} and {k}: "
             f"min overlap singular value {smallest[k - 1]:.3f}"
         )
-    steps = np.conj(np.swapaxes(u @ vh, 1, 2))
+    steps = np.conj(np.swapaxes(polars, 1, 2))
     chain = _ordered_products(steps, np.eye(frames.shape[2], dtype=complex))
     # thousands of products drift off the unitaries by roundoff; one stacked polar projects them back
     return frames @ polar_unitary_factor(chain), float(np.min(smallest))

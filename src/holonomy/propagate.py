@@ -71,9 +71,6 @@ class PropagatorTrace:
     def final(self) -> np.ndarray:
         return self.matrices[-1]
 
-    def at(self, k: int) -> np.ndarray:
-        return self.matrices[k]
-
 
 def _check_generator_batch(ks: np.ndarray, initial: np.ndarray) -> None:
     if ks.shape[1] != initial.shape[0]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,23 @@ class TestTransportFrame:
         curve = Curve(times=np.array([0.0, 1.0]), points=np.array([[0.001, 1.0], [0.001, -1.0]]))
         with pytest.raises(ResolutionError):
             transport_frame(family, curve, level=0, gauge="aligned")
+
+    @pytest.mark.parametrize(
+        "generators, points",
+        [
+            # 1x1 overlaps: the ground state of sz, then that of -sz, is orthogonal to it
+            ([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+            # 2x2 overlaps: the zero level spans {e0, e1}, then {e0, e2}: a rank-1 overlap
+            ([np.diag([0.0, 0.0, 1.0]), np.diag([0.0, 1.0, 0.0])], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_singular_overlap_names_the_sample_pair(self, generators, points):
+        family = family_from_generators([np.asarray(g, dtype=complex) for g in generators])
+        curve = Curve(times=np.arange(3.0), points=np.array(points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide or invalid RuntimeWarning on the way
+            with pytest.raises(ResolutionError, match="between samples 1 and 2: min overlap singular value 0.000"):
+                transport_frame(family, curve, level=0, gauge="aligned")
 
     def test_unknown_gauge_rejected(self):
         _, family, curve = precessing_setup(num=21)

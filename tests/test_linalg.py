@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from holonomy.linalg import (
     expm_skew_many,
     frame_orthonormality_defect,
     hermiticity_defect,
+    polar_many,
     polar_unitary_factor,
     require_unitary,
     unitarity_defect,
@@ -280,6 +283,104 @@ class TestDefects:
         assert unitarity_defect(np.eye(2, dtype=complex)[:, ::-1]) == 0.0
         with pytest.raises(DomainError):
             hermiticity_defect(np.array([[np.nan, 0], [0, 0]], dtype=complex).T)
+
+
+def random_complex_stack(rng, shape, l):
+    return rng.normal(size=(*shape, l, l)) + 1j * rng.normal(size=(*shape, l, l))
+
+
+class TestPolarMany:
+    """The closed forms at l = 1 and l = 2 against LAPACK's SVD."""
+
+    @staticmethod
+    def assert_polar(m, q, smallest, sigma_rel=None):
+        l = m.shape[-1]
+        scale = np.max(np.abs(m), axis=(-2, -1))
+        assert q.shape == m.shape and smallest.shape == m.shape[:-2]
+        gram = np.conj(np.swapaxes(q, -1, -2)) @ q
+        assert np.max(np.abs(gram - np.eye(l))) <= 1e-14
+        # the residual Q^dag M is the positive factor
+        p = np.conj(np.swapaxes(q, -1, -2)) @ m
+        assert np.all(np.max(np.abs(p - np.conj(np.swapaxes(p, -1, -2))), axis=(-2, -1)) <= 1e-14 * scale)
+        hermitian = 0.5 * (p + np.conj(np.swapaxes(p, -1, -2)))
+        assert np.all(np.linalg.eigvalsh(hermitian)[..., 0] >= -1e-14 * scale)
+        u, s, vh = np.linalg.svd(m)
+        assert np.all(np.abs(smallest - s[..., -1]) <= 1e-13 * s[..., 0])
+        if sigma_rel is not None:
+            assert np.all(np.abs(smallest - s[..., -1]) <= sigma_rel * s[..., -1])
+        return u @ vh
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_random_stacks_match_lapack(self, l):
+        m = random_complex_stack(np.random.default_rng(51), (500,), l)
+        q, smallest = polar_many(m)
+        reference = self.assert_polar(m, q, smallest)
+        # the polar factor of an invertible matrix is unique; these are far from singular
+        well_conditioned = np.linalg.cond(m) < 1e3
+        assert np.max(np.abs(q - reference)[well_conditioned]) <= 1e-12
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_near_identity(self, l):
+        m = np.eye(l) + 1e-3 * random_complex_stack(np.random.default_rng(52), (500,), l)
+        q, smallest = polar_many(m)
+        assert np.max(np.abs(q - self.assert_polar(m, q, smallest, sigma_rel=1e-13))) <= 4e-15
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_near_unitary(self, l):
+        # the transport regime: singular values in [1 - 1e-7, 1], where sqrt(|M|_F^4 - 4|det M|^2) loses half the digits
+        rng = np.random.default_rng(53)
+        sigma = rng.uniform(1 - 1e-7, 1.0, size=(500, l))
+        m = (random_unitary_stack(rng, 500, l) * sigma[:, None, :]) @ random_unitary_stack(rng, 500, l)
+        q, smallest = polar_many(m)
+        assert np.max(np.abs(q - self.assert_polar(m, q, smallest, sigma_rel=1e-13))) <= 4e-15
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_leading_shapes(self, shape, l):
+        m = random_complex_stack(np.random.default_rng(54), shape, l)
+        q, smallest = polar_many(m)
+        self.assert_polar(m, q, smallest)
+        flat_q, flat_smallest = polar_many(m.reshape(-1, l, l))
+        assert np.array_equal(q.reshape(-1, l, l), flat_q) and np.array_equal(np.reshape(smallest, -1), flat_smallest)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-8, 1e8, 1e200, 1e300])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_scales(self, scale, l):
+        # det M of the raw entries would underflow or overflow at the extremes
+        m = scale * random_complex_stack(np.random.default_rng(55), (200,), l)
+        q, smallest = polar_many(m)
+        reference = self.assert_polar(m, q, smallest)
+        assert np.max(np.abs(q - reference)[np.linalg.cond(m) < 1e3]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.zeros((1, 1)), np.zeros((2, 2)), np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([[0.0, 0.0], [1j, 3.0]])],
+    )
+    def test_singular_inputs(self, m):
+        # det M = 0: exp(i arg det) is 1, and nothing divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, smallest = polar_many(m)
+        assert smallest == 0 and unitarity_defect(q) <= 1e-15
+        p = q.conj().T @ m
+        assert np.max(np.abs(p - p.conj().T)) <= 1e-15 * np.max(np.abs(m))
+        if not m.any():
+            assert np.array_equal(q, np.eye(len(m)))
+
+    def test_subnormal_entries(self):
+        tiny = 5e-324
+        m = np.array([[tiny, 2 * tiny], [3j * tiny, tiny]])
+        q, smallest = polar_many(m)
+        assert np.max(np.abs(np.conj(q.T) @ q - np.eye(2))) <= 1e-15 and smallest > 0
+        q1, smallest1 = polar_many(np.array([[tiny * (1 + 1j)]]))
+        assert abs(abs(q1[0, 0]) - 1) <= 1e-15 and smallest1 == abs(tiny * (1 + 1j))
+
+    def test_larger_matrices_are_lapack(self):
+        m = random_complex_stack(np.random.default_rng(56), (10,), 3)
+        q, smallest = polar_many(m)
+        u, s, vh = np.linalg.svd(m)
+        assert np.array_equal(q, u @ vh) and np.array_equal(smallest, s[:, -1])
+        assert np.array_equal(polar_unitary_factor(m), q)
 
 
 def test_polar_unitary_factor():

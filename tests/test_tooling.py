@@ -2,7 +2,8 @@
 
 The per-layer tracer in perfbench/ names private functions of the package;
 they must exist.  Every Hermitian eigendecomposition in the package goes
-through ``linalg.eigh_many``.
+through ``linalg.eigh_many``, and every singular value decomposition that
+computes factors through ``linalg.polar_many``.
 """
 
 import ast
@@ -57,3 +58,34 @@ def test_eigh_many_is_the_one_eigensolver():
     inside = [(module, line) for module, line in calls
               if module == "linalg" and helper.lineno <= line <= helper.end_lineno]
     assert inside and calls == inside, f"eigh outside linalg.eigh_many: {sorted(set(calls) - set(inside))}"
+
+
+def _svd_calls(tree: ast.AST, module: str) -> list[tuple[str, str, bool]]:
+    """(module, enclosing function, computes factors) of every ``svd`` attribute call and ``from ... import svd``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "svd":
+                values_only = any(k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
+                                  for k in child.keywords)
+                found.append((module, ".".join(scope), not values_only))
+            elif isinstance(child, ast.ImportFrom) and any(alias.name == "svd" for alias in child.names):
+                found.append((module, ".".join(scope), True))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_polar_many_is_the_one_svd():
+    calls = []
+    for path in sorted((ROOT / "src" / "holonomy").glob("*.py")):
+        calls += _svd_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    factors = [(module, scope) for module, scope, computes in calls if computes]
+    values_only = sorted((module, scope) for module, scope, computes in calls if not computes)
+    assert factors == [("linalg", "polar_many")], f"svd with factors outside linalg.polar_many: {factors}"
+    # the two norms read singular values only: the contraction check of an endpoint overlap
+    # and the coupling norms of the adiabaticity report
+    assert values_only == [("adiabatic", "adiabaticity_report"), ("phase", "OverlapMatrix.__post_init__")]
