@@ -33,7 +33,6 @@ from .frames import (
     apply_gauge,
     curve_from_function,
     family_from_generators,
-    transport_frame,
     transport_frames,
     verify_invariant,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "apply_gauge",
     "curve_from_function",
     "family_from_generators",
-    "transport_frame",
     "transport_frames",
     "verify_invariant",
     "MatrixOdeProblem",

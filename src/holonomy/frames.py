@@ -1,4 +1,4 @@
-"""Parameter curves, smooth eigenframe transport, and connection matrices.
+"""Parameter curves, smooth eigenframe transport, and connections.
 
 A :class:`Curve` is a time-stamped path through parameter space.  An
 :class:`OperatorFamily` maps parameter vectors to Hermitian matrices.
@@ -14,20 +14,15 @@ a custom family take it from there.
 
 A :class:`ConnectionSamples` carries the per-level matrices
 
-    E^n(t)   = <a| H(t) |b>                (energy matrix)
     A^n(t)   = i <a| d/dt |b>              (connection matrix)
-    D^n(t)   = E^n(t) - A^n(t)             (evolution generator)
+    E^n(t)   = <a| H(t) |b>                (energy matrix, optional)
 
-all Hermitian l_n x l_n, where |a>, |b> run over the level frame, as batched
-evaluators or as samples; between samples they come from the one interpolant
-of this module.  :func:`connection_matrices` samples them along a frame field
-from finite differences of the frames and a Hamiltonian stack, for frames
-whose connection does not vanish (an invariant's eigenframes, for one).
+both Hermitian l_n x l_n, where |a>, |b> run over the level frame, as batched
+evaluators of the times an integrator asks for.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -175,75 +170,21 @@ class FrameField:
 
 @dataclass(frozen=True)
 class ConnectionSamples:
-    """Per-level E^n, A^n, D^n: sampled matrices, batched evaluators, or both.
+    """Per-level A^n and E^n as batched evaluators, ts (m,) -> (m, l, l), on a time grid.
 
-    A is required, sampled or as an evaluator; without samples of A,
-    ``multiplicity`` must be given, otherwise it is read off ``a``.  E is
-    optional: a holonomy reads only A, while ``lewis_riesenfeld_u`` and a
-    gauge transform need E too.
+    A and the multiplicity are required.  E is optional: a holonomy reads
+    only A, while ``lewis_riesenfeld_u`` needs E too.
     """
 
     level_index: int
     times: np.ndarray                # (m,)
-    a: np.ndarray | None = None      # (m, l, l) connection matrices
-    e: np.ndarray | None = None      # (m, l, l) energy matrices
-    evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None  # batched: ts (m,) -> (m, l, l)
+    evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None
     evaluator_e: Callable[[np.ndarray], np.ndarray] | None = None
     multiplicity: int | None = None
 
     def __post_init__(self):
-        if self.a is not None:
-            if self.multiplicity is None:
-                object.__setattr__(self, "multiplicity", self.a.shape[1])
-        elif self.evaluator_a is None or self.multiplicity is None:
-            raise DomainError("a connection without sampled A needs its evaluator and its multiplicity")
-
-    @property
-    def d(self) -> np.ndarray:
-        if self.a is None or self.e is None:
-            raise DomainError("the connection has no samples of A and E; use its evaluators")
-        return self.e - self.a
-
-    def evaluator(self, which: str) -> Callable[[np.ndarray], np.ndarray]:
-        """Batched A (``which="a"``) or E (``"e"``): the analytic evaluator, else the interpolant of the samples."""
-        analytic, samples = (self.evaluator_a, self.a) if which == "a" else (self.evaluator_e, self.e)
-        if analytic is not None:
-            return analytic
-        if samples is None:
-            raise DomainError(f"the connection has no {which.upper()}, neither sampled nor as an evaluator")
-        return _generator_from_samples(self.times, samples)
-
-
-def _generator_from_samples(times: np.ndarray, mats: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched smooth interpolant through sampled Hermitian matrices: ts (m,) -> (m, l, l).
-
-    Cubic spline per entry for >= 4 samples (keeps magnus4 at fourth order),
-    linear interpolation otherwise.  Node times are clipped to the sampled range.
-    The spline is built on first evaluation, so an interpolant that is never
-    evaluated never imports scipy.
-    """
-    t0, t1 = times[0], times[-1]
-    if len(times) >= 4:
-        @functools.cache
-        def spline():
-            from scipy.interpolate import CubicSpline
-
-            return CubicSpline(times, mats, axis=0)
-
-        def interpolate(ts: np.ndarray) -> np.ndarray:
-            return spline()(np.clip(ts, t0, t1))
-    else:
-        def interpolate(ts: np.ndarray) -> np.ndarray:
-            ts = np.clip(ts, t0, t1)
-            k = np.clip(np.searchsorted(times, ts) - 1, 0, len(times) - 2)
-            w = ((ts - times[k]) / (times[k + 1] - times[k]))[:, None, None]
-            return (1 - w) * mats[k] + w * mats[k + 1]
-
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        m = interpolate(np.asarray(ts, dtype=float))
-        return 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
-
-    return evaluate
+        if self.evaluator_a is None or self.multiplicity is None:
+            raise DomainError("a connection needs the evaluator of A and its multiplicity")
 
 
 def transport_frames(
@@ -313,17 +254,6 @@ def transport_frames(
     return tuple(fields)
 
 
-def transport_frame(
-    family: OperatorFamily,
-    curve: Curve,
-    level: int,
-    gauge: str = "aligned",
-    degeneracy_tol: float | None = None,
-) -> FrameField:
-    """Follow one spectral level along a curve; see :func:`transport_frames`."""
-    return transport_frames(family, curve, (level,), gauge, degeneracy_tol)[0]
-
-
 def _multiplicities(bounds: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     return tuple(b - a for a, b in bounds)
 
@@ -365,39 +295,6 @@ def transport_holonomy(frames: FrameField) -> np.ndarray:
     g = frames.frames[:, :, 0]
     links = 1 + np.einsum("ki,ki->k", g[:-1].conj(), g[1:] - g[:-1])
     return np.exp(-1j * np.concatenate([[0.0], np.cumsum(np.angle(links))]))[:, None, None]
-
-
-def _central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """d/dt of a sampled matrix path; central interior, one-sided endpoints."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
-    out[0] = (values[1] - values[0]) / (times[1] - times[0])
-    out[-1] = (values[-1] - values[-2]) / (times[-1] - times[-2])
-    return out
-
-
-def connection_matrices(frames: FrameField, hamiltonians: np.ndarray) -> ConnectionSamples:
-    """Sample E^n, A^n, D^n along a frame field.
-
-    ``hamiltonians`` is the stack H(t_k) (m, dim, dim) at the frame times.
-    A^n comes from central finite differences of the frames (one-sided at the
-    endpoints), hermitized as (M + M^dag)/2; E^n is exact per sample.
-    """
-    if frames.num_samples < 3:
-        raise ResolutionError("connection matrices need at least 3 samples")
-    ts = frames.times
-    hams = np.asarray(hamiltonians, dtype=complex)
-    if hams.shape != (frames.num_samples, frames.dim, frames.dim):
-        raise DomainError(
-            f"hamiltonian stack has shape {hams.shape}, expected ({frames.num_samples}, {frames.dim}, {frames.dim})"
-        )
-    require_hermitian(hams, name="H(t)")
-    fdot = _central_difference(frames.frames, ts)
-    a = 1j * np.einsum("kia,kib->kab", frames.frames.conj(), fdot)
-    a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
-    e = np.conj(np.swapaxes(frames.frames, 1, 2)) @ hams @ frames.frames
-    e = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
-    return ConnectionSamples(level_index=frames.level_index, times=ts.copy(), a=a, e=e)
 
 
 def apply_gauge(frames: FrameField, v: Callable[[np.ndarray], np.ndarray]) -> FrameField:

@@ -18,6 +18,7 @@ without finite-difference noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -125,8 +126,8 @@ class _TransformedConnectionEvaluator:
         Q^dag (i v^dag dv/dt) Q    = -e^{-ih} o sinc(h) o (Q^dag Gdot Q)   (Daleckii-Krein)
     """
 
-    def __init__(self, connection: ConnectionSamples, gauge: SmoothGauge, which: str):
-        self._base = connection.evaluator(which)
+    def __init__(self, base: Callable[[np.ndarray], np.ndarray], gauge: SmoothGauge, which: str):
+        self._base = base
         self._gauge = gauge
         self._which = which
 
@@ -158,17 +159,17 @@ def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> ConnectionSamples:
-    """Apply the exact gauge law to a connection; the result has evaluators only.
+    """Apply the exact gauge law to a connection's evaluators.
 
-    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v, evaluated on demand at
-    the times the integrator asks for; nothing is sampled here.  When the
-    input connection has no evaluators, A and E between the samples come from
-    the same interpolant the integrators use for sampled data.
+    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v when the connection has
+    E, evaluated on demand at the times the integrator asks for; nothing is
+    sampled here.
     """
+    e = connection.evaluator_e
     return ConnectionSamples(
         level_index=connection.level_index,
         times=connection.times.copy(),
-        evaluator_a=_TransformedConnectionEvaluator(connection, gauge, "a"),
-        evaluator_e=_TransformedConnectionEvaluator(connection, gauge, "e"),
+        evaluator_a=_TransformedConnectionEvaluator(connection.evaluator_a, gauge, "a"),
+        evaluator_e=None if e is None else _TransformedConnectionEvaluator(e, gauge, "e"),
         multiplicity=connection.multiplicity,
     )

@@ -135,12 +135,6 @@ class Spectrum:
             out += lv.eigenvalue * (lv.frame @ lv.frame.conj().T)
         return out
 
-    def completeness_defect(self) -> float:
-        proj = np.zeros((self.dim, self.dim), dtype=complex)
-        for lv in self.levels:
-            proj += lv.frame @ lv.frame.conj().T
-        return float(np.max(np.abs(proj - np.eye(self.dim))))
-
 
 def _level_splits(vals: np.ndarray, degeneracy_tol: float | None = None) -> np.ndarray:
     """Where a new level starts in each row of ascending eigenvalues (m, d), as (m, d - 1) booleans.
@@ -280,19 +274,6 @@ def expm_skew_many(w: np.ndarray, v: np.ndarray, s: float = 1.0) -> np.ndarray:
     """
     phases = np.exp(-1j * s * w)
     return np.einsum("...ij,...j,...lj->...il", v, phases, v.conj())
-
-
-def frame_orthonormality_defect(frame: np.ndarray) -> float:
-    frame = np.asarray(frame, dtype=complex)
-    g = frame.conj().T @ frame
-    return float(np.max(np.abs(g - np.eye(frame.shape[1]))))
-
-
-def subspace_projector_distance(frame_a: np.ndarray, frame_b: np.ndarray) -> float:
-    """max-norm distance between the projectors spanned by two frames."""
-    pa = frame_a @ frame_a.conj().T
-    pb = frame_b @ frame_b.conj().T
-    return float(np.max(np.abs(pa - pb)))
 
 
 def polar_many(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

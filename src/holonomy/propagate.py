@@ -127,12 +127,12 @@ def holonomy(
 ) -> PropagatorTrace:
     """Path-ordered exponential of i * integral A^n dt.
 
-    Solves i dG/dt = -A^n(t) G with G(t_0) = 1.  Uses the connection's
-    analytic evaluator when present, otherwise the interpolant of its samples.
-    The result depends on the sampled geometry, not on traversal speed.
+    Solves i dG/dt = -A^n(t) G with G(t_0) = 1, evaluating A at the
+    integrator nodes.  The result depends on the sampled geometry, not on
+    traversal speed.
     """
     ts = connection.times if times is None else np.asarray(times, dtype=float)
-    a = connection.evaluator("a")
+    a = connection.evaluator_a
     l = connection.multiplicity
     problem = MatrixOdeProblem(generator=lambda nodes: -a(nodes), initial=np.eye(l, dtype=complex), times=ts)
     return propagate(problem, method)
@@ -145,11 +145,13 @@ def lewis_riesenfeld_u(
     times: np.ndarray | None = None,
 ) -> PropagatorTrace:
     """Coefficient matrices u^n(t): i du/dt = [E^n(t) - A^n(t)] u, u(t_0) = u0."""
+    a, e = connection.evaluator_a, connection.evaluator_e
+    if e is None:
+        raise DomainError("the coefficient equation needs the connection's energy evaluator E")
     ts = connection.times if times is None else np.asarray(times, dtype=float)
     l = connection.multiplicity
     if u0 is None:
         u0 = np.eye(l, dtype=complex)
-    a, e = connection.evaluator("a"), connection.evaluator("e")
     gen = lambda nodes: e(nodes) - a(nodes)
     problem = MatrixOdeProblem(generator=gen, initial=np.asarray(u0, dtype=complex), times=ts)
     return propagate(problem, method)

@@ -8,13 +8,12 @@ from holonomy.frames import (
     Curve,
     OperatorFamily,
     apply_gauge,
-    connection_matrices,
     curve_from_function,
     family_from_generators,
-    transport_frame,
+    transport_frames,
     verify_invariant,
 )
-from holonomy.linalg import expm_skew, frame_orthonormality_defect, subspace_projector_distance
+from holonomy.linalg import expm_skew
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -121,23 +120,24 @@ class TestBatchedFamily:
 class TestTransportFrame:
     def test_quadrupole_subspace_matches_analytic(self):
         scenario, family, curve = precessing_setup(num=81)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
+        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
         for k, t in enumerate(curve.times):
             ref = qd.eigenframe(scenario.field_at(t)).level(1).frame
-            assert subspace_projector_distance(frames.frames[k], ref) <= 1e-9
+            projector = frames.frames[k] @ frames.frames[k].conj().T
+            assert np.max(np.abs(projector - ref @ ref.conj().T)) <= 1e-9
 
     def test_constant_family_aligned_frames_constant(self):
         family = random_smooth_family(np.random.default_rng(5))
         const = OperatorFamily(dim=4, evaluator=lambda th: family(np.full((len(th), 1), 0.7)))
         curve = curve_from_function(lambda t: np.sin(3 * t)[:, None], 0.0, 1.0, 21)
-        frames = transport_frame(const, curve, level=2, gauge="aligned")
+        frames = transport_frames(const, curve, (2,), gauge="aligned")[0]
         for k in range(1, frames.num_samples):
             assert np.max(np.abs(frames.frames[k] - frames.frames[0])) <= 1e-12
 
     def test_aligned_overlaps_positive(self):
         family = random_smooth_family(np.random.default_rng(6))
         curve = curve_from_function(lambda t: t[:, None], 0.0, 2.0, 41)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
+        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
         for k in range(1, frames.num_samples):
             overlap = frames.frames[k - 1].conj().T @ frames.frames[k]
             herm = 0.5 * (overlap + overlap.conj().T)
@@ -145,14 +145,14 @@ class TestTransportFrame:
 
     def test_orthonormality_preserved(self):
         _, family, curve = precessing_setup(num=61)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
-        for k in range(frames.num_samples):
-            assert frame_orthonormality_defect(frames.frames[k]) <= 1e-10
+        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        gram = np.conj(np.swapaxes(frames.frames, 1, 2)) @ frames.frames
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
 
     def test_constant_gauge_commutes_with_transport(self):
         # transporting from a rotated seed equals rotating the transported frames
         _, family, curve = precessing_setup(num=41)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
+        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
         rng = np.random.default_rng(7)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v = expm_skew(0.5 * (g + g.conj().T), 1.0)
@@ -173,7 +173,7 @@ class TestTransportFrame:
         pts = curve.points.copy()
         pts[-1] = pts[0]  # close the loop exactly in parameter space
         closed = Curve(times=curve.times, points=pts, cyclic=True)
-        frames = transport_frame(family, closed, level=1, gauge="raw")
+        frames = transport_frames(family, closed, (1,), gauge="raw")[0]
         assert np.array_equal(frames.frames[-1], frames.frames[0])
 
     def test_cyclic_aligned_reports_misalignment(self):
@@ -181,7 +181,7 @@ class TestTransportFrame:
         pts = curve.points.copy()
         pts[-1] = pts[0]
         closed = Curve(times=curve.times, points=pts, cyclic=True)
-        frames = transport_frame(family, closed, level=1, gauge="aligned")
+        frames = transport_frames(family, closed, (1,), gauge="aligned")[0]
         assert frames.cyclic_misalignment is not None
         assert frames.cyclic_misalignment > 1e-3  # the loop holonomy is nontrivial
 
@@ -189,7 +189,7 @@ class TestTransportFrame:
         family = family_from_generators([np.diag([1.0, -1.0])])
         curve = curve_from_function(lambda t: (1.0 - t)[:, None], 0.0, 2.0, 21)  # crosses zero
         with pytest.raises(LevelCrossingError):
-            transport_frame(family, curve, level=0)
+            transport_frames(family, curve, (0,))
 
     def test_under_resolved_curve_rejected(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -198,7 +198,7 @@ class TestTransportFrame:
         # two samples with nearly orthogonal ground states
         curve = Curve(times=np.array([0.0, 1.0]), points=np.array([[0.001, 1.0], [0.001, -1.0]]))
         with pytest.raises(ResolutionError):
-            transport_frame(family, curve, level=0, gauge="aligned")
+            transport_frames(family, curve, (0,), gauge="aligned")
 
     @pytest.mark.parametrize(
         "generators, points",
@@ -215,102 +215,78 @@ class TestTransportFrame:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no divide or invalid RuntimeWarning on the way
             with pytest.raises(ResolutionError, match="between samples 1 and 2: min overlap singular value 0.000"):
-                transport_frame(family, curve, level=0, gauge="aligned")
+                transport_frames(family, curve, (0,), gauge="aligned")
 
     def test_unknown_gauge_rejected(self):
         _, family, curve = precessing_setup(num=21)
         with pytest.raises(DomainError):
-            transport_frame(family, curve, level=0, gauge="smooth")
+            transport_frames(family, curve, (0,), gauge="smooth")
+
+
+def finite_difference_connection(frames):
+    """i F^dag dF/dt at the interior samples of a frame field, by central differences, hermitized."""
+    f, ts = frames.frames, frames.times
+    fdot = (f[2:] - f[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
+    a = 1j * np.conj(np.swapaxes(f[1:-1], 1, 2)) @ fdot
+    return 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
 
 
 class TestConnectionMatrices:
     def test_quadrupole_level2_frame_consistent_value(self):
-        # the analytic eigenframe generates omega * [[mu, nu], [nu, -mu]]
-        scenario, family, curve = precessing_setup(num=801)
-        frames = qd.level_frame_field(scenario, level=1, num_samples=801)
-        ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-        conn = connection_matrices(frames, ham(frames.times))
-        expected = scenario.omega * qd.frame_consistent_level2(scenario.theta)
-        for k in range(1, conn.times.size - 1):
-            assert np.max(np.abs(conn.a[k] - expected)) <= 5e-5  # central-difference truncation
-        e2 = scenario.field_at(0.0).energy_split
-        assert np.max(np.abs(conn.e - e2 * np.eye(2))) <= 1e-12
+        # the analytic eigenframe generates omega * [[mu, nu], [nu, -mu]]; each bound is
+        # the central-difference truncation at its grid
+        for omega, num, tol in ((2 * np.pi / 40, 801, 5e-5), (0.2, 1201, 1e-5)):
+            scenario, _, _ = precessing_setup(num=num, omega=omega)
+            frames = qd.level_frame_field(scenario, level=1, num_samples=num)
+            expected = scenario.omega * qd.frame_consistent_level2(scenario.theta)
+            assert np.max(np.abs(finite_difference_connection(frames) - expected)) <= tol
+            hams = qd.hamiltonian(scenario.field_at(frames.times))
+            e = np.conj(np.swapaxes(frames.frames, 1, 2)) @ hams @ frames.frames
+            assert np.max(np.abs(e - scenario.field_at(0.0).energy_split * np.eye(2))) <= 1e-12
 
     def test_equatorial_connection_vanishes(self):
         # at theta = pi/2 the eigenframe is covariantly constant: A = 0
         scenario, _, _ = precessing_setup(num=401, theta=np.pi / 2)
         frames = qd.level_frame_field(scenario, level=1, num_samples=401)
-        conn = connection_matrices(frames, qd.hamiltonian(scenario.field_at(frames.times)))
-        assert np.max(np.abs(conn.a[1:-1])) <= 1e-6
-
-    def test_static_frames_zero_connection(self):
-        family = random_smooth_family(np.random.default_rng(8))
-        const = OperatorFamily(dim=4, evaluator=lambda th: family(np.full((len(th), 1), 0.2)))
-        curve = curve_from_function(lambda t: t[:, None], 0.0, 1.0, 21)
-        frames = transport_frame(const, curve, level=0, gauge="aligned")
-        conn = connection_matrices(frames, const(curve.points))
-        assert np.max(np.abs(conn.a)) <= 1e-12
-        assert np.max(np.abs(conn.d - conn.e)) <= 1e-12
-
-    def test_hermitian_by_construction(self):
-        _, family, curve = precessing_setup(num=51)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
-        conn = connection_matrices(frames, family(curve.evaluator(frames.times)))
-        for k in range(conn.times.size):
-            assert np.max(np.abs(conn.a[k] - conn.a[k].conj().T)) <= 1e-12
-            assert np.max(np.abs(conn.e[k] - conn.e[k].conj().T)) <= 1e-12
-        assert np.max(np.abs(conn.d - (conn.e - conn.a))) == 0.0
-
-    def test_too_few_samples_rejected(self):
-        scenario, _, _ = precessing_setup(num=21)
-        frames = qd.level_frame_field(scenario, level=1, num_samples=2)
-        with pytest.raises(ResolutionError):
-            connection_matrices(frames, qd.hamiltonian(scenario.field_at(frames.times)))
+        assert np.max(np.abs(finite_difference_connection(frames))) <= 1e-6
 
 
 class TestApplyGauge:
     def test_identity_gauge(self):
         scenario, family, curve = precessing_setup(num=31)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
+        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
         same = apply_gauge(frames, lambda t: np.broadcast_to(np.eye(2), (len(t), 2, 2)))
         assert np.max(np.abs(same.frames - frames.frames)) == 0.0
 
     def test_constant_gauge_conjugates_connection(self):
         scenario, family, curve = precessing_setup(num=201)
         frames = qd.level_frame_field(scenario, level=1, num_samples=201)
-        ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-        conn = connection_matrices(frames, ham(frames.times))
         rng = np.random.default_rng(9)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v = expm_skew(0.5 * (g + g.conj().T), 1.0)
         transformed = apply_gauge(frames, lambda t: np.broadcast_to(v, (len(t), 2, 2)))
-        conn_t = connection_matrices(transformed, ham(transformed.times))
-        for k in range(1, conn.times.size - 1):
-            assert np.max(np.abs(conn_t.a[k] - v.conj().T @ conn.a[k] @ v)) <= 1e-8
+        a, a_t = finite_difference_connection(frames), finite_difference_connection(transformed)
+        assert np.max(np.abs(a_t - v.conj().T @ a @ v)) <= 1e-8
 
     def test_smooth_gauge_transformation_law(self):
         # A~ = v^dag A v + i v^dag dv/dt within finite-difference truncation
         scenario, family, curve = precessing_setup(num=401)
         frames = qd.level_frame_field(scenario, level=1, num_samples=401)
-        ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-        conn = connection_matrices(frames, ham(frames.times))
         from holonomy.gauges import random_smooth_gauge
 
         gauge = random_smooth_gauge(2, 0.0, float(curve.times[-1]), seed=17)
-        transformed = apply_gauge(frames, gauge)
-        conn_t = connection_matrices(transformed, ham(transformed.times))
+        a, a_t = finite_difference_connection(frames), finite_difference_connection(apply_gauge(frames, gauge))
         h = float(curve.times[1] - curve.times[0])
         tol = 10 * h**2  # an order-h^2 bound on both differentiations
-        for k in range(1, conn.times.size - 1, 7):
-            t = float(conn.times[k])
-            v, dv = gauge.value_and_derivative(t)
-            law = v.conj().T @ conn.a[k] @ v + 1j * (v.conj().T @ dv)
+        for k in range(1, frames.num_samples - 1, 7):
+            v, dv = gauge.value_and_derivative(float(frames.times[k]))
+            law = v.conj().T @ a[k - 1] @ v + 1j * (v.conj().T @ dv)
             law = 0.5 * (law + law.conj().T)
-            assert np.max(np.abs(conn_t.a[k] - law)) <= tol
+            assert np.max(np.abs(a_t[k - 1] - law)) <= tol
 
     def test_non_unitary_gauge_rejected(self):
         scenario, family, curve = precessing_setup(num=21)
-        frames = transport_frame(family, curve, level=1, gauge="aligned")
+        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
         with pytest.raises(StructuralError):
             apply_gauge(frames, lambda t: np.broadcast_to(2.0 * np.eye(2), (len(t), 2, 2)))
 

@@ -99,18 +99,11 @@ class TestTransformConnection:
             w_t = gauge(0.0).conj().T @ w @ gauge(t1)
             assert abs(np.trace(w_t @ got) - pi_base) <= 1e-9
 
-    def test_sampled_connection_fallback(self):
-        # no evaluators: the transform interpolates the samples
-        from holonomy.frames import ConnectionSamples
-
-        _, conn = tycko_connection(num=801)
-        stripped = ConnectionSamples(
-            level_index=1, times=conn.times, a=conn.evaluator_a(conn.times), e=conn.evaluator_e(conn.times)
-        )
+    def test_connection_without_energy_stays_without(self):
+        _, conn = tycko_connection(num=101)
+        bare = ConnectionSamples(level_index=1, times=conn.times, evaluator_a=conn.evaluator_a, multiplicity=2)
         gauge = random_smooth_gauge(2, 0.0, float(conn.times[-1]), seed=7)
-        transformed = transform_connection(stripped, gauge)
-        reference = transform_connection(conn, gauge)
-        assert np.max(np.abs(transformed.evaluator_a(conn.times) - reference.evaluator_a(conn.times))) <= 1e-12
+        assert transform_connection(bare, gauge).evaluator_e is None
 
 
 def _smooth_connection(size: int, t1: float, seed: int) -> ConnectionSamples:
@@ -154,9 +147,6 @@ class TestSinglePassLaw:
     def test_connection_needs_samples_or_evaluators(self):
         with pytest.raises(DomainError):
             ConnectionSamples(level_index=0, times=np.linspace(0.0, 1.0, 5), evaluator_a=lambda ts: ts)
-        conn = _smooth_connection(2, 1.0, seed=1)
-        with pytest.raises(DomainError):
-            conn.d
 
 
 class TestGaugeTestNodes:

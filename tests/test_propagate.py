@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from holonomy.errors import DomainError, ResolutionError, StructuralError
-from holonomy.frames import ConnectionSamples, FrameField, connection_matrices
+from holonomy.frames import ConnectionSamples, Curve, transport_frames, transport_holonomy
 from holonomy.gauges import random_smooth_gauge, transform_connection
 from holonomy.linalg import expm_skew, unitarity_defect
 from holonomy.propagate import (
     MatrixOdeProblem,
+    PropagatorTrace,
     assemble_V,
     assemble_evolution,
     holonomy,
@@ -123,8 +124,7 @@ class TestHolonomy:
     def test_zero_connection_identity(self):
         ts = np.linspace(0, 1, 33)
         conn = ConnectionSamples(
-            level_index=0, times=ts,
-            a=np.zeros((33, 2, 2), dtype=complex), e=np.zeros((33, 2, 2), dtype=complex),
+            level_index=0, times=ts, evaluator_a=lambda nodes: np.zeros((len(nodes), 2, 2)), multiplicity=2
         )
         trace = holonomy(conn)
         for m in trace.matrices:
@@ -147,17 +147,6 @@ class TestHolonomy:
         for k in (0, 133, 400):
             ref = qd.gamma2_closed(TYCKO, 0.0, scenario.phi_at(trace.times[k]))
             assert np.max(np.abs(trace.matrices[k] - ref)) <= 1e-8
-
-    def test_sampled_connection_spline_path(self):
-        # strip the evaluators: the spline route must still be accurate
-        scenario = tycko_scenario()
-        base = qd.level2_connection_samples(scenario, 801)
-        sampled = ConnectionSamples(
-            level_index=1, times=base.times, a=base.evaluator_a(base.times), e=base.evaluator_e(base.times)
-        )
-        trace = holonomy(sampled, method="magnus4")
-        ref = qd.gamma2_closed(TYCKO, 0.0, scenario.phi_final)
-        assert np.max(np.abs(trace.final - ref)) <= 1e-8
 
     def test_reparameterization_invariance(self):
         # same azimuth samples traversed at a different speed
@@ -211,10 +200,7 @@ class TestLewisRiesenfeldU:
                 return np.asarray(self.f(ts), dtype=complex)[:, None, None]
 
         conn = ConnectionSamples(
-            level_index=0, times=ts,
-            a=np.array([[[a_of_t(t)]] for t in ts], dtype=complex),
-            e=np.array([[[e_of_t(t)]] for t in ts], dtype=complex),
-            evaluator_a=_Eval(a_of_t), evaluator_e=_Eval(e_of_t),
+            level_index=0, times=ts, evaluator_a=_Eval(a_of_t), evaluator_e=_Eval(e_of_t), multiplicity=1
         )
         trace = lewis_riesenfeld_u(conn, method="magnus4")
         from scipy.integrate import quad
@@ -230,10 +216,8 @@ class TestLewisRiesenfeldU:
         scenario = tycko_scenario()
         base = qd.level2_connection_samples(scenario, 201)
         conn = ConnectionSamples(
-            level_index=1, times=base.times, a=base.evaluator_a(base.times),
-            e=np.zeros((201, 2, 2), dtype=complex),
-            evaluator_a=base.evaluator_a,
-            evaluator_e=lambda ts: np.zeros((len(ts), 2, 2), dtype=complex),
+            level_index=1, times=base.times, evaluator_a=base.evaluator_a,
+            evaluator_e=lambda ts: np.zeros((len(ts), 2, 2), dtype=complex), multiplicity=2,
         )
         u = lewis_riesenfeld_u(conn).final
         g = holonomy(base).final
@@ -252,17 +236,19 @@ class TestLewisRiesenfeldU:
         assert np.max(np.abs(u - factorized)) <= 1e-9
 
     def test_analytic_connection_keeps_energy_smooth(self):
-        # constant frames, so the finite-difference A is exactly 0; E = diag(1 + 3t^2, -2t)
-        # is a quadratic that the spline reproduces and magnus4 integrates exactly
+        # A = 0 and E = diag(1 + 3t^2, -2t): a diagonal quadratic that magnus4 integrates exactly
         ts = np.linspace(0.0, 1.0, 21)
-        frames = FrameField(
-            level_index=0, multiplicity=2, times=ts,
-            frames=np.broadcast_to(np.eye(2, dtype=complex), (21, 2, 2)), eigenvalues=np.zeros(21),
+
+        def energy(nodes):
+            e = np.zeros((len(nodes), 2, 2), dtype=complex)
+            e[:, 0, 0] = 1 + 3 * nodes**2
+            e[:, 1, 1] = -2 * nodes
+            return e
+
+        conn = ConnectionSamples(
+            level_index=0, times=ts, evaluator_a=lambda nodes: np.zeros((len(nodes), 2, 2)),
+            evaluator_e=energy, multiplicity=2,
         )
-        hams = np.zeros((21, 2, 2), dtype=complex)
-        hams[:, 0, 0] = 1 + 3 * ts**2
-        hams[:, 1, 1] = -2 * ts
-        conn = connection_matrices(frames, hams)
         trace = lewis_riesenfeld_u(conn, method="magnus4")
         exact = np.zeros((21, 2, 2), dtype=complex)
         exact[:, 0, 0] = np.exp(-1j * (ts + ts**3))
@@ -275,6 +261,13 @@ class TestLewisRiesenfeldU:
         u0 = expm_skew(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.7)
         trace = lewis_riesenfeld_u(conn, u0=u0)
         assert np.max(np.abs(trace.matrices[0] - u0)) == 0.0
+
+    def test_energy_evaluator_required(self):
+        scenario = tycko_scenario()
+        base = qd.level2_connection_samples(scenario, 101)
+        conn = ConnectionSamples(level_index=1, times=base.times, evaluator_a=base.evaluator_a, multiplicity=2)
+        with pytest.raises(DomainError, match="energy evaluator"):
+            lewis_riesenfeld_u(conn)
 
 
 class TestAssembly:
@@ -338,34 +331,38 @@ class TestAssembly:
             assemble_evolution(list(frames), [lewis_riesenfeld_u(conns[0]), short])
 
 
+def transported_invariant_evolution(family, curve, ham):
+    """U(t) on the transported frames of an invariant with simple levels: u^n = Gamma^n exp(-i int E^n dt).
+
+    Gamma^n is the discrete Wilson line of the frames; E^n = F^dag H F per
+    sample, integrated by the trapezoid rule.
+    """
+    fields = transport_frames(family, curve)
+    assert all(f.multiplicity == 1 for f in fields)
+    traces = []
+    for f in fields:
+        g = f.frames[:, :, 0]
+        e = np.real(np.einsum("ki,kij,kj->k", g.conj(), ham(f.times), g))
+        delta = np.concatenate([[0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * np.diff(f.times))])
+        u = transport_holonomy(f) * np.exp(-1j * delta)[:, None, None]
+        traces.append(PropagatorTrace(times=f.times, matrices=u, method="transport", max_step_norm=0.0))
+    return assemble_evolution(fields, traces)
+
+
 class TestSchroedingerResidual:
     def test_assembled_states_solve_schroedinger(self):
-        # full pipeline on the exact-invariant frames: the assembled evolution
-        # must track the exact propagator and satisfy the equation pointwise
+        # the exact-invariant frames, transported: the assembled evolution must
+        # track the exact propagator and satisfy the equation pointwise
         scenario = tycko_scenario(period=20.0)
         family = qd.exact_invariant_family(scenario)
-        from holonomy.frames import Curve, connection_matrices, transport_frame
-
         num = 601
         ts = scenario.times(num)
         curve = Curve(times=ts, points=ts[:, None], evaluator=lambda s: s[:, None])
         ham = lambda t: qd.hamiltonian(scenario.field_at(t))
-
-        frame_fields = []
-        traces = []
-        spectrum = None
-        from holonomy.linalg import eig_hermitian
-
-        spectrum = eig_hermitian(family(np.array([0.0])))
-        for level in range(len(spectrum.levels)):
-            frames = transport_frame(family, curve, level, gauge="aligned")
-            conn = connection_matrices(frames, ham(frames.times))
-            traces.append(lewis_riesenfeld_u(conn))
-            frame_fields.append(frames)
-        u = assemble_evolution(frame_fields, traces)
+        u = transported_invariant_evolution(family, curve, ham)
 
         exact = qd.exact_propagator(scenario, float(ts[-1]))
-        assert np.max(np.abs(u.final - exact)) <= 2e-3  # finite-difference connection error
+        assert np.max(np.abs(u.final - exact)) <= 2e-3
 
         h = ts[1] - ts[0]
         psis = u.matrices  # columns are evolving states
@@ -378,3 +375,16 @@ class TestSchroedingerResidual:
             estimate = (h**2 / 6) * np.max(np.abs(third))
             worst_ratio = max(worst_ratio, residual / max(estimate, 1e-15))
         assert worst_ratio <= 10.0
+
+    def test_second_order_in_the_sample_spacing(self):
+        # the trapezoid rule and the Wilson line both err at O(h^2): halving h quarters the deviation
+        scenario = tycko_scenario(period=20.0)
+        family = qd.exact_invariant_family(scenario)
+        ham = lambda t: qd.hamiltonian(scenario.field_at(t))
+        devs = []
+        for num in (101, 201, 401):
+            ts = scenario.times(num)
+            u = transported_invariant_evolution(family, Curve(times=ts, points=ts[:, None]), ham)
+            devs.append(np.max(np.abs(u.final - qd.exact_propagator(scenario, float(ts[-1])))))
+        for coarse, fine in zip(devs, devs[1:]):
+            assert 3.5 <= coarse / fine <= 4.5

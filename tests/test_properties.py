@@ -8,7 +8,9 @@ then each frame aligned to its aligned predecessor in sequence.  The
 cumulative product itself, a log-depth scan, is checked against the
 sequential loop of step products it replaced.  The traces Pi = tr(w Gamma)
 of the transported frames are geometric: retiming the samples leaves them
-unchanged.  The closed-form 2x2 eigendecomposition that every stepper and
+unchanged, and reversing the curve conjugates them.  The transport operator
+V(t_k, t_0) = sum_n F^n_k Gamma^n_k F^n_0^dag composes along a curve split at
+a sample.  The closed-form 2x2 eigendecomposition that every stepper and
 gauge uses gives the exponentials of scipy's ``expm``.
 """
 
@@ -27,9 +29,9 @@ from holonomy.linalg import (
     eig_hermitian,
     eigh_many,
     expm_skew_many,
-    frame_orthonormality_defect,
     polar_unitary_factor,
 )
+from holonomy.propagate import PropagatorTrace, assemble_V
 
 SETTINGS = dict(derandomize=True, deadline=None)
 
@@ -148,6 +150,49 @@ def test_traces_do_not_depend_on_the_sample_times(spectrum, num_samples, rate, s
         assert np.max(np.abs(pi - pi_retimed)) <= 1e-14
 
 
+def random_rotating_family(mults, seed, rate):
+    rng = np.random.default_rng(seed)
+    d = sum(mults)
+    g = rate * random_hermitian(rng, d) / np.sqrt(d)
+    return rotating_family(constant(level_values(rng, mults)), g, random_unitary(rng, d))
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(spectra(), st.integers(20, 1000), st.floats(0.2, 2.0), st.floats(0.5, 3.0))
+def test_reversed_curve_conjugates_the_traces(spectrum, num_samples, rate, span):
+    # transport back over the same points runs from the end frame to the start frame
+    family = random_rotating_family(*spectrum, rate)
+    times = np.linspace(0.0, 1.0, num_samples)
+    points = np.linspace(0.0, span, num_samples)[:, None]
+    forward = transported_traces(family, Curve(times=times, points=points))
+    backward = transported_traces(family, Curve(times=times, points=points[::-1]))
+    for pi, pi_back in zip(forward, backward, strict=True):
+        assert abs(pi_back[-1] - np.conj(pi[-1])) <= 1e-12
+
+
+def transport_operator(family, curve):
+    """V(t_k, t_0) (m, d, d): assemble_V of every level's transported frames and their Wilson line."""
+    fields = transport_frames(family, curve)
+    gammas = [PropagatorTrace(times=f.times, matrices=transport_holonomy(f), method="transport", max_step_norm=0.0)
+              for f in fields]
+    return sum(assemble_V(fields, gammas))
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(spectra(), st.integers(20, 1000), st.floats(0.2, 2.0), st.floats(0.5, 3.0), st.data())
+def test_transport_operator_composes(spectrum, num_samples, rate, span, data):
+    # V(t2, t0) = V(t2, t1) V(t1, t0); the second piece starts from the raw frame at t1,
+    # which V does not see: it is gauge-invariant
+    family = random_rotating_family(*spectrum, rate)
+    times = np.linspace(0.0, 1.0, num_samples)
+    points = np.linspace(0.0, span, num_samples)[:, None]
+    split = data.draw(st.integers(1, num_samples - 2), label="split")
+    whole = transport_operator(family, Curve(times=times, points=points))[-1]
+    first = transport_operator(family, Curve(times=times[: split + 1], points=points[: split + 1]))[-1]
+    second = transport_operator(family, Curve(times=times[split:], points=points[split:]))[-1]
+    assert np.max(np.abs(whole - second @ first)) <= 1e-12
+
+
 @settings(max_examples=4, **SETTINGS)
 @given(spectra())
 def test_long_loop_frames_stay_orthonormal(spectrum):
@@ -165,7 +210,8 @@ def test_long_loop_frames_stay_orthonormal(spectrum):
     points[-1] = points[0]
     curve = Curve(times=angles, points=points, cyclic=True)
     for field in transport_frames(family, curve):
-        assert max(frame_orthonormality_defect(f) for f in field.frames) <= 1e-14
+        gram = np.conj(np.swapaxes(field.frames, 1, 2)) @ field.frames
+        assert np.max(np.abs(gram - np.eye(field.multiplicity))) <= 1e-14
 
 
 @settings(max_examples=25, **SETTINGS)

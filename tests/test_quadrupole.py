@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy.errors import AxisSingularityError, DomainError
-from holonomy.linalg import eig_hermitian, expm_skew, subspace_projector_distance, unitarity_defect
+from holonomy.linalg import eig_hermitian, expm_skew, unitarity_defect
 from holonomy.propagate import holonomy
 from holonomy import quadrupole as qd
 
@@ -88,9 +88,8 @@ class TestEigenframe:
             ours = qd.eigenframe(p)
             generic = eig_hermitian(qd.hamiltonian(p))
             for level in (0, 1):
-                assert subspace_projector_distance(
-                    ours.level(level).frame, generic.level(level).frame
-                ) <= 1e-9
+                a, b = ours.level(level).frame, generic.level(level).frame
+                assert np.max(np.abs(a @ a.conj().T - b @ b.conj().T)) <= 1e-9
 
 
 class TestConnectionCoeffs:
@@ -337,15 +336,6 @@ class TestOracleConnection:
         scenario = qd.PrecessionScenario(theta=TYCKO, omega=0.31, phi_final=2 * np.pi)
         trace = holonomy(qd.level1_connection_samples(scenario, 257))
         assert abs(trace.final[0, 0] - 1.0) <= 1e-10
-
-    def test_frame_consistent_connection_from_finite_differences(self):
-        scenario = qd.PrecessionScenario(theta=TYCKO, omega=0.2, phi_final=2 * np.pi)
-        frames = qd.level_frame_field(scenario, 1, 1201)
-        from holonomy.frames import connection_matrices
-
-        conn = connection_matrices(frames, qd.hamiltonian(scenario.field_at(frames.times)))
-        expected = scenario.omega * qd.frame_consistent_level2(TYCKO)
-        assert np.max(np.abs(conn.a[1:-1] - expected)) <= 1e-5
 
 
 class TestPauliIdentity:

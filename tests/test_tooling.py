@@ -3,7 +3,8 @@
 The per-layer tracer in perfbench/ names private functions of the package;
 they must exist.  Every Hermitian eigendecomposition in the package goes
 through ``linalg.eigh_many``, and every singular value decomposition that
-computes factors through ``linalg.polar_many``.
+computes factors through ``linalg.polar_many``.  The package reaches scipy
+only for the Schur form of ``phase.diagonal_decomposition``.
 """
 
 import ast
@@ -60,32 +61,52 @@ def test_eigh_many_is_the_one_eigensolver():
     assert inside and calls == inside, f"eigh outside linalg.eigh_many: {sorted(set(calls) - set(inside))}"
 
 
+def _scoped_nodes(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(dotted name of the enclosing functions and classes, node) for every node below ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        yield ".".join(scope), child
+        inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _scoped_nodes(child, inner)
+
+
+def _package_trees():
+    for path in sorted((ROOT / "src" / "holonomy").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _svd_calls(tree: ast.AST, module: str) -> list[tuple[str, str, bool]]:
     """(module, enclosing function, computes factors) of every ``svd`` attribute call and ``from ... import svd``."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "svd":
-                values_only = any(k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
-                                  for k in child.keywords)
-                found.append((module, ".".join(scope), not values_only))
-            elif isinstance(child, ast.ImportFrom) and any(alias.name == "svd" for alias in child.names):
-                found.append((module, ".".join(scope), True))
-            visit(child, inner)
-
-    visit(tree, ())
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "svd":
+            values_only = any(k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
+                              for k in node.keywords)
+            found.append((module, scope, not values_only))
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "svd" for alias in node.names):
+            found.append((module, scope, True))
     return found
 
 
 def test_polar_many_is_the_one_svd():
     calls = []
-    for path in sorted((ROOT / "src" / "holonomy").glob("*.py")):
-        calls += _svd_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for module, tree in _package_trees():
+        calls += _svd_calls(tree, module)
     factors = [(module, scope) for module, scope, computes in calls if computes]
     values_only = sorted((module, scope) for module, scope, computes in calls if not computes)
     assert factors == [("linalg", "polar_many")], f"svd with factors outside linalg.polar_many: {factors}"
     # the two norms read singular values only: the contraction check of an endpoint overlap
     # and the coupling norms of the adiabaticity report
     assert values_only == [("adiabatic", "adiabaticity_report"), ("phase", "OverlapMatrix.__post_init__")]
+
+
+def test_scipy_reached_only_by_diagonal_decomposition():
+    # every import of scipy or a scipy submodule, by module, enclosing function and what it names
+    imports = []
+    for module, tree in _package_trees():
+        for scope, node in _scoped_nodes(tree):
+            if isinstance(node, ast.Import):
+                imports += [(module, scope, alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imports.append((module, scope, node.module, tuple(alias.name for alias in node.names)))
+    assert imports == [("phase", "diagonal_decomposition", "scipy.linalg", ("schur",))], imports
