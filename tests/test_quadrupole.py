@@ -337,6 +337,17 @@ class TestOracleConnection:
         trace = holonomy(qd.level1_connection_samples(scenario, 257))
         assert abs(trace.final[0, 0] - 1.0) <= 1e-10
 
+    def test_frame_consistent_connection_from_finite_differences(self):
+        scenario = qd.PrecessionScenario(theta=TYCKO, omega=0.2, phi_final=2 * np.pi)
+        frames = qd.level_frame_field(scenario, 1, 1201)
+        # i F^dag dF/dt by central differences at the interior samples, hermitized
+        f, ts = frames.frames, frames.times
+        fdot = (f[2:] - f[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
+        a = 1j * np.conj(np.swapaxes(f[1:-1], 1, 2)) @ fdot
+        a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+        expected = scenario.omega * qd.frame_consistent_level2(TYCKO)
+        assert np.max(np.abs(a - expected)) <= 1e-5
+
 
 class TestPauliIdentity:
     def test_conjugation_identity(self):
