@@ -42,8 +42,10 @@ from .propagate import (
     assemble_V,
     assemble_evolution,
     holonomy,
+    holonomy_problem,
     lewis_riesenfeld_u,
     propagate,
+    propagate_final,
 )
 from .phase import (
     OverlapMatrix,
@@ -92,8 +94,10 @@ __all__ = [
     "assemble_V",
     "assemble_evolution",
     "holonomy",
+    "holonomy_problem",
     "lewis_riesenfeld_u",
     "propagate",
+    "propagate_final",
     "OverlapMatrix",
     "PhaseReport",
     "abelian_phase",

@@ -32,7 +32,7 @@ from .errors import DomainError, LevelCrossingError, ResolutionError
 from .frames import ConnectionSamples, Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
 from .linalg import _level_bounds, _level_splits, eig_hermitian, eigh_many
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
-from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, holonomy, propagate
+from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, holonomy, propagate_final
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def full_propagator(
     gen = lambda nodes: scenario.hamiltonian_at(nodes / scenario.tau)
     dim = scenario.family.dim
     problem = MatrixOdeProblem(generator=gen, initial=np.eye(dim, dtype=complex), times=ts)
-    return propagate(problem, method).final
+    return propagate_final(problem, method)
 
 
 def convergence_study(

@@ -276,7 +276,7 @@ def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
             f"curve under-resolved between samples {k - 1} and {k}: "
             f"min overlap singular value {smallest[k - 1]:.3f}"
         )
-    steps = np.conj(np.swapaxes(polars, 1, 2))
+    steps = np.conj(np.moveaxis(polars, 0, -1).swapaxes(0, 1), order="C")  # (l, l, m - 1), stack axis innermost
     chain = _ordered_products(steps, np.eye(frames.shape[2], dtype=complex))
     # thousands of products drift off the unitaries by roundoff; one stacked polar projects them back
     return frames @ polar_unitary_factor(chain), float(np.min(smallest))

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .frames import ConnectionSamples
-from .linalg import _stack_matmul, eigh_many, expm_skew_many
+from .linalg import _stack_last, _stack_matmul, eigh_many, expm_skew_many
 
 
 def _half_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +154,7 @@ class _TransformedConnectionEvaluator:
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left @ x @ right over stacks (m, l, l) of small matrices, with the stack axis innermost."""
-    lt, xt, rt = (np.ascontiguousarray(np.moveaxis(z, 0, -1)) for z in (left, x, right))  # (l, l, m)
+    lt, xt, rt = (_stack_last(z) for z in (left, x, right))
     return np.moveaxis(_stack_matmul(_stack_matmul(lt, xt), rt), -1, 0)
 
 

@@ -10,11 +10,17 @@ the step level because each step is the exponential of a Hermitian generator:
 Each step generator is eigendecomposed once, by ``linalg.eigh_many`` (in
 closed form for the 1x1 and 2x2 generators of Abelian and doublet levels):
 its eigenvalues give the |K| h check and its eigenvectors the step
-exponential.  The trace holds every prefix M(t_k) = S_k ... S_1 M(t_0) of
-the time-ordered step product; one log-depth scan over the steps
-(``linalg._ordered_products``) forms them all, with the later step factor
-always on the left.  Grid refinement is the caller's responsibility; the
-trace carries the largest per-step |K| h.
+exponential.  The step factors S_k are built as one (d, d, m) stack with the
+stack axis innermost, the layout of ``linalg._stack_matmul``, which forms
+the ``magnus4`` commutators and the products V e^{-i Lambda} V^dag too.
+
+Two products of the factors follow, with the later factor always on the
+left.  ``propagate`` returns a trace of every prefix
+M(t_k) = S_k ... S_1 M(t_0), from one log-depth scan
+(``linalg._ordered_products``).  ``propagate_final`` returns M(t_end) alone,
+from a pairwise tree of m - 1 products (``linalg._tree_product``), for
+callers that read nothing but the endpoint.  Grid refinement is the
+caller's responsibility; the trace carries the largest per-step |K| h.
 """
 
 from __future__ import annotations
@@ -26,7 +32,16 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .frames import ConnectionSamples, FrameField
-from .linalg import HERMITICITY_TOL, _ordered_products, eigh_many, expm_skew_many, require_hermitian, require_unitary
+from .linalg import (
+    HERMITICITY_TOL,
+    _ordered_products,
+    _stack_last,
+    _stack_matmul,
+    _tree_product,
+    eigh_many,
+    require_hermitian,
+    require_unitary,
+)
 
 METHODS = ("midpoint_exp", "magnus4")
 STEP_NORM_LIMIT = 1.0  # reject steps with |K| h beyond this
@@ -86,8 +101,8 @@ def _eval_nodes(gen: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.n
     return ks
 
 
-def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorTrace:
-    """Integrate i dM/dt = K(t) M over the problem grid."""
+def _step_factors(problem: MatrixOdeProblem, method: str) -> tuple[np.ndarray, float]:
+    """The step exponentials S_k = exp(-i heff_k) as a stack (d, d, m), stack axis innermost, and max |K| h."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     ts = problem.times
@@ -97,17 +112,18 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
     if method == "midpoint_exp":
         ks = _eval_nodes(problem.generator, mids)
         _check_generator_batch(ks, problem.initial)
-        heff = ks * hs[:, None, None]
+        heff = _stack_last(ks) * hs
     else:
         k1 = _eval_nodes(problem.generator, mids - _GAUSS_OFFSET * hs)
         k2 = _eval_nodes(problem.generator, mids + _GAUSS_OFFSET * hs)
         _check_generator_batch(k1, problem.initial)
         _check_generator_batch(k2, problem.initial)
-        comm = np.einsum("kij,kjl->kil", k2, k1) - np.einsum("kij,kjl->kil", k1, k2)
-        heff = 0.5 * (k1 + k2) * hs[:, None, None] - 1j * (np.sqrt(3.0) / 12.0) * (hs[:, None, None] ** 2) * comm
+        k1, k2 = _stack_last(k1), _stack_last(k2)
+        comm = _stack_matmul(k2, k1) - _stack_matmul(k1, k2)
+        heff = 0.5 * (k1 + k2) * hs - 1j * (np.sqrt(3.0) / 12.0) * hs**2 * comm
 
     # one decomposition per step: its eigenvalues give |K| h, its eigenvectors the step exponential
-    step_eigs, step_vecs = eigh_many(heff)
+    step_eigs, step_vecs = eigh_many(np.moveaxis(heff, -1, 0))
     step_norms = np.max(np.abs(step_eigs), axis=1)
     max_step_norm = float(np.max(step_norms))
     if max_step_norm >= STEP_NORM_LIMIT:
@@ -115,9 +131,30 @@ def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorT
         raise ResolutionError(
             f"step {worst} violates |K| h < {STEP_NORM_LIMIT}: got {max_step_norm:.3f}; refine the grid"
         )
+    vecs = _stack_last(step_vecs)
+    steps = _stack_matmul(vecs * np.exp(-1j * step_eigs.T), np.conj(np.swapaxes(vecs, 0, 1), order="C"))
+    return steps, max_step_norm
 
-    out = _ordered_products(expm_skew_many(step_eigs, step_vecs), problem.initial)
-    return PropagatorTrace(times=ts.copy(), matrices=out, method=method, max_step_norm=max_step_norm)
+
+def propagate(problem: MatrixOdeProblem, method: str = "magnus4") -> PropagatorTrace:
+    """Integrate i dM/dt = K(t) M over the problem grid: M(t_k) at every grid time."""
+    steps, max_step_norm = _step_factors(problem, method)
+    out = _ordered_products(steps, problem.initial)
+    return PropagatorTrace(times=problem.times.copy(), matrices=out, method=method, max_step_norm=max_step_norm)
+
+
+def propagate_final(problem: MatrixOdeProblem, method: str = "magnus4") -> np.ndarray:
+    """M(t_end) alone, the ``.final`` of ``propagate(problem, method)``, from m - 1 step products."""
+    steps, _ = _step_factors(problem, method)
+    return _tree_product(steps, problem.initial)
+
+
+def holonomy_problem(connection: ConnectionSamples, times: np.ndarray | None = None) -> MatrixOdeProblem:
+    """i dG/dt = -A^n(t) G with G(t_0) = 1 on the connection's times, or on ``times``."""
+    ts = connection.times if times is None else np.asarray(times, dtype=float)
+    a = connection.evaluator_a
+    l = connection.multiplicity
+    return MatrixOdeProblem(generator=lambda nodes: -a(nodes), initial=np.eye(l, dtype=complex), times=ts)
 
 
 def holonomy(
@@ -127,15 +164,11 @@ def holonomy(
 ) -> PropagatorTrace:
     """Path-ordered exponential of i * integral A^n dt.
 
-    Solves i dG/dt = -A^n(t) G with G(t_0) = 1, evaluating A at the
+    Solves ``holonomy_problem(connection, times)``, evaluating A at the
     integrator nodes.  The result depends on the sampled geometry, not on
     traversal speed.
     """
-    ts = connection.times if times is None else np.asarray(times, dtype=float)
-    a = connection.evaluator_a
-    l = connection.multiplicity
-    problem = MatrixOdeProblem(generator=lambda nodes: -a(nodes), initial=np.eye(l, dtype=complex), times=ts)
-    return propagate(problem, method)
+    return propagate(holonomy_problem(connection, times), method)
 
 
 def lewis_riesenfeld_u(

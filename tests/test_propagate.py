@@ -1,6 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
+from holonomy import linalg
+from holonomy.adiabatic import full_propagator
+from holonomy.config import parse_config_text
 from holonomy.errors import DomainError, ResolutionError, StructuralError
 from holonomy.frames import ConnectionSamples, Curve, transport_frames, transport_holonomy
 from holonomy.gauges import random_smooth_gauge, transform_connection
@@ -14,6 +19,7 @@ from holonomy.propagate import (
     lewis_riesenfeld_u,
     propagate,
 )
+from holonomy.runner import run_gauge_test
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -112,6 +118,28 @@ class TestPropagate:
                 generator=lambda ts: np.zeros((len(ts), 2, 2)), initial=2 * np.eye(2, dtype=complex),
                 times=np.linspace(0, 1, 5),
             )
+
+
+class TestFinalOnlyRoutes:
+    def test_full_propagator_and_gauge_test_form_no_prefix_stack(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a final-only route formed every prefix")
+
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "holonomy"
+                 and getattr(m, "_ordered_products", None) is linalg._ordered_products]
+        for module in bound:
+            monkeypatch.setattr(module, "_ordered_products", forbidden)
+        scenario = tycko_scenario()
+        with pytest.raises(AssertionError, match="final-only"):  # the patch reaches the scan's callers
+            holonomy(qd.level2_connection_samples(scenario, 65))
+
+        u = full_propagator(qd.adiabatic_scenario(scenario), steps_per_time=10.0)
+        assert np.max(np.abs(u - qd.exact_propagator(scenario, scenario.duration))) <= 1e-6
+        config = parse_config_text(
+            "system = quadrupole\ntheta = tycko\nphi0 = 0.0\nomega = 0.15707963267948966\n"
+            "phi_final = 6.283185307179586\ngrid = 400\nmethod = magnus4\nseed = 5\n"
+        )
+        assert run_gauge_test(config, count=2).passed
 
 
 class TestHolonomy:

@@ -6,7 +6,9 @@ of their polar factors and one stacked polar re-projection.  The reference
 here is the per-sample loop it replaced: an eigendecomposition per sample,
 then each frame aligned to its aligned predecessor in sequence.  The
 cumulative product itself, a log-depth scan, is checked against the
-sequential loop of step products it replaced.  The traces Pi = tr(w Gamma)
+sequential loop of step products it replaced, and so is the pairwise tree
+that forms the last product alone; the final-only propagator equals the last
+prefix of the full trace.  The traces Pi = tr(w Gamma)
 of the transported frames are geometric: retiming the samples leaves them
 unchanged, and reversing the curve conjugates them.  The transport operator
 V(t_k, t_0) = sum_n F^n_k Gamma^n_k F^n_0^dag composes along a curve split at
@@ -17,6 +19,7 @@ gauge uses gives the exponentials of scipy's ``expm``.
 import re
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,14 +27,24 @@ from hypothesis.extra.numpy import arrays
 
 from holonomy.errors import LevelCrossingError, ResolutionError
 from holonomy.frames import MIN_OVERLAP_SINGULAR_VALUE, Curve, OperatorFamily, transport_frames, transport_holonomy
+from holonomy import quadrupole as qd
 from holonomy.linalg import (
     _ordered_products,
+    _tree_product,
     eig_hermitian,
     eigh_many,
     expm_skew_many,
     polar_unitary_factor,
 )
-from holonomy.propagate import PropagatorTrace, assemble_V
+from holonomy.propagate import (
+    METHODS,
+    MatrixOdeProblem,
+    PropagatorTrace,
+    assemble_V,
+    holonomy_problem,
+    propagate,
+    propagate_final,
+)
 
 SETTINGS = dict(derandomize=True, deadline=None)
 
@@ -288,13 +301,45 @@ def test_ordered_products_equal_sequential_loop(d, m, columns, seed):
     l = min(columns, d)  # a square or a rectangular initial value with orthonormal columns
     steps = random_unitaries(rng, m, d)
     initial = random_unitary(rng, d)[:, :l]
-    before = steps.copy()
-    products = _ordered_products(steps, initial)
-    assert np.array_equal(steps, before)  # an (m, 1, 1) stack must not be scanned in place
+    stack = np.ascontiguousarray(np.moveaxis(steps, 0, -1))  # (d, d, m), stack axis innermost
+    before = stack.copy()
+    products = _ordered_products(stack, initial)
+    assert np.array_equal(stack, before)  # the scan's buffers must not alias its input
     assert products.shape == (m + 1, d, l) and np.array_equal(products[0], initial)
     assert np.max(np.abs(products - sequential_products(steps, initial))) <= 1e-12
     gram = np.conj(np.swapaxes(products, 1, 2)) @ products
     assert np.max(np.abs(gram - np.eye(l))) <= 1e-12
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(st.integers(1, 5), st.integers(1, 3000), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(d=1, m=1, columns=1, seed=0)
+@example(d=2, m=2, columns=2, seed=2)
+@example(d=3, m=1025, columns=2, seed=3)
+def test_tree_product_equals_last_sequential_product(d, m, columns, seed):
+    rng = np.random.default_rng(seed)
+    l = min(columns, d)
+    steps = random_unitaries(rng, m, d)
+    initial = random_unitary(rng, d)[:, :l]
+    final = _tree_product(np.ascontiguousarray(np.moveaxis(steps, 0, -1)), initial)
+    assert final.shape == (d, l)
+    assert np.max(np.abs(final - sequential_products(steps, initial)[-1])) <= 1e-12
+
+
+def quadrupole_problems():
+    """The level-2 holonomy problem and the 3x3 full-propagator problem of one quadrupole precession."""
+    scenario = qd.PrecessionScenario(theta=qd.TYCKO_THETA, omega=2 * np.pi / 40, phi_final=2 * np.pi)
+    ts = np.linspace(0.0, scenario.duration, 2001)
+    full = MatrixOdeProblem(
+        generator=lambda t: qd.hamiltonian(scenario.field_at(t)), initial=np.eye(3, dtype=complex), times=ts
+    )
+    return holonomy_problem(qd.level2_connection_samples(scenario, 1601)), full
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_final_only_propagator_equals_last_prefix(method):
+    for problem in quadrupole_problems():
+        assert np.max(np.abs(propagate_final(problem, method) - propagate(problem, method).final)) <= 1e-13
 
 
 @settings(max_examples=60, **SETTINGS)
