@@ -9,30 +9,33 @@ for large tau, the adiabatic propagator
 
 where Gamma0^n is the holonomy of the level's Berry connection.  U0 is
 assembled from whatever smooth frame field is available; as an operator it is
-independent of that gauge choice.  Every level follows one rule:
+independent of that gauge choice.  Every level follows one rule: its frames
+come with their Gamma0, and no connection is integrated.
 
 * without a hook, one ``transport_frames`` call follows all levels with
   parallel-transported eigenframes, whose connection vanishes, so Gamma0^n
-  is the discrete Wilson line of the frames (``transport_holonomy``) and no
-  integrator runs;
+  is the discrete Wilson line of the frames (``transport_holonomy``);
 * a scenario's ``level_fn`` hook supplies analytic frames together with
-  their analytic connection, and Gamma0^n integrates that connection.
+  their Gamma0 in closed form.
 
-The energies E_n are the level eigenvalues the frames carry.
+The energies E_n are the level eigenvalues the frames carry.  Only the full
+propagator U(tau) that U0 is compared with runs an integrator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, LevelCrossingError, ResolutionError
-from .frames import ConnectionSamples, Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
+from .frames import Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
 from .linalg import _level_bounds, _level_splits, eig_hermitian, eigh_many
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
-from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, holonomy, propagate_final
+from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, propagate_final
+
+MIN_FULL_STEPS = 400  # the fewest steps the full propagator U(tau) takes
 
 
 @dataclass(frozen=True)
@@ -42,10 +45,9 @@ class AdiabaticScenario:
     family: OperatorFamily
     curve: Curve                      # parameterized by s in [0, 1]
     tau: float
-    levels: tuple[int, ...] | None = None  # None: all levels
-    # optional analytic hook: (level, s grid) -> (the level's frames on the grid,
-    # its connection in those frames, batched over s: ss (m,) -> (m, l, l))
-    level_fn: Callable[[int, np.ndarray], tuple[FrameField, Callable[[np.ndarray], np.ndarray]]] | None = None
+    # optional analytic hook: (level, s grid (m,)) -> (the level's frames on the grid,
+    # their holonomy Gamma0 (m, l, l) from s = 0)
+    level_fn: Callable[[int, np.ndarray], tuple[FrameField, np.ndarray]] | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -54,13 +56,7 @@ class AdiabaticScenario:
             raise DomainError("scenario curve must be parameterized by s in [0, 1]")
 
     def with_tau(self, tau: float) -> "AdiabaticScenario":
-        return AdiabaticScenario(
-            family=self.family,
-            curve=self.curve,
-            tau=tau,
-            levels=self.levels,
-            level_fn=self.level_fn,
-        )
+        return replace(self, tau=tau)
 
     def s_grid(self, num_samples: int) -> np.ndarray:
         return np.linspace(0.0, 1.0, num_samples)
@@ -83,13 +79,6 @@ class AdiabaticScenario:
         """H at normalized times ss (m,) -> (m, dim, dim), one family call."""
         return self.family(self.theta_at(ss))
 
-    def level_indices(self, num_levels: int) -> tuple[int, ...]:
-        if self.levels is None:
-            return tuple(range(num_levels))
-        if any(not 0 <= l < num_levels for l in self.levels):
-            raise DomainError(f"scenario levels {self.levels} out of range for {num_levels} levels")
-        return self.levels
-
     def sampled_curve(self, num_samples: int) -> Curve:
         ss = self.s_grid(num_samples)
         return Curve(times=ss, points=self.theta_at(ss), cyclic=False, evaluator=self.curve.evaluator)
@@ -99,23 +88,13 @@ def _level_holonomies(
     scenario: AdiabaticScenario,
     levels: Sequence[int],
     num_samples: int,
-    method: str,
-) -> list[tuple[FrameField, PropagatorTrace]]:
-    """Frames of each level on the s grid and their holonomy Gamma0, by the module's one rule."""
+) -> list[tuple[FrameField, np.ndarray]]:
+    """Frames of each level on the s grid and their holonomy Gamma0 (m, l, l), by the module's one rule."""
     if scenario.level_fn is None:
-        fields = transport_frames(scenario.family, scenario.sampled_curve(num_samples), levels, gauge="aligned")
-        return [
-            (f, PropagatorTrace(times=f.times, matrices=transport_holonomy(f), method=method, max_step_norm=0.0))
-            for f in fields
-        ]
-    out = []
-    for level in levels:
-        frames, connection = scenario.level_fn(level, scenario.s_grid(num_samples))
-        conn = ConnectionSamples(
-            level_index=level, times=frames.times, evaluator_a=connection, multiplicity=frames.multiplicity
-        )
-        out.append((frames, holonomy(conn, method=method)))
-    return out
+        fields = transport_frames(scenario.family, scenario.sampled_curve(num_samples), levels)
+        return [(f, transport_holonomy(f)) for f in fields]
+    ss = scenario.s_grid(num_samples)
+    return [scenario.level_fn(level, ss) for level in levels]
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -129,29 +108,18 @@ def _dynamical_phases(scenario: AdiabaticScenario, frames: FrameField) -> np.nda
     return -scenario.tau * _cumulative_trapezoid(frames.eigenvalues, frames.times)
 
 
-def adiabatic_propagator(
-    scenario: AdiabaticScenario,
-    num_samples: int = 801,
-    method: str = "magnus4",
-) -> PropagatorTrace:
-    """Assemble U0(t) on the grid t = tau * s; ``method`` integrates a hook's connection."""
-    spectrum0 = eig_hermitian(scenario.hamiltonian_at(np.zeros(1))[0])
-    levels = scenario.level_indices(len(spectrum0.levels))
+def adiabatic_propagator(scenario: AdiabaticScenario, num_samples: int = 801) -> PropagatorTrace:
+    """Assemble U0(t) on the grid t = tau * s from every level's frames, Gamma0 and dynamical phase."""
+    num_levels = len(eig_hermitian(scenario.hamiltonian_at(np.zeros(1))[0]).levels)
 
     frame_fields: list[FrameField] = []
     traces: list[PropagatorTrace] = []
-    for frames, gamma in _level_holonomies(scenario, levels, num_samples, method):
-        delta = _dynamical_phases(scenario, frames)
-        u = gamma.matrices * np.exp(1j * delta)[:, None, None]
-        traces.append(PropagatorTrace(times=gamma.times, matrices=u, method=method, max_step_norm=gamma.max_step_norm))
+    for frames, gamma in _level_holonomies(scenario, range(num_levels), num_samples):
+        u = gamma * np.exp(1j * _dynamical_phases(scenario, frames))[:, None, None]
+        traces.append(PropagatorTrace(times=frames.times, matrices=u, method="adiabatic", max_step_norm=0.0))
         frame_fields.append(frames)
-    trace_s = assemble_evolution(frame_fields, traces)  # requires the levels to cover the full dimension
-    return PropagatorTrace(
-        times=scenario.tau * trace_s.times,
-        matrices=trace_s.matrices,
-        method=method,
-        max_step_norm=trace_s.max_step_norm,
-    )
+    trace_s = assemble_evolution(frame_fields, traces)
+    return replace(trace_s, times=scenario.tau * trace_s.times)
 
 
 @dataclass(frozen=True)
@@ -217,11 +185,10 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
 def full_propagator(
     scenario: AdiabaticScenario,
     steps_per_time: float = 20.0,
-    min_steps: int = 400,
     method: str = "magnus4",
 ) -> np.ndarray:
-    """U(tau): integrate i dU/dt = H(t) U over the full drive."""
-    steps = max(min_steps, int(np.ceil(scenario.tau * steps_per_time)))
+    """U(tau): integrate i dU/dt = H(t) U over the full drive, on at least MIN_FULL_STEPS steps."""
+    steps = max(MIN_FULL_STEPS, int(np.ceil(scenario.tau * steps_per_time)))
     ts = np.linspace(0.0, scenario.tau, steps + 1)
     gen = lambda nodes: scenario.hamiltonian_at(nodes / scenario.tau)
     dim = scenario.family.dim
@@ -236,7 +203,7 @@ def convergence_study(
     steps_per_time: float = 20.0,
     method: str = "magnus4",
 ) -> list[tuple[float, float]]:
-    """Defects |U(tau) - U0(tau)|_max along an increasing tau ladder."""
+    """Defects |U(tau) - U0(tau)|_max along an increasing tau ladder; ``method`` integrates U(tau)."""
     taus = list(tau_list)
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise DomainError("tau_list must be increasing")
@@ -244,7 +211,7 @@ def convergence_study(
     for tau in taus:
         scen = scenario.with_tau(tau)
         u_full = full_propagator(scen, steps_per_time=steps_per_time, method=method)
-        u0 = adiabatic_propagator(scen, num_samples=num_samples, method=method).final
+        u0 = adiabatic_propagator(scen, num_samples=num_samples).final
         out.append((float(tau), float(np.max(np.abs(u_full - u0)))))
     return out
 
@@ -254,7 +221,6 @@ def adiabatic_noncyclic_phase(
     level: int,
     t: float | None = None,
     num_samples: int = 801,
-    method: str = "magnus4",
 ) -> PhaseReport:
     """Noncyclic phase report of one level in the adiabatic limit at time t.
 
@@ -267,17 +233,8 @@ def adiabatic_noncyclic_phase(
     if not 0 <= t <= scenario.tau + 1e-12:
         raise DomainError("t must lie within the scenario duration")
 
-    [(frames, gamma_trace)] = _level_holonomies(scenario, (level,), num_samples, method)
+    [(frames, gamma)] = _level_holonomies(scenario, (level,), num_samples)
     delta = _dynamical_phases(scenario, frames)
-
-    s_target = t / scenario.tau
-    k = int(np.argmin(np.abs(frames.times - s_target)))
-    theta_start, theta_end = scenario.theta_at(frames.times[[0, k]])
-    w = overlap_matrix(
-        frames.frames[0],
-        frames.frames[k],
-        level_index=level,
-        theta_start=theta_start,
-        theta_end=theta_end,
-    )
-    return noncyclic_phase(w, gamma_trace.matrices[k], dynamical_phase=float(delta[k]))
+    k = int(np.argmin(np.abs(frames.times - t / scenario.tau)))
+    w = overlap_matrix(frames.frames[0], frames.frames[k], level_index=level)
+    return noncyclic_phase(w, gamma[k], dynamical_phase=float(delta[k]))

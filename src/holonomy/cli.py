@@ -71,8 +71,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["method"] = {"midpoint": "midpoint_exp"}.get(args.method, args.method)
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if overrides:
         from dataclasses import replace
 
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=["midpoint", "magnus4"], default=None,
                        help="override the integrator")
         p.add_argument("--seed", type=int, default=None, help="override the random seed")
-        p.add_argument("--workers", type=int, default=None, help="accepted for compatibility; runs are sequential and it has no effect")
         p.add_argument("--progress", action="store_true", help="print progress lines to stdout")
         p.add_argument("--json", action="store_true", help="also emit JSON where applicable")
 

@@ -15,12 +15,12 @@ lines ignored.  Unknown keys are errors.  Example:
     levels = 1,2
     seed = 12345
     gauge_count = 100
-    workers = 1
 
 ``theta = tycko`` selects arccos(1/sqrt(3)).  Exactly one of ``phi_final``
 or ``duration`` must be given for the quadrupole system.  Custom families
 replace the field keys with ``generators_file`` and ``curve_file`` (formats
-documented in :mod:`holonomy.io`).
+documented in :mod:`holonomy.io`).  The ``workers`` key of older configs is
+still accepted and must be >= 1; runs are sequential and it has no effect.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class ScenarioConfig:
     levels: tuple[int, ...] | None = None  # 1-based labels; None = all
     seed: int = 0
     gauge_count: int = 100
-    workers: int = 1  # accepted and validated; runs are sequential, so it has no effect
     # quadrupole fields
     coupling: float = 1.0
     rho: float = 1.0
@@ -154,13 +153,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
     gauge_count = _as_int(pairs, "gauge_count", 100)
     if gauge_count < 1:
         raise ConfigError("gauge_count must be >= 1")
-    workers = _as_int(pairs, "workers", 1)
-    if workers < 1:
+    if _as_int(pairs, "workers", 1) < 1:
         raise ConfigError("workers must be >= 1")
 
     common = dict(
         system=system, grid=grid, method=method, levels=levels,
-        seed=seed, gauge_count=gauge_count, workers=workers, raw=dict(pairs),
+        seed=seed, gauge_count=gauge_count, raw=dict(pairs),
     )
 
     if system == "quadrupole":

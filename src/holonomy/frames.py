@@ -3,11 +3,11 @@
 A :class:`Curve` is a time-stamped path through parameter space.  An
 :class:`OperatorFamily` maps parameter vectors to Hermitian matrices.
 :func:`transport_frames` follows spectral levels along a curve from one
-eigendecomposition of the sampled family, shared by the levels, and
-(optionally) applies discrete parallel transport so that the frames vary
-smoothly.  The transport is a cumulative product of the polar factors of
-the raw overlaps, taken in closed form from one stacked ``polar_many`` and
-projected back onto the unitaries by one more.  The connection of such
+eigendecomposition of the sampled family, shared by the levels, and applies
+discrete parallel transport so that the frames vary smoothly.  The transport
+is a cumulative product of the polar factors of the raw overlaps, taken in
+closed form from one stacked ``polar_many`` and projected back onto the
+unitaries by one more.  The connection of such
 frames vanishes, so :func:`transport_holonomy` gives their holonomy as the
 discrete Wilson line of the frames; the ``phase`` and ``adiabatic`` routes of
 a custom family take it from there.
@@ -43,6 +43,7 @@ from .linalg import (
 
 CYCLIC_ENDPOINT_TOL = 1e-12
 MIN_OVERLAP_SINGULAR_VALUE = 0.5
+GENERATOR_CONSISTENCY_TOL = 1e-12  # relative: a family's values against its generator expansion
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class OperatorFamily:
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     generators: tuple[np.ndarray, ...] | None = None
-    generator_consistency_tol: float = 1e-12
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         """I at a parameter stack (m, N) -> (m, dim, dim), or at one point (N,) -> (dim, dim).
@@ -122,7 +122,7 @@ class OperatorFamily:
         require_hermitian(values, name="family value")
         if self.generators is not None:
             mismatch = np.abs(values - _expand(thetas, self.generators))
-            if _first_over_scale(mismatch, values, self.generator_consistency_tol) is not None:
+            if _first_over_scale(mismatch, values, GENERATOR_CONSISTENCY_TOL) is not None:
                 raise StructuralError("family evaluator disagrees with its generator expansion")
         return values[0] if single else values
 
@@ -191,8 +191,6 @@ def transport_frames(
     family: OperatorFamily,
     curve: Curve,
     levels: Sequence[int] | None = None,
-    gauge: str = "aligned",
-    degeneracy_tol: float | None = None,
 ) -> tuple[FrameField, ...]:
     """Follow spectral levels along a curve, all from one eigendecomposition of the sampled family.
 
@@ -201,16 +199,13 @@ def transport_frames(
     into levels as ``eig_hermitian`` does; a sample whose multiplicity
     pattern differs from the first one's is a level crossing.
 
-    ``gauge="raw"`` keeps the frames exactly as emitted by the
-    eigendecomposition at each sample (arbitrary per-sample orientation).
-    ``gauge="aligned"`` post-multiplies each frame by the unitary polar factor
-    of its overlap with the previous aligned frame (discrete parallel
-    transport), leaving the first frame unchanged.
+    Each frame is post-multiplied by the unitary polar factor of its overlap
+    with the previous aligned frame (discrete parallel transport); the first
+    frame is the eigendecomposition's.  On a cyclic curve each field reports
+    the largest entry of the difference between its last and first frame.
     """
-    if gauge not in ("raw", "aligned"):
-        raise DomainError(f"unknown gauge {gauge!r}")
     vals, vecs = eigh_many(family(curve.points))
-    splits = _level_splits(vals, degeneracy_tol)
+    splits = _level_splits(vals)
     bounds = _level_bounds(splits[0])
     levels = tuple(range(len(bounds))) if levels is None else tuple(levels)
     for level in levels:
@@ -227,18 +222,7 @@ def transport_frames(
     fields = []
     for level in levels:
         a, b = bounds[level]
-        frames = vecs[:, :, a:b]
-        smallest = misalignment = None
-        if gauge == "aligned":
-            frames, smallest = _parallel_transport(frames)
-            if curve.cyclic:
-                misalignment = float(np.max(np.abs(frames[-1] - frames[0])))
-        else:
-            frames = frames.copy()
-            if curve.cyclic:
-                # identical endpoint parameters and a deterministic eigensolver make
-                # the raw endpoint frames coincide; force exact equality anyway
-                frames[-1] = frames[0]
+        frames, smallest = _parallel_transport(vecs[:, :, a:b])
         fields.append(
             FrameField(
                 level_index=level,
@@ -247,7 +231,7 @@ def transport_frames(
                 frames=frames,
                 eigenvalues=np.mean(vals[:, a:b], axis=1),
                 cyclic=curve.cyclic,
-                cyclic_misalignment=misalignment,
+                cyclic_misalignment=float(np.max(np.abs(frames[-1] - frames[0]))) if curve.cyclic else None,
                 min_overlap_singular_value=smallest,
             )
         )

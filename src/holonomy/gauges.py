@@ -1,9 +1,11 @@
 """Seeded smooth random gauge transformations for invariance testing.
 
 A gauge is a smooth unitary path v(t) = exp(i G(t)) where G(t) is a Hermitian
-matrix whose entries follow a low-order Fourier series in t with coefficients
-drawn from a seeded generator.  The construction is documented and
-reproducible: identical (seed, size, order, amplitude) give identical paths.
+matrix whose entries follow a Fourier series in t of GAUGE_ORDER harmonics,
+with coefficients drawn from a seeded generator: the constant term and
+harmonic 1 at scale GAUGE_AMPLITUDE, harmonic n at GAUGE_AMPLITUDE / n.  The
+construction is documented and reproducible: identical (seed, size) give
+identical paths.
 
 The exact derivative dv/dt comes from the Daleckii-Krein formula on the
 eigendecomposition of G (the Frechet derivative of the matrix exponential
@@ -24,6 +26,9 @@ import numpy as np
 
 from .frames import ConnectionSamples
 from .linalg import _stack_last, _stack_matmul, eigh_many, expm_skew_many
+
+GAUGE_ORDER = 3  # Fourier harmonics of the generator G(t)
+GAUGE_AMPLITUDE = 0.4  # scale of its constant term; harmonic n is drawn at GAUGE_AMPLITUDE / n
 
 
 def _half_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,19 +105,12 @@ def _random_hermitian(rng: np.random.Generator, size: int, amplitude: float) -> 
     return 0.5 * (m + m.conj().T)
 
 
-def random_smooth_gauge(
-    size: int,
-    t0: float,
-    t1: float,
-    seed,
-    order: int = 3,
-    amplitude: float = 0.4,
-) -> SmoothGauge:
+def random_smooth_gauge(size: int, t0: float, t1: float, seed) -> SmoothGauge:
     """Draw a seeded smooth gauge path on [t0, t1]."""
     rng = np.random.default_rng(seed)
-    base = _random_hermitian(rng, size, amplitude)
-    cos_coeffs = np.array([_random_hermitian(rng, size, amplitude / (k + 1)) for k in range(order)])
-    sin_coeffs = np.array([_random_hermitian(rng, size, amplitude / (k + 1)) for k in range(order)])
+    base = _random_hermitian(rng, size, GAUGE_AMPLITUDE)
+    cos_coeffs = np.array([_random_hermitian(rng, size, GAUGE_AMPLITUDE / (k + 1)) for k in range(GAUGE_ORDER)])
+    sin_coeffs = np.array([_random_hermitian(rng, size, GAUGE_AMPLITUDE / (k + 1)) for k in range(GAUGE_ORDER)])
     return SmoothGauge(size=size, t0=t0, t1=t1, base=base, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
 
 

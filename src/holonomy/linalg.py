@@ -21,33 +21,12 @@ DEGENERACY_REL_TOL = 1e-8  # relative gap threshold for clustering
 _TINY = np.finfo(float).tiny
 
 
-def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square_stack(m: np.ndarray, name: str, stacked: bool = True) -> np.ndarray:
+    """One square matrix, or a stack of them where ``stacked``, checked finite and nonempty, as (k, d, d)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"{name} must be square, got shape {m.shape}")
-    if m.size == 0:
-        raise DomainError(f"{name} is empty")
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} has non-finite entries")
-    return m
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max|M - M^dag|, the absolute deviation from hermiticity."""
-    m = as_square_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """max|U^dag U - 1|; zero iff U is exactly unitary."""
-    return float(unitarity_defects(as_square_matrix(u, "U"))[0])
-
-
-def _as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
-    """One square matrix or a stack of them, with the checks of as_square_matrix, as (k, d, d)."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DomainError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
+        kind = "a square matrix or a stack of them" if stacked else "square"
+        raise DomainError(f"{name} must be {kind}, got shape {m.shape}")
     if m.size == 0:
         raise DomainError(f"{name} is empty")
     if not np.all(np.isfinite(m)):
@@ -55,11 +34,26 @@ def _as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
     return m if m.ndim == 3 else m[None]
 
 
-def unitarity_defects(u: np.ndarray, name: str = "U") -> np.ndarray:
-    """max|U_k^dag U_k - 1| of each matrix of a stack (m, d, d), or of one matrix, as (m,)."""
-    stack = _as_square_stack(u, name)
+def _gram_defects(stack: np.ndarray) -> np.ndarray:
+    """max|U_k^dag U_k - 1| of each matrix of a checked stack (m, d, d), as (m,)."""
     gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
     return np.max(np.abs(gram - np.eye(stack.shape[1])), axis=(1, 2))
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """max|M - M^dag|, the absolute deviation from hermiticity of one matrix."""
+    stack = _as_square_stack(m, "matrix", stacked=False)
+    return float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, 1, 2)))))
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """max|U^dag U - 1| of one matrix; zero iff U is exactly unitary."""
+    return float(_gram_defects(_as_square_stack(u, "U", stacked=False))[0])
+
+
+def unitarity_defects(u: np.ndarray, name: str = "U") -> np.ndarray:
+    """max|U_k^dag U_k - 1| of each matrix of a stack (m, d, d), or of one matrix, as (m,)."""
+    return _gram_defects(_as_square_stack(u, name))
 
 
 def _first_over_scale(deviation: np.ndarray, stack: np.ndarray, tol: float) -> int | None:
@@ -136,18 +130,13 @@ class Spectrum:
         return out
 
 
-def _level_splits(vals: np.ndarray, degeneracy_tol: float | None = None) -> np.ndarray:
+def _level_splits(vals: np.ndarray) -> np.ndarray:
     """Where a new level starts in each row of ascending eigenvalues (m, d), as (m, d - 1) booleans.
 
-    Neighbours further apart than ``degeneracy_tol`` (default: 1e-8 * the
-    row's max|lambda|) belong to different levels.
+    Neighbours further apart than DEGENERACY_REL_TOL * the row's max|lambda|
+    belong to different levels.
     """
-    if degeneracy_tol is None:
-        tol = DEGENERACY_REL_TOL * np.maximum(np.abs(vals).max(axis=1, keepdims=True), _TINY)
-    elif degeneracy_tol <= 0:
-        raise DomainError("degeneracy_tol must be positive")
-    else:
-        tol = degeneracy_tol
+    tol = DEGENERACY_REL_TOL * np.maximum(np.abs(vals).max(axis=1, keepdims=True), _TINY)
     return vals[:, 1:] - vals[:, :-1] > tol
 
 
@@ -203,18 +192,18 @@ def eigh_many(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([mean - radius, mean + radius], axis=-1), vecs
 
 
-def eig_hermitian(m: np.ndarray, degeneracy_tol: float | None = None) -> Spectrum:
+def eig_hermitian(m: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian matrix, merging near-equal eigenvalues.
 
-    Eigenvalues closer than ``degeneracy_tol`` (default: 1e-8 * max|lambda|)
-    are clustered into a single level whose eigenvalue is the cluster mean and
-    whose frame collects the corresponding orthonormal eigenvectors.  Within a
+    Eigenvalues closer than DEGENERACY_REL_TOL * max|lambda| are clustered
+    into a single level whose eigenvalue is the cluster mean and whose frame
+    collects the corresponding orthonormal eigenvectors.  Within a
     level the frame orientation is the arbitrary one emitted by ``eigh_many``;
     downstream gauge fixing is the transport machinery's responsibility.
     """
     m = require_hermitian(m)
     vals, vecs = eigh_many(m)
-    bounds = _level_bounds(_level_splits(vals[None], degeneracy_tol)[0])
+    bounds = _level_bounds(_level_splits(vals[None])[0])
     levels = tuple(
         SpectralLevel(float(np.mean(vals[a:b])), b - a, vecs[:, a:b].copy()) for a, b in bounds
     )

@@ -33,8 +33,6 @@ class OverlapMatrix:
 
     level_index: int
     matrix: np.ndarray  # (l, l), w_ba = <b; start | a; end>
-    theta_start: np.ndarray | None = None
-    theta_end: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)  # a copy: a view would keep its whole stack alive
@@ -52,15 +50,13 @@ def overlap_matrix(
     frame_start: np.ndarray,
     frame_end: np.ndarray,
     level_index: int = 0,
-    theta_start: np.ndarray | None = None,
-    theta_end: np.ndarray | None = None,
 ) -> OverlapMatrix:
     """w_ba = <b; start | a; end> for two orthonormal frames of one level."""
     a = np.asarray(frame_start, dtype=complex)
     b = np.asarray(frame_end, dtype=complex)
     if a.shape != b.shape:
         raise DomainError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    return OverlapMatrix(level_index=level_index, matrix=a.conj().T @ b, theta_start=theta_start, theta_end=theta_end)
+    return OverlapMatrix(level_index=level_index, matrix=a.conj().T @ b)
 
 
 def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
@@ -203,15 +199,15 @@ def noncyclic_phase(
     )
 
 
-def abelian_phase(w: complex, gamma: complex, visibility_floor: float = VISIBILITY_FLOOR) -> tuple[float, float]:
+def abelian_phase(w: complex, gamma: complex) -> tuple[float, float]:
     """(phase angle, visibility) for a nondegenerate level.
 
     The angle is arg(w * gamma) in (-pi, pi], the sum of the endpoint-overlap
     angle and the holonomy angle; the visibility is |w|.  A vanishing overlap
-    leaves the angle undefined.
+    leaves the angle undefined: a visibility at or below VISIBILITY_FLOOR raises.
     """
     visibility = abs(w)
-    if visibility <= visibility_floor:
+    if visibility <= VISIBILITY_FLOOR:
         raise UndefinedPhaseError("endpoint states are orthogonal; the noncyclic phase is undefined")
     return phase_angles(w * gamma), visibility
 
@@ -227,13 +223,14 @@ def diagonal_decomposition(
     equals trace(w Gamma); the weights are the diagonal endpoint overlaps in
     the basis where Gamma is diagonal.
     """
-    from scipy.linalg import schur  # imported here: scipy.linalg doubles the package import time
-
     gamma = require_unitary(np.asarray(gamma, dtype=complex), name="holonomy")
     w = overlap_matrix(frame_start, frame_end).matrix
-    # unitary => normal, so the complex Schur form is diagonal
-    t, s = schur(gamma, output="complex")
-    eigs = np.diag(t)
+    # LAPACK geev back-substitutes the Schur form T = Z^dag Gamma Z, so eig's vectors
+    # are Z X with X upper triangular and their QR gives Z up to column phases.  Gamma
+    # is normal, so T is diagonal and Z is an orthonormal eigenbasis, degenerate
+    # eigenspaces included: the complex Schur decomposition without scipy.
+    eigs, vecs = np.linalg.eig(gamma)
+    s = np.linalg.qr(vecs)[0]
     w_star = s.conj().T @ w @ s
     pairs = [(wrap_angle(float(np.angle(eigs[a]))), complex(w_star[a, a])) for a in range(len(eigs))]
     pairs.sort(key=lambda p: (-abs(p[1]), p[0]))

@@ -444,18 +444,21 @@ def frame_consistent_level2(theta: float) -> np.ndarray:
     return np.array([[k.mu, k.nu], [k.nu, -k.mu]], dtype=complex)
 
 
-def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | None = None):
+def adiabatic_scenario(scenario: PrecessionScenario):
     """Adiabatic scenario for the precessing quadrupole, with an analytic hook.
 
-    The hook supplies each level's frames along the drive, with their
-    eigenvalues, and the connection of those frames in closed form, so the
-    assembled adiabatic propagator carries no transport error.
+    The hook supplies each level's plain eigenframes along the drive, with
+    their eigenvalues, and the holonomy of those frames in closed form: the
+    connection is constant in s, 0 for level 0 and dphi [[mu, nu], [nu, -mu]]
+    for the doublet, so Gamma0(s) = exp(i s dphi [[mu, nu], [nu, -mu]]).  The
+    assembled adiabatic propagator carries no transport or integration error.
     """
     from .adiabatic import AdiabaticScenario
 
     dphi_total = scenario.omega * scenario.duration
     e2 = scenario.field_at(0.0).energy_split
     a2_const = frame_consistent_level2(scenario.theta)
+    radius = float(np.hypot(a2_const[0, 0].real, a2_const[0, 1].real))  # |(mu, nu)|
 
     def phi_of_s(ss: np.ndarray) -> np.ndarray:
         return (scenario.phi0 + dphi_total * np.asarray(ss, dtype=float))[:, None]
@@ -463,7 +466,7 @@ def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | N
     ss = np.linspace(0.0, 1.0, 65)
     curve = Curve(times=ss, points=phi_of_s(ss), cyclic=False, evaluator=phi_of_s)
 
-    def level_fn(level: int, s_grid: np.ndarray) -> tuple[FrameField, Callable[[np.ndarray], np.ndarray]]:
+    def level_fn(level: int, s_grid: np.ndarray) -> tuple[FrameField, np.ndarray]:
         s_grid = np.asarray(s_grid, dtype=float)
         field = FieldPoint(scenario.rho, phi_of_s(s_grid)[:, 0], scenario.zeta, scenario.coupling)
         frames = FrameField(
@@ -474,13 +477,16 @@ def adiabatic_scenario(scenario: PrecessionScenario, levels: tuple[int, ...] | N
             eigenvalues=np.full(len(s_grid), 0.0 if level == 0 else e2),
             cyclic=False,
         )
-        return frames, _constant_generator(np.zeros((1, 1)) if level == 0 else dphi_total * a2_const)
+        if level == 0:
+            return frames, np.ones((len(s_grid), 1, 1), dtype=complex)
+        # M = [[mu, nu], [nu, -mu]] squares to radius^2, so exp(i x M) = cos(x radius) + i x sinc(x radius) M
+        x = (dphi_total * s_grid)[:, None, None]
+        return frames, np.cos(x * radius) * S0 + 1j * x * np.sinc(x * radius / np.pi) * a2_const
 
     return AdiabaticScenario(
         family=scenario.hamiltonian_family(),
         curve=curve,
         tau=scenario.duration,
-        levels=levels,
         level_fn=level_fn,
     )
 

@@ -260,7 +260,7 @@ def run_custom_phase(config: ScenarioConfig) -> RunResult:
 
     indices = None if config.levels is None else tuple(label - 1 for label in config.levels)
     try:
-        fields = transport_frames(family, curve, indices, gauge="aligned")
+        fields = transport_frames(family, curve, indices)
     except DomainError as exc:  # the inputs are read and checked: only a level index can be out of range
         raise ConfigError(f"levels {config.levels} do not exist: {exc}") from None
 
@@ -276,7 +276,7 @@ def run_custom_phase(config: ScenarioConfig) -> RunResult:
             angles = phase_angles(pis)
             unwrapped = unwrap_nearest_branch(angles)
             vis = np.abs(w[:, 0, 0])
-        w_final = OverlapMatrix(frames.level_index, w[-1], theta_start=curve.points[0], theta_end=curve.points[-1])
+        w_final = OverlapMatrix(frames.level_index, w[-1])
         report = noncyclic_phase(w_final, gammas[-1], dynamical_phase=dyn)
         out.append(
             LevelTrace(
@@ -323,10 +323,7 @@ def run_sweep(
     stop: float,
     count: int,
 ) -> list[tuple[float, RunResult]]:
-    """Evaluate the phase pipeline at ``count`` sweep points, in input order.
-
-    The points run one after another; ``config.workers`` has no effect.
-    """
+    """Evaluate the phase pipeline at ``count`` sweep points, one after another, in input order."""
     if config.system != "quadrupole":
         raise ConfigError("sweeps are defined for the quadrupole system")
     if parameter not in SWEEP_PARAMETERS:
@@ -368,7 +365,7 @@ def run_sweep(
 
 
 def run_adiabatic(config: ScenarioConfig, tau_list: list[float]) -> list[tuple[float, float, float]]:
-    """(tau, defect, adiabaticity ratio) rows for a tau ladder; ``config.workers`` has no effect."""
+    """(tau, defect, adiabaticity ratio) rows for a tau ladder."""
     if config.system == "quadrupole":
         scen = qd.adiabatic_scenario(config.precession_scenario())
     else:

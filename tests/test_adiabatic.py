@@ -56,7 +56,7 @@ class TestAdiabaticPropagator:
         assert np.max(np.abs(a - b)) <= 1e-4
 
     def test_transported_route_is_second_order(self):
-        # the hook's analytic frames and connection make the hooked U0 the reference;
+        # the hook's analytic frames and closed-form Gamma0 make the hooked U0 the reference;
         # quadrupling the samples must cut the generic route's gap by O(h^2) ~ 16
         scen_hooked = tycko_adiabatic(tau=30.0)
         scen_generic = AdiabaticScenario(family=scen_hooked.family, curve=scen_hooked.curve, tau=scen_hooked.tau)
@@ -192,11 +192,3 @@ class TestScenarioValidation:
         curve = Curve(times=ss, points=ss[:, None])
         with pytest.raises(DomainError):
             AdiabaticScenario(family=family, curve=curve, tau=1.0)
-
-    def test_levels_must_cover_for_propagator(self):
-        scen = tycko_adiabatic(tau=30.0)
-        partial = AdiabaticScenario(
-            family=scen.family, curve=scen.curve, tau=scen.tau, levels=(1,), level_fn=scen.level_fn,
-        )
-        with pytest.raises(DomainError):
-            adiabatic_propagator(partial, num_samples=65)

@@ -120,7 +120,7 @@ class TestBatchedFamily:
 class TestTransportFrame:
     def test_quadrupole_subspace_matches_analytic(self):
         scenario, family, curve = precessing_setup(num=81)
-        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, curve, (1,))[0]
         for k, t in enumerate(curve.times):
             ref = qd.eigenframe(scenario.field_at(t)).level(1).frame
             projector = frames.frames[k] @ frames.frames[k].conj().T
@@ -130,14 +130,14 @@ class TestTransportFrame:
         family = random_smooth_family(np.random.default_rng(5))
         const = OperatorFamily(dim=4, evaluator=lambda th: family(np.full((len(th), 1), 0.7)))
         curve = curve_from_function(lambda t: np.sin(3 * t)[:, None], 0.0, 1.0, 21)
-        frames = transport_frames(const, curve, (2,), gauge="aligned")[0]
+        frames = transport_frames(const, curve, (2,))[0]
         for k in range(1, frames.num_samples):
             assert np.max(np.abs(frames.frames[k] - frames.frames[0])) <= 1e-12
 
     def test_aligned_overlaps_positive(self):
         family = random_smooth_family(np.random.default_rng(6))
         curve = curve_from_function(lambda t: t[:, None], 0.0, 2.0, 41)
-        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, curve, (1,))[0]
         for k in range(1, frames.num_samples):
             overlap = frames.frames[k - 1].conj().T @ frames.frames[k]
             herm = 0.5 * (overlap + overlap.conj().T)
@@ -145,14 +145,14 @@ class TestTransportFrame:
 
     def test_orthonormality_preserved(self):
         _, family, curve = precessing_setup(num=61)
-        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, curve, (1,))[0]
         gram = np.conj(np.swapaxes(frames.frames, 1, 2)) @ frames.frames
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
 
     def test_constant_gauge_commutes_with_transport(self):
         # transporting from a rotated seed equals rotating the transported frames
         _, family, curve = precessing_setup(num=41)
-        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, curve, (1,))[0]
         rng = np.random.default_rng(7)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v = expm_skew(0.5 * (g + g.conj().T), 1.0)
@@ -168,20 +168,12 @@ class TestTransportFrame:
         for k in range(len(seeded)):
             assert np.max(np.abs(seeded[k] - frames.frames[k] @ v)) <= 1e-9
 
-    def test_cyclic_raw_endpoints_equal(self):
-        _, family, curve = precessing_setup(num=41)
-        pts = curve.points.copy()
-        pts[-1] = pts[0]  # close the loop exactly in parameter space
-        closed = Curve(times=curve.times, points=pts, cyclic=True)
-        frames = transport_frames(family, closed, (1,), gauge="raw")[0]
-        assert np.array_equal(frames.frames[-1], frames.frames[0])
-
     def test_cyclic_aligned_reports_misalignment(self):
         _, family, curve = precessing_setup(num=81)
         pts = curve.points.copy()
         pts[-1] = pts[0]
         closed = Curve(times=curve.times, points=pts, cyclic=True)
-        frames = transport_frames(family, closed, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, closed, (1,))[0]
         assert frames.cyclic_misalignment is not None
         assert frames.cyclic_misalignment > 1e-3  # the loop holonomy is nontrivial
 
@@ -198,7 +190,7 @@ class TestTransportFrame:
         # two samples with nearly orthogonal ground states
         curve = Curve(times=np.array([0.0, 1.0]), points=np.array([[0.001, 1.0], [0.001, -1.0]]))
         with pytest.raises(ResolutionError):
-            transport_frames(family, curve, (0,), gauge="aligned")
+            transport_frames(family, curve, (0,))
 
     @pytest.mark.parametrize(
         "generators, points",
@@ -215,12 +207,7 @@ class TestTransportFrame:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no divide or invalid RuntimeWarning on the way
             with pytest.raises(ResolutionError, match="between samples 1 and 2: min overlap singular value 0.000"):
-                transport_frames(family, curve, (0,), gauge="aligned")
-
-    def test_unknown_gauge_rejected(self):
-        _, family, curve = precessing_setup(num=21)
-        with pytest.raises(DomainError):
-            transport_frames(family, curve, (0,), gauge="smooth")
+                transport_frames(family, curve, (0,))
 
 
 def finite_difference_connection(frames):
@@ -253,7 +240,7 @@ class TestConnectionMatrices:
 class TestApplyGauge:
     def test_identity_gauge(self):
         scenario, family, curve = precessing_setup(num=31)
-        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, curve, (1,))[0]
         same = apply_gauge(frames, lambda t: np.broadcast_to(np.eye(2), (len(t), 2, 2)))
         assert np.max(np.abs(same.frames - frames.frames)) == 0.0
 
@@ -285,7 +272,7 @@ class TestApplyGauge:
 
     def test_non_unitary_gauge_rejected(self):
         scenario, family, curve = precessing_setup(num=21)
-        frames = transport_frames(family, curve, (1,), gauge="aligned")[0]
+        frames = transport_frames(family, curve, (1,))[0]
         with pytest.raises(StructuralError):
             apply_gauge(frames, lambda t: np.broadcast_to(2.0 * np.eye(2), (len(t), 2, 2)))
 

@@ -84,9 +84,10 @@ class TestEigHermitian:
             assert np.max(np.abs(lv.frame.conj().T @ lv.frame - np.eye(lv.multiplicity))) <= 1e-12
 
     def test_degenerate_cluster_merged(self):
-        m = np.diag([1.0, 1.0 + 1e-12, 2.0])
-        spec = eig_hermitian(m)
-        assert spec.multiplicities == (2, 1)
+        # the clustering rule is relative, so the pattern holds at any scale of the matrix
+        for scale in (1.0, 1e-6, 1e6):
+            spec = eig_hermitian(scale * np.diag([1.0, 1.0 + 1e-12, 2.0]))
+            assert spec.multiplicities == (2, 1), scale
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -104,10 +105,6 @@ class TestEigHermitian:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             eig_hermitian(np.zeros((0, 0)))
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            eig_hermitian(np.eye(2), degeneracy_tol=-1.0)
 
 
 class TestEighMany:
@@ -258,6 +255,13 @@ class TestDefects:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             hermiticity_defect(np.array([[np.inf, 0], [0, 0]], dtype=complex))
+
+    def test_single_matrix_defects_reject_a_stack(self):
+        stack = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
+        with pytest.raises(DomainError, match="must be square"):
+            hermiticity_defect(stack)
+        with pytest.raises(DomainError, match="must be square"):
+            unitarity_defect(stack)
 
     def test_stacked_unitarity_defects_equal_per_matrix(self):
         rng = np.random.default_rng(37)

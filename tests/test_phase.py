@@ -200,6 +200,23 @@ class TestDiagonalDecomposition:
         for _, weight in pairs:
             assert abs(weight - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("split", [0.0, 1e-12])
+    def test_degenerate_eigenspace_weights_sum_to_its_projected_overlap(self, split):
+        # a weight inside a degenerate eigenspace depends on the basis chosen there; the sum
+        # over the eigenspace is tr(P w) and needs an orthonormal basis of exactly that space
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            q = random_unitary(rng, 3)
+            alpha = rng.uniform(-np.pi, np.pi)
+            beta = alpha + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+            gamma = (q * np.exp(1j * np.array([alpha, alpha + split, beta]))) @ q.conj().T
+            f0, ft = random_frame(rng, 5, 3), random_frame(rng, 5, 3)
+            w = overlap_matrix(f0, ft).matrix
+            pairs = diagonal_decomposition(gamma, ft, f0)
+            inside = sum(weight for angle, weight in pairs if abs(np.exp(1j * angle) - np.exp(1j * alpha)) < 1e-6)
+            projector = q[:, :2] @ q[:, :2].conj().T
+            assert abs(inside - np.trace(projector @ w)) <= 1e-12
+
 
 class TestAngleHelpers:
     def test_wrap_angle_range(self):

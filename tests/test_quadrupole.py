@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy.errors import AxisSingularityError, DomainError
+from holonomy.frames import ConnectionSamples
 from holonomy.linalg import eig_hermitian, expm_skew, unitarity_defect
 from holonomy.propagate import holonomy
 from holonomy import quadrupole as qd
@@ -347,6 +348,25 @@ class TestOracleConnection:
         a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
         expected = scenario.omega * qd.frame_consistent_level2(TYCKO)
         assert np.max(np.abs(a - expected)) <= 1e-5
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.37])
+    def test_adiabatic_hook_gamma0_is_the_integrated_constant_connection(self, fraction):
+        # the hook's closed-form Gamma0 against the integrator on the constant connection of its
+        # plain frames, dphi * [[mu, nu], [nu, -mu]] for the doublet and 0 for level 0, per unit s
+        scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.3, omega=2 * np.pi / 50, duration=50.0 * fraction)
+        adiabatic = qd.adiabatic_scenario(scenario)
+        ss = adiabatic.s_grid(801)
+        dphi = scenario.omega * scenario.duration
+        for level, connection in ((0, np.zeros((1, 1))), (1, dphi * qd.frame_consistent_level2(TYCKO))):
+            frames, gamma = adiabatic.level_fn(level, ss)
+            conn = ConnectionSamples(
+                level_index=level,
+                times=ss,
+                evaluator_a=lambda ts, a=connection: np.repeat(a[None], len(ts), axis=0),
+                multiplicity=frames.multiplicity,
+            )
+            assert gamma.shape == (len(ss), frames.multiplicity, frames.multiplicity)
+            assert np.max(np.abs(gamma - holonomy(conn).matrices)) <= 1e-12
 
 
 class TestPauliIdentity:

@@ -3,8 +3,9 @@
 The per-layer tracer in perfbench/ names private functions of the package;
 they must exist.  Every Hermitian eigendecomposition in the package goes
 through ``linalg.eigh_many``, and every singular value decomposition that
-computes factors through ``linalg.polar_many``.  The package reaches scipy
-only for the Schur form of ``phase.diagonal_decomposition``.
+computes factors through ``linalg.polar_many``.  No package module imports
+scipy, which is a test dependency only, and the adiabatic propagator U0
+integrates nothing.
 """
 
 import ast
@@ -99,14 +100,25 @@ def test_polar_many_is_the_one_svd():
     assert values_only == [("adiabatic", "adiabaticity_report"), ("phase", "OverlapMatrix.__post_init__")]
 
 
-def test_scipy_reached_only_by_diagonal_decomposition():
-    # every import of scipy or a scipy submodule, by module, enclosing function and what it names
-    imports = []
-    for module, tree in _package_trees():
-        for scope, node in _scoped_nodes(tree):
-            if isinstance(node, ast.Import):
-                imports += [(module, scope, alias.name, None) for alias in node.names
-                            if alias.name.split(".")[0] == "scipy"]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                imports.append((module, scope, node.module, tuple(alias.name for alias in node.names)))
-    assert imports == [("phase", "diagonal_decomposition", "scipy.linalg", ("schur",))], imports
+def _imports(tree: ast.AST) -> list[tuple[str, str, tuple[str, ...] | None]]:
+    """(enclosing scope, imported module, names or None) of every import below ``tree``."""
+    found = []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Import):
+            found += [(scope, alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((scope, node.module or "", tuple(alias.name for alias in node.names)))
+    return found
+
+
+def test_no_package_module_imports_scipy():
+    imports = [(module, scope, name) for module, tree in _package_trees()
+               for scope, name, _ in _imports(tree) if name.split(".")[0] == "scipy"]
+    assert imports == [], imports
+
+
+def test_adiabatic_imports_no_integrator():
+    # U0 takes every Gamma0 from the transported frames or from the hook's closed form
+    tree = ast.parse((ROOT / "src" / "holonomy" / "adiabatic.py").read_text(encoding="utf-8"))
+    names = {name for _, _, names in _imports(tree) for name in names or ()}
+    assert not names & {"holonomy", "ConnectionSamples"}, sorted(names)
