@@ -18,8 +18,11 @@ come with their Gamma0, and no connection is integrated.
 * a scenario's ``level_fn`` hook supplies analytic frames together with
   their Gamma0 in closed form.
 
-The energies E_n are the level eigenvalues the frames carry.  Only the full
-propagator U(tau) that U0 is compared with runs an integrator.
+The energies E_n are the level eigenvalues the frames carry.  The full
+propagator U(tau) that U0 is compared with follows the same split: a
+scenario's ``propagator_fn`` hook supplies it in closed form (the quadrupole's
+rotating-frame product), and without the hook it is the one thing here that
+runs an integrator.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ class AdiabaticScenario:
     # optional analytic hook: (level, s grid (m,)) -> (the level's frames on the grid,
     # their holonomy Gamma0 (m, l, l) from s = 0)
     level_fn: Callable[[int, np.ndarray], tuple[FrameField, np.ndarray]] | None = None
+    # optional analytic hook: tau -> the full propagator U(tau) (dim, dim) of the drive
+    # traversed in duration tau; full_propagator returns it and integrates nothing
+    propagator_fn: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -187,7 +193,14 @@ def full_propagator(
     steps_per_time: float = 20.0,
     method: str = "magnus4",
 ) -> np.ndarray:
-    """U(tau): integrate i dU/dt = H(t) U over the full drive, on at least MIN_FULL_STEPS steps."""
+    """U(tau): the scenario's ``propagator_fn`` hook when it has one, else an integration.
+
+    Without the hook, i dU/dt = H(t) U is integrated over the full drive by
+    ``method`` on at least MIN_FULL_STEPS steps; ``steps_per_time`` and
+    ``method`` apply to that integration only.
+    """
+    if scenario.propagator_fn is not None:
+        return scenario.propagator_fn(scenario.tau)
     steps = max(MIN_FULL_STEPS, int(np.ceil(scenario.tau * steps_per_time)))
     ts = np.linspace(0.0, scenario.tau, steps + 1)
     gen = lambda nodes: scenario.hamiltonian_at(nodes / scenario.tau)
@@ -203,7 +216,11 @@ def convergence_study(
     steps_per_time: float = 20.0,
     method: str = "magnus4",
 ) -> list[tuple[float, float]]:
-    """Defects |U(tau) - U0(tau)|_max along an increasing tau ladder; ``method`` integrates U(tau)."""
+    """Defects |U(tau) - U0(tau)|_max along an increasing tau ladder.
+
+    U(tau) comes from ``full_propagator``: the scenario's closed-form hook,
+    or else ``method`` integrating the drive at ``steps_per_time``.
+    """
     taus = list(tau_list)
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise DomainError("tau_list must be increasing")

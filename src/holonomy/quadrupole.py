@@ -26,7 +26,7 @@ matrices are evaluated in the plain position-space eigenframe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -445,13 +445,16 @@ def frame_consistent_level2(theta: float) -> np.ndarray:
 
 
 def adiabatic_scenario(scenario: PrecessionScenario):
-    """Adiabatic scenario for the precessing quadrupole, with an analytic hook.
+    """Adiabatic scenario for the precessing quadrupole, with two analytic hooks.
 
-    The hook supplies each level's plain eigenframes along the drive, with
+    ``level_fn`` supplies each level's plain eigenframes along the drive, with
     their eigenvalues, and the holonomy of those frames in closed form: the
     connection is constant in s, 0 for level 0 and dphi [[mu, nu], [nu, -mu]]
-    for the doublet, so Gamma0(s) = exp(i s dphi [[mu, nu], [nu, -mu]]).  The
-    assembled adiabatic propagator carries no transport or integration error.
+    for the doublet, so Gamma0(s) = exp(i s dphi [[mu, nu], [nu, -mu]]).
+    ``propagator_fn`` supplies the full propagator U(tau) of the same sweep
+    dphi traversed in duration tau, by :func:`exact_propagator` with
+    omega = dphi / tau.  Neither U0 nor U(tau) carries transport or
+    integration error.
     """
     from .adiabatic import AdiabaticScenario
 
@@ -483,11 +486,15 @@ def adiabatic_scenario(scenario: PrecessionScenario):
         x = (dphi_total * s_grid)[:, None, None]
         return frames, np.cos(x * radius) * S0 + 1j * x * np.sinc(x * radius / np.pi) * a2_const
 
+    def propagator_fn(tau: float) -> np.ndarray:
+        return exact_propagator(replace(scenario, omega=dphi_total / tau, duration=tau, phi_final=None), tau)
+
     return AdiabaticScenario(
         family=scenario.hamiltonian_family(),
         curve=curve,
         tau=scenario.duration,
         level_fn=level_fn,
+        propagator_fn=propagator_fn,
     )
 
 

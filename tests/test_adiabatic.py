@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,10 +146,28 @@ class TestConvergenceStudy:
             convergence_study(scen, [10.0, 5.0])
 
     def test_full_propagator_matches_exact(self):
-        scen = tycko_adiabatic(tau=20.0)
+        # without the closed-form hook, magnus4 integrates U(tau)
+        scen = dataclasses.replace(tycko_adiabatic(tau=20.0), propagator_fn=None)
         u = full_propagator(scen, steps_per_time=40.0)
         prec = qd.PrecessionScenario(theta=TYCKO, omega=2 * np.pi / 20.0, duration=20.0)
         assert np.max(np.abs(u - qd.exact_propagator(prec, 20.0))) <= 1e-8
+
+
+class TestFullPropagatorHook:
+    @pytest.mark.parametrize(
+        "theta, phi0, dphi, tau",
+        [(TYCKO, 0.0, 2 * np.pi, 50.0), (TYCKO, 0.0, 2 * np.pi, 200.0), (1.1, 0.4, 2.2, 44.0)],
+    )
+    def test_hook_is_the_exact_propagator_of_the_retimed_drive(self, theta, phi0, dphi, tau):
+        # the scenario is built at duration 50; at any tau the hook is the same sweep at omega = dphi / tau
+        built = qd.PrecessionScenario(theta=theta, phi0=phi0, omega=dphi / 50.0, duration=50.0)
+        scen = qd.adiabatic_scenario(built).with_tau(tau)
+        u = full_propagator(scen)
+        prec = qd.PrecessionScenario(theta=theta, phi0=phi0, omega=dphi / tau, duration=tau)
+        assert np.max(np.abs(u - qd.exact_propagator(prec, tau))) <= 1e-12
+        assert unitarity_defect(u) <= 1e-13
+        integrated = full_propagator(dataclasses.replace(scen, propagator_fn=None))
+        assert np.max(np.abs(u - integrated)) <= 1e-7
 
 
 class TestAdiabaticNoncyclicPhase:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -541,6 +542,24 @@ class TestAdiabaticCommand:
             "--tau-list", "nope",
         ]) == 2
 
+    @pytest.fixture
+    def integration_forbidden(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the full propagator was integrated")
+
+        # the package exports the function propagate under the module's name, so import the module itself
+        monkeypatch.setattr(importlib.import_module("holonomy.propagate"), "_step_factors", forbidden)
+
+    def test_quadrupole_ladder_integrates_nothing(self, quad_config, tmp_path, integration_forbidden):
+        assert main([
+            "adiabatic", "--config", str(quad_config), "--out", str(tmp_path / "a"),
+            "--tau-list", "50,100",
+        ]) == 0
+
+    def test_custom_family_still_integrates(self, custom_inputs, tmp_path, integration_forbidden):
+        with pytest.raises(AssertionError, match="integrated"):
+            main(["adiabatic", "--config", str(custom_inputs), "--out", str(tmp_path / "a"), "--tau-list", "4"])
+
 
 class TestGaugeTestCommand:
     def test_passes_and_writes_rows(self, quad_config, tmp_path):
@@ -561,3 +580,10 @@ class TestGaugeTestCommand:
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_invalid_count_is_config_error(self, quad_config, count):
         assert main(["gauge-test", "--config", str(quad_config), "--count", count]) == 2
+
+    def test_midpoint_is_config_error(self, quad_config, capsys):
+        # midpoint's own second-order error (~2e-5) would fail the 1e-9 invariance tolerance on any gauge
+        assert main(["gauge-test", "--config", str(quad_config), "--count", "3", "--method", "midpoint"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "1e-9 invariance tolerance needs method magnus4" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -133,7 +134,8 @@ class TestFinalOnlyRoutes:
         with pytest.raises(AssertionError, match="final-only"):  # the patch reaches the scan's callers
             holonomy(qd.level2_connection_samples(scenario, 65))
 
-        u = full_propagator(qd.adiabatic_scenario(scenario), steps_per_time=10.0)
+        u = full_propagator(dataclasses.replace(qd.adiabatic_scenario(scenario), propagator_fn=None),
+                            steps_per_time=10.0)
         assert np.max(np.abs(u - qd.exact_propagator(scenario, scenario.duration))) <= 1e-6
         config = parse_config_text(
             "system = quadrupole\ntheta = tycko\nphi0 = 0.0\nomega = 0.15707963267948966\n"
