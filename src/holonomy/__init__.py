@@ -17,14 +17,7 @@ from .errors import (
     StructuralError,
     UndefinedPhaseError,
 )
-from .linalg import (
-    Spectrum,
-    SpectralLevel,
-    eig_hermitian,
-    expm_skew,
-    hermiticity_defect,
-    unitarity_defect,
-)
+from .linalg import expm_skew
 from .frames import (
     ConnectionSamples,
     Curve,
@@ -74,12 +67,7 @@ __all__ = [
     "ResolutionError",
     "StructuralError",
     "UndefinedPhaseError",
-    "Spectrum",
-    "SpectralLevel",
-    "eig_hermitian",
     "expm_skew",
-    "hermiticity_defect",
-    "unitarity_defect",
     "ConnectionSamples",
     "Curve",
     "FrameField",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, LevelCrossingError, ResolutionError
 from .frames import Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
-from .linalg import _level_bounds, _level_splits, eig_hermitian, eigh_many
+from .linalg import eigh_many, level_bounds
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
 from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, propagate_final
 
@@ -116,7 +116,7 @@ def _dynamical_phases(scenario: AdiabaticScenario, frames: FrameField) -> np.nda
 
 def adiabatic_propagator(scenario: AdiabaticScenario, num_samples: int = 801) -> PropagatorTrace:
     """Assemble U0(t) on the grid t = tau * s from every level's frames, Gamma0 and dynamical phase."""
-    num_levels = len(eig_hermitian(scenario.hamiltonian_at(np.zeros(1))[0]).levels)
+    num_levels = len(level_bounds(eigh_many(scenario.hamiltonian_at(np.zeros(1)))[0]))
 
     frame_fields: list[FrameField] = []
     traces: list[PropagatorTrace] = []
@@ -145,20 +145,15 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
     Each coupling block is measured by its spectral norm, which a change of
     basis inside a degenerate level leaves unchanged; its largest entry would
     depend on the arbitrary basis that ``eigh_many`` returns.  One stacked
-    ``eigh_many`` decomposes every sample; its eigenvalues are clustered as
-    ``eig_hermitian`` clusters them, and a sample whose multiplicity pattern
-    differs from the first one's is a level crossing.
+    ``eigh_many`` decomposes every sample, and ``level_bounds`` clusters its
+    eigenvalues and raises at a level crossing.
     """
     if num_samples < 3:
         raise ResolutionError("adiabaticity report needs at least 3 samples")
     ss = scenario.s_grid(num_samples)
     hams = scenario.hamiltonian_at(ss)  # validated by the family
     vals, vecs = eigh_many(hams)
-    splits = _level_splits(vals)
-    changed = np.flatnonzero(np.any(splits != splits[0], axis=1))
-    if changed.size:
-        raise LevelCrossingError(f"level structure changed at sample {int(changed[0])}")
-    bounds = _level_bounds(splits[0])
+    bounds = level_bounds(vals)
     energies = np.stack([np.mean(vals[:, a:b], axis=1) for a, b in bounds], axis=1)  # (m, levels)
     gaps = energies[:, None, :] - energies[:, :, None]  # gaps[k, m, n] = E_n - E_m
     off_diagonal = ~np.eye(len(bounds), dtype=bool)

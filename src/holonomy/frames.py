@@ -28,15 +28,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LevelCrossingError, ResolutionError, StructuralError
+from .errors import DomainError, ResolutionError, StructuralError
 from .linalg import (
     _first_over_scale,
-    _level_bounds,
-    _level_splits,
     _ordered_products,
     eigh_many,
+    level_bounds,
     polar_many,
-    polar_unitary_factor,
     require_hermitian,
     require_unitary,
 )
@@ -105,14 +103,11 @@ class OperatorFamily:
     generators: tuple[np.ndarray, ...] | None = None
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        """I at a parameter stack (m, N) -> (m, dim, dim), or at one point (N,) -> (dim, dim).
+        """I at a parameter stack (m, N) -> (m, dim, dim).
 
         The whole batch is validated at once; each matrix is held to its own scale.
         """
         thetas = np.asarray(thetas, dtype=float)
-        single = thetas.ndim < 2
-        if single:
-            thetas = np.atleast_1d(thetas)[None]
         values = np.asarray(self.evaluator(thetas), dtype=complex)
         if values.shape != (len(thetas), self.dim, self.dim):
             raise DomainError(
@@ -124,7 +119,7 @@ class OperatorFamily:
             mismatch = np.abs(values - _expand(thetas, self.generators))
             if _first_over_scale(mismatch, values, GENERATOR_CONSISTENCY_TOL) is not None:
                 raise StructuralError("family evaluator disagrees with its generator expansion")
-        return values[0] if single else values
+        return values
 
 
 def _expand(thetas: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
@@ -195,9 +190,10 @@ def transport_frames(
     """Follow spectral levels along a curve, all from one eigendecomposition of the sampled family.
 
     ``levels`` are 0-based level indices, counted at the first sample
-    (default: every level).  The eigenvalues of each sample are clustered
-    into levels as ``eig_hermitian`` does; a sample whose multiplicity
-    pattern differs from the first one's is a level crossing.
+    (default: every level), and checked before the samples are: an index out
+    of range is a ``DomainError`` even on a curve with a level crossing.  The
+    eigenvalues are clustered into levels by ``level_bounds``, which raises
+    ``LevelCrossingError`` at the first sample whose pattern differs.
 
     Each frame is post-multiplied by the unitary polar factor of its overlap
     with the previous aligned frame (discrete parallel transport); the first
@@ -205,19 +201,12 @@ def transport_frames(
     the largest entry of the difference between its last and first frame.
     """
     vals, vecs = eigh_many(family(curve.points))
-    splits = _level_splits(vals)
-    bounds = _level_bounds(splits[0])
-    levels = tuple(range(len(bounds))) if levels is None else tuple(levels)
+    count = len(level_bounds(vals[:1]))
+    levels = tuple(range(count)) if levels is None else tuple(levels)
     for level in levels:
-        if not 0 <= level < len(bounds):
-            raise DomainError(f"level index {level} out of range; the family has {len(bounds)} levels")
-    changed = np.flatnonzero(np.any(splits != splits[0], axis=1))
-    if changed.size:
-        k = int(changed[0])
-        raise LevelCrossingError(
-            f"level structure changed at sample {k}: "
-            f"{_multiplicities(bounds)} -> {_multiplicities(_level_bounds(splits[k]))}"
-        )
+        if not 0 <= level < count:
+            raise DomainError(f"level index {level} out of range; the family has {count} levels")
+    bounds = level_bounds(vals)
 
     fields = []
     for level in levels:
@@ -236,10 +225,6 @@ def transport_frames(
             )
         )
     return tuple(fields)
-
-
-def _multiplicities(bounds: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    return tuple(b - a for a, b in bounds)
 
 
 def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
@@ -263,7 +248,7 @@ def _parallel_transport(frames: np.ndarray) -> tuple[np.ndarray, float]:
     steps = np.conj(np.moveaxis(polars, 0, -1).swapaxes(0, 1), order="C")  # (l, l, m - 1), stack axis innermost
     chain = _ordered_products(steps, np.eye(frames.shape[2], dtype=complex))
     # thousands of products drift off the unitaries by roundoff; one stacked polar projects them back
-    return frames @ polar_unitary_factor(chain), float(np.min(smallest))
+    return frames @ polar_many(chain)[0], float(np.min(smallest))
 
 
 def transport_holonomy(frames: FrameField) -> np.ndarray:

@@ -1,19 +1,18 @@
 """Dense complex linear algebra at small fixed sizes.
 
-Hermitian eigendecomposition with degeneracy clustering, unitary exponentials
-of Hermitian generators, and structural defect measures.  Matrices are plain
-complex ``numpy`` arrays; the functions here enforce the structural contracts
+Stacked Hermitian eigendecomposition and the one rule that clusters its
+eigenvalues into levels, unitary exponentials of Hermitian generators, polar
+factors, and structural checks.  Matrices are plain complex ``numpy`` arrays,
+one matrix or a stack; the functions here enforce the structural contracts
 (hermiticity, unitarity, orthonormal frames) that the rest of the library
 relies on.  All operations are pure and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, LevelCrossingError, StructuralError
 
 HERMITICITY_TOL = 1e-12   # relative to max|entry|
 UNITARITY_TOL = 1e-10     # absolute
@@ -21,12 +20,11 @@ DEGENERACY_REL_TOL = 1e-8  # relative gap threshold for clustering
 _TINY = np.finfo(float).tiny
 
 
-def _as_square_stack(m: np.ndarray, name: str, stacked: bool = True) -> np.ndarray:
-    """One square matrix, or a stack of them where ``stacked``, checked finite and nonempty, as (k, d, d)."""
+def _as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
+    """One square matrix or a stack of them, checked finite and nonempty, as (k, d, d)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
-        kind = "a square matrix or a stack of them" if stacked else "square"
-        raise DomainError(f"{name} must be {kind}, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
     if m.size == 0:
         raise DomainError(f"{name} is empty")
     if not np.all(np.isfinite(m)):
@@ -38,17 +36,6 @@ def _gram_defects(stack: np.ndarray) -> np.ndarray:
     """max|U_k^dag U_k - 1| of each matrix of a checked stack (m, d, d), as (m,)."""
     gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
     return np.max(np.abs(gram - np.eye(stack.shape[1])), axis=(1, 2))
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max|M - M^dag|, the absolute deviation from hermiticity of one matrix."""
-    stack = _as_square_stack(m, "matrix", stacked=False)
-    return float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, 1, 2)))))
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """max|U^dag U - 1| of one matrix; zero iff U is exactly unitary."""
-    return float(_gram_defects(_as_square_stack(u, "U", stacked=False))[0])
 
 
 def unitarity_defects(u: np.ndarray, name: str = "U") -> np.ndarray:
@@ -95,41 +82,6 @@ def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matr
     return np.asarray(u, dtype=complex)
 
 
-@dataclass(frozen=True)
-class SpectralLevel:
-    """One (possibly degenerate) eigenvalue with an orthonormal column frame."""
-
-    eigenvalue: float
-    multiplicity: int
-    frame: np.ndarray  # dim x multiplicity, orthonormal columns
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues clustered into degenerate levels, ordered increasingly."""
-
-    dim: int
-    levels: tuple[SpectralLevel, ...]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([lv.eigenvalue for lv in self.levels])
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(lv.multiplicity for lv in self.levels)
-
-    def level(self, index: int) -> SpectralLevel:
-        return self.levels[index]
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild sum_n lambda_n P_n from the level frames."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lv in self.levels:
-            out += lv.eigenvalue * (lv.frame @ lv.frame.conj().T)
-        return out
-
-
 def _level_splits(vals: np.ndarray) -> np.ndarray:
     """Where a new level starts in each row of ascending eigenvalues (m, d), as (m, d - 1) booleans.
 
@@ -144,6 +96,24 @@ def _level_bounds(splits: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Column ranges (start, stop) of the levels of one row of ``_level_splits``."""
     edges = [0, *(k + 1 for k, split in enumerate(splits.tolist()) if split), len(splits) + 1]
     return tuple(zip(edges[:-1], edges[1:]))
+
+
+def level_bounds(vals: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Column ranges (start, stop) of the levels shared by every row of ascending eigenvalues (m, d).
+
+    The one clustering rule of the package: the eigenvalues of a row form one
+    level where neighbours lie within DEGENERACY_REL_TOL * the row's
+    max|lambda|.  A row whose multiplicity pattern differs from the first
+    row's is a level crossing, named by its row index.
+    """
+    splits = _level_splits(vals)
+    bounds = _level_bounds(splits[0])
+    changed = np.flatnonzero(np.any(splits != splits[0], axis=1))
+    if changed.size:
+        k = int(changed[0])
+        before, after = (tuple(b - a for a, b in _level_bounds(row)) for row in (splits[0], splits[k]))
+        raise LevelCrossingError(f"level structure changed at sample {k}: {before} -> {after}")
+    return bounds
 
 
 def eigh_many(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,24 +160,6 @@ def eigh_many(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vecs[..., 1, 0] = phase * cos
     vecs[..., 1, 1] = phase * sin
     return np.stack([mean - radius, mean + radius], axis=-1), vecs
-
-
-def eig_hermitian(m: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix, merging near-equal eigenvalues.
-
-    Eigenvalues closer than DEGENERACY_REL_TOL * max|lambda| are clustered
-    into a single level whose eigenvalue is the cluster mean and whose frame
-    collects the corresponding orthonormal eigenvectors.  Within a
-    level the frame orientation is the arbitrary one emitted by ``eigh_many``;
-    downstream gauge fixing is the transport machinery's responsibility.
-    """
-    m = require_hermitian(m)
-    vals, vecs = eigh_many(m)
-    bounds = _level_bounds(_level_splits(vals[None])[0])
-    levels = tuple(
-        SpectralLevel(float(np.mean(vals[a:b])), b - a, vecs[:, a:b].copy()) for a, b in bounds
-    )
-    return Spectrum(dim=m.shape[0], levels=levels)
 
 
 def _stack_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -340,8 +292,3 @@ def polar_many(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = total / s[:, None]
     q[empty] = (1, 0, 0, 1)
     return q.reshape(shape), (np.abs(det) / largest / scale).reshape(shape[:-2])
-
-
-def polar_unitary_factor(m: np.ndarray) -> np.ndarray:
-    """Unitary factor Q of the polar decomposition M = Q * P with P >= 0, of one matrix or of each of a stack."""
-    return polar_many(m)[0]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AxisSingularityError, DomainError
 from .frames import ConnectionSamples, Curve, FrameField, OperatorFamily
-from .linalg import Spectrum, SpectralLevel, expm_skew
+from .linalg import expm_skew
 
 COEFF_IDENTITY_TOL = 1e-12
 
@@ -224,17 +224,6 @@ def level_frame(p: FieldPoint, level: int) -> np.ndarray:
     return np.stack([v21, v22], axis=-1)
 
 
-def eigenframe(p: FieldPoint) -> Spectrum:
-    """Orthonormal eigenvectors of the quadrupole Hamiltonian at one field point."""
-    return Spectrum(
-        dim=3,
-        levels=(
-            SpectralLevel(0.0, 1, level_frame(p, 0)),
-            SpectralLevel(p.energy_split, 2, level_frame(p, 1)),
-        ),
-    )
-
-
 def _matrix2(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]], or the stack (m, 2, 2) of them when the entries are arrays (m,)."""
     out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
@@ -339,12 +328,19 @@ def w1_closed(theta: float, phi0: float, phi: float | np.ndarray) -> float | np.
 
 
 def pi2_closed(theta: float, phi0: float, phi: float | np.ndarray) -> complex | np.ndarray:
-    """Gauge-invariant scalar Pi2 = trace(w2 Gamma2) as one elementary expression.
+    """The oracle's scalar Pi2 = trace(w2 Gamma2) as one elementary expression.
 
     Both amplitudes are derived directly from trace(w2 Gamma2), so the
     identity with the matrix product holds at machine precision; the values
     reduce to Pi2 = 2 at dphi = 0 and to
     Pi2 = -2 exp(i pi (mu+sigma)) cos(pi Delta) at dphi = 2 pi.
+
+    This is not the gauge-invariant Pi of one frame.  w2 is taken in the
+    plain eigenframe, whose own connection is [[mu, nu], [nu, -mu]] dphi,
+    while Gamma2 is the holonomy of A2, which is not that frame's
+    connection.  At the Tycko angle the cyclic value is -1.1487+0.8814i,
+    where the transported frames of a custom family give
+    2 cos(2 pi cos theta) = -1.76841.
     """
     k = connection_coeffs(theta)
     phi = np.asarray(phi, dtype=float)
@@ -434,7 +430,7 @@ def level1_connection_samples(scenario: PrecessionScenario, num_samples: int) ->
 def frame_consistent_level2(theta: float) -> np.ndarray:
     """Connection of the degenerate level in the plain eigenframe, per unit dphi.
 
-    The analytic frames of :func:`eigenframe` generate the constant matrix
+    The analytic frames of :func:`level_frame` generate the constant matrix
     [[mu, nu], [nu, -mu]]; its holonomy differs from :func:`gamma2_closed` by
     the change of gauge built into the closed-form convention.  This is the
     connection that makes the assembled adiabatic propagator converge to the

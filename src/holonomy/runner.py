@@ -13,7 +13,7 @@ Pi from their endpoint overlaps (the discrete Wilson line; no integrator).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -334,20 +334,10 @@ def run_sweep(
     base = config.precession_scenario()
 
     def scenario_at(value: float) -> qd.PrecessionScenario:
-        kw = dict(
-            theta=base.theta, phi0=base.phi0, omega=base.omega,
-            phi_final=base.phi_final, coupling=base.coupling, rho=base.rho,
-        )
-        if parameter == "theta":
-            kw["theta"] = value
-        elif parameter == "phi_f":
-            kw["phi_final"] = value
-        elif parameter == "omega":
-            kw["omega"] = value
-        else:  # tau: fix the duration, keep omega
-            kw.pop("phi_final")
-            kw["duration"] = value
-        return qd.PrecessionScenario(**kw)
+        if parameter == "tau":  # fix the duration, keep omega
+            return replace(base, duration=value, phi_final=None)
+        name = "phi_final" if parameter == "phi_f" else parameter
+        return replace(base, **{name: value, "duration": None})  # the end azimuth fixes the duration
 
     return [
         (
@@ -490,8 +480,8 @@ def run_oracle_verify(config: ScenarioConfig, num_random: int = 1000) -> list[Or
         phi0 = rng.uniform(-2 * np.pi, 2 * np.pi)
         phi = phi0 + rng.uniform(-4 * np.pi, 4 * np.pi)
         zeta = np.cos(theta) / np.sin(theta)
-        fa = qd.eigenframe(qd.FieldPoint(1.0, phi0, zeta)).level(1).frame
-        fb = qd.eigenframe(qd.FieldPoint(1.0, phi, zeta)).level(1).frame
+        fa = qd.level_frame(qd.FieldPoint(1.0, phi0, zeta), 1)
+        fb = qd.level_frame(qd.FieldPoint(1.0, phi, zeta), 1)
         brute = fa.conj().T @ fb
         closed = qd.w2_closed(theta, phi0, phi)
         wdev = max(wdev, float(np.max(np.abs(brute - closed))))

@@ -11,7 +11,7 @@ import pytest
 
 from holonomy.config import parse_config_text
 from holonomy.frames import Curve
-from holonomy.linalg import unitarity_defect
+from holonomy.linalg import unitarity_defects
 from holonomy.phase import OverlapMatrix, abelian_phase, noncyclic_phase, wrap_angle
 from holonomy.propagate import holonomy
 from holonomy.runner import run_adiabatic, run_gauge_test
@@ -148,8 +148,8 @@ def test_criterion_06_overlap_consistency():
         phi0 = rng.uniform(-2 * np.pi, 2 * np.pi)
         phi = phi0 + rng.uniform(-4 * np.pi, 4 * np.pi)
         z = np.cos(theta) / np.sin(theta)
-        fa = qd.eigenframe(qd.FieldPoint(1.0, phi0, z)).level(1).frame
-        fb = qd.eigenframe(qd.FieldPoint(1.0, phi, z)).level(1).frame
+        fa = qd.level_frame(qd.FieldPoint(1.0, phi0, z), 1)
+        fb = qd.level_frame(qd.FieldPoint(1.0, phi, z), 1)
         closed = qd.w2_closed(theta, phi0, phi)
         w_dev = max(w_dev, float(np.max(np.abs(fa.conj().T @ fb - closed))))
         k = qd.connection_coeffs(theta)
@@ -175,7 +175,7 @@ def test_criterion_07_integrator_order():
         for steps in (80, 160, 320, 640):
             trace = holonomy(conn, method=method, times=np.linspace(0, scenario.duration, steps + 1))
             errs.append(float(np.max(np.abs(trace.final - ref))))
-            worst_unitarity = max(worst_unitarity, max(unitarity_defect(m) for m in trace.matrices))
+            worst_unitarity = max(worst_unitarity, max(unitarity_defects(m)[0] for m in trace.matrices))
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         ok = ok and all(lo <= r <= hi for r in ratios)
         lines.append(f"{method} ratios {['%.1f' % r for r in ratios]} in [{lo},{hi}]")

@@ -11,9 +11,9 @@ from holonomy.adiabatic import (
     convergence_study,
     full_propagator,
 )
-from holonomy.errors import DomainError
-from holonomy.frames import Curve, OperatorFamily
-from holonomy.linalg import _level_bounds, _level_splits, expm_skew, unitarity_defect
+from holonomy.errors import DomainError, LevelCrossingError
+from holonomy.frames import Curve, OperatorFamily, family_from_generators, transport_frames
+from holonomy.linalg import expm_skew, level_bounds, unitarity_defects
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -43,7 +43,7 @@ class TestAdiabaticPropagator:
     def test_unitary(self):
         scen = tycko_adiabatic()
         trace = adiabatic_propagator(scen, num_samples=401)
-        assert max(unitarity_defect(m) for m in trace.matrices) <= 1e-10
+        assert max(unitarity_defects(m)[0] for m in trace.matrices) <= 1e-10
 
     def test_analytic_and_transported_routes_agree(self):
         # the assembled operator is independent of the frame gauge, so the
@@ -96,6 +96,19 @@ class TestAdiabaticityReport:
         report = adiabaticity_report(tycko_adiabatic(), num_samples=11)
         assert set(report.couplings[0]) == {(0, 1), (1, 0)}
 
+    def test_crossing_message_matches_transport(self):
+        # H(s) = diag(-1, s - 1/2, 1/2 - s): the upper two levels meet at s = 1/2, sample 16 of 33
+        family = family_from_generators([np.diag([-1.0, 0.0, 0.0]), np.diag([0.0, 1.0, -1.0])])
+        ss = np.linspace(0.0, 1.0, 33)
+        curve = Curve(times=ss, points=np.column_stack([np.ones(33), ss - 0.5]))
+        scen = AdiabaticScenario(family=family, curve=curve, tau=10.0)
+        messages = []
+        for run in (lambda: transport_frames(family, scen.sampled_curve(33)), lambda: adiabaticity_report(scen, 33)):
+            with pytest.raises(LevelCrossingError) as exc:
+                run()
+            messages.append(str(exc.value))
+        assert messages == ["level structure changed at sample 16: (1, 1, 1) -> (1, 2)"] * 2
+
     def test_ratio_independent_of_degenerate_basis(self, monkeypatch):
         # rotate every eigh frame by its own random unitary: the spectral-norm
         # ratio stays, a ratio of largest entries moves
@@ -113,7 +126,7 @@ class TestAdiabaticityReport:
 
         def rotated_eigh(stack):
             vals, vecs = eigh(stack)
-            for a, b in _level_bounds(_level_splits(vals)[0]):
+            for a, b in level_bounds(vals):
                 g = rng.normal(size=(len(vals), b - a, b - a)) + 1j * rng.normal(size=(len(vals), b - a, b - a))
                 vecs[:, :, a:b] = vecs[:, :, a:b] @ np.linalg.qr(g)[0]  # a unitary per sample and level
             return vals, vecs
@@ -165,7 +178,7 @@ class TestFullPropagatorHook:
         u = full_propagator(scen)
         prec = qd.PrecessionScenario(theta=theta, phi0=phi0, omega=dphi / tau, duration=tau)
         assert np.max(np.abs(u - qd.exact_propagator(prec, tau))) <= 1e-12
-        assert unitarity_defect(u) <= 1e-13
+        assert unitarity_defects(u)[0] <= 1e-13
         integrated = full_propagator(dataclasses.replace(scen, propagator_fn=None))
         assert np.max(np.abs(u - integrated)) <= 1e-7
 

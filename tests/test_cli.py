@@ -10,7 +10,7 @@ from holonomy.cli import main
 from holonomy.config import parse_config, parse_config_text
 from holonomy.errors import ConfigError
 from holonomy.io import read_curve_csv, read_generators_json, write_csv
-from holonomy.linalg import unitarity_defect
+from holonomy.linalg import unitarity_defects
 from holonomy.phase import IMAG_ROUNDOFF_FLOOR
 from holonomy.propagate import holonomy
 from holonomy.runner import run_custom_phase, run_quadrupole_phase
@@ -400,7 +400,7 @@ class TestQuadrupoleRun:
         pis, defects = [], []
         for phi, g in zip(result.phis, trace.matrices):
             pis.append(np.trace(qd.w2_closed(scenario.theta, scenario.phi0, phi) @ g))
-            defects.append(unitarity_defect(g))
+            defects.append(unitarity_defects(g)[0])
         assert np.array_equal(lv.pi, pis)
         assert np.array_equal(lv.unitarity_defects, defects)
         gdev = max(

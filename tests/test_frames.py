@@ -13,7 +13,7 @@ from holonomy.frames import (
     transport_frames,
     verify_invariant,
 )
-from holonomy.linalg import expm_skew
+from holonomy.linalg import expm_skew, polar_many
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
@@ -59,19 +59,19 @@ class TestOperatorFamily:
     def test_generator_expansion_consistency(self):
         gens = [np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]], dtype=complex)]
         family = family_from_generators(gens)
-        value = family(np.array([0.3, 0.7]))
+        value = family(np.array([[0.3, 0.7]]))[0]
         assert np.allclose(value, 0.3 * gens[0] + 0.7 * gens[1])
 
     def test_inconsistent_evaluator_rejected(self):
         gens = (np.eye(2, dtype=complex),)
         family = OperatorFamily(dim=2, evaluator=lambda th: 2 * th[:, 0, None, None] * np.eye(2), generators=gens)
         with pytest.raises(StructuralError):
-            family(np.array([1.0]))
+            family(np.array([[1.0]]))
 
     def test_non_hermitian_rejected(self):
         family = OperatorFamily(dim=2, evaluator=lambda th: np.broadcast_to(np.array([[0, 1], [0, 0]], dtype=complex), (len(th), 2, 2)))
         with pytest.raises(StructuralError):
-            family(np.array([0.0]))
+            family(np.array([[0.0]]))
 
 
 class TestBatchedFamily:
@@ -83,12 +83,12 @@ class TestBatchedFamily:
             gens.append(g + g.conj().T)
         family = family_from_generators(gens)
         thetas = rng.normal(size=(50, 3))
-        stacked = np.array([family(theta) for theta in thetas])
+        stacked = np.array([family(theta[None])[0] for theta in thetas])
         assert np.max(np.abs(family(thetas) - stacked)) <= 1e-14
 
     def test_hamiltonian_family_stack_matches_points(self):
         _, family, curve = precessing_setup(num=73)
-        stacked = np.array([family(theta) for theta in curve.points])
+        stacked = np.array([family(theta[None])[0] for theta in curve.points])
         assert np.max(np.abs(family(curve.points) - stacked)) <= 1e-14
 
     def test_one_non_hermitian_member_rejected(self):
@@ -122,7 +122,7 @@ class TestTransportFrame:
         scenario, family, curve = precessing_setup(num=81)
         frames = transport_frames(family, curve, (1,))[0]
         for k, t in enumerate(curve.times):
-            ref = qd.eigenframe(scenario.field_at(t)).level(1).frame
+            ref = qd.level_frame(scenario.field_at(t), 1)
             projector = frames.frames[k] @ frames.frames[k].conj().T
             assert np.max(np.abs(projector - ref @ ref.conj().T)) <= 1e-9
 
@@ -159,12 +159,10 @@ class TestTransportFrame:
 
         seeded = frames.frames.copy()
         seeded[0] = seeded[0] @ v
-        from holonomy.linalg import polar_unitary_factor
-
         for k in range(1, len(seeded)):
             raw = frames.frames[k]  # aligned output is a valid per-sample frame
             overlap = seeded[k - 1].conj().T @ raw
-            seeded[k] = raw @ polar_unitary_factor(overlap).conj().T
+            seeded[k] = raw @ polar_many(overlap)[0].conj().T
         for k in range(len(seeded)):
             assert np.max(np.abs(seeded[k] - frames.frames[k] @ v)) <= 1e-9
 

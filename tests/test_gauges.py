@@ -6,7 +6,7 @@ from holonomy.config import parse_config_text
 from holonomy.errors import DomainError
 from holonomy.frames import ConnectionSamples
 from holonomy.gauges import SmoothGauge, _exp_i_and_frechet_many, random_smooth_gauge, transform_connection
-from holonomy.linalg import unitarity_defect
+from holonomy.linalg import unitarity_defects
 from holonomy.propagate import holonomy
 from holonomy.runner import run_gauge_test
 from holonomy import quadrupole as qd
@@ -23,7 +23,7 @@ class TestSmoothGauge:
     def test_unitary_along_path(self):
         gauge = random_smooth_gauge(3, 0.0, 2.0, seed=1)
         for t in np.linspace(0.0, 2.0, 17):
-            assert unitarity_defect(gauge(t)) <= 1e-12
+            assert unitarity_defects(gauge(t))[0] <= 1e-12
 
     def test_deterministic_by_seed(self):
         a = random_smooth_gauge(2, 0.0, 1.0, seed=42)

@@ -3,17 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from holonomy.errors import DomainError, StructuralError
+from holonomy.errors import DomainError, LevelCrossingError, StructuralError
 from holonomy.linalg import (
-    eig_hermitian,
     eigh_many,
     expm_skew,
     expm_skew_many,
-    hermiticity_defect,
+    level_bounds,
     polar_many,
-    polar_unitary_factor,
+    require_hermitian,
     require_unitary,
-    unitarity_defect,
     unitarity_defects,
 )
 from holonomy.quadrupole import FieldPoint, hamiltonian
@@ -51,60 +49,34 @@ def taylor_expm_oracle(h, s, terms=30, squarings=8):
     return out
 
 
-class TestEigHermitian:
+class TestLevelBounds:
+    """The one clustering rule: levels of eigenvalue rows (m, d), and the crossing check."""
+
     def test_quadrupole_equatorial_levels(self):
         h = hamiltonian(FieldPoint(rho=1.0, phi=0.0, zeta=0.0, coupling=1.0))
-        spec = eig_hermitian(h)
-        assert spec.multiplicities == (1, 2)
-        assert spec.eigenvalues == pytest.approx([0.0, 1.0], abs=1e-12)
+        vals = eigh_many(h)[0]
+        assert level_bounds(vals[None]) == ((0, 1), (1, 3))
+        assert vals == pytest.approx([0.0, 1.0, 1.0], abs=1e-12)
 
     def test_identity_single_level(self):
-        spec = eig_hermitian(np.eye(3))
-        assert spec.multiplicities == (3,)
-        assert spec.levels[0].eigenvalue == pytest.approx(1.0)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = random_hermitian(rng, 4)
-            spec = eig_hermitian(m)
-            scale = max(np.max(np.abs(m)), 1.0)
-            assert np.max(np.abs(spec.reconstruct() - m)) <= 1e-10 * scale
-
-    def test_completeness(self):
-        rng = np.random.default_rng(12)
-        for n in (2, 3, 5, 8):
-            spec = eig_hermitian(random_hermitian(rng, n))
-            projector = sum(lv.frame @ lv.frame.conj().T for lv in spec.levels)
-            assert np.max(np.abs(projector - np.eye(n))) <= 1e-10
-
-    def test_frames_orthonormal(self):
-        spec = eig_hermitian(hamiltonian(FieldPoint(1.0, 0.3, 0.7)))
-        for lv in spec.levels:
-            assert np.max(np.abs(lv.frame.conj().T @ lv.frame - np.eye(lv.multiplicity))) <= 1e-12
+        assert level_bounds(eigh_many(np.eye(3))[0][None]) == ((0, 3),)
 
     def test_degenerate_cluster_merged(self):
         # the clustering rule is relative, so the pattern holds at any scale of the matrix
         for scale in (1.0, 1e-6, 1e6):
-            spec = eig_hermitian(scale * np.diag([1.0, 1.0 + 1e-12, 2.0]))
-            assert spec.multiplicities == (2, 1), scale
+            vals = eigh_many(scale * np.diag([1.0, 1.0 + 1e-12, 2.0]))[0]
+            assert level_bounds(vals[None]) == ((0, 2), (2, 3)), scale
 
-    def test_deterministic(self):
-        rng = np.random.default_rng(13)
-        m = random_hermitian(rng, 5)
-        a = eig_hermitian(m)
-        b = eig_hermitian(m)
-        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-        for la, lb in zip(a.levels, b.levels):
-            assert la.frame.tobytes() == lb.frame.tobytes()
+    def test_each_row_at_its_own_scale(self):
+        # a 1e-12 relative split merges in both rows, although the second row is 1e12 times larger
+        vals = np.array([[1.0, 1.0 + 1e-12, 2.0], [1e12, 1e12 + 1.0, 2e12]])
+        assert level_bounds(vals) == ((0, 2), (2, 3))
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(StructuralError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            eig_hermitian(np.zeros((0, 0)))
+    def test_crossing_names_first_changed_row(self):
+        vals = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(LevelCrossingError, match=r"^level structure changed at sample 2: \(1, 2\) -> \(1, 1, 1\)$"):
+            level_bounds(vals)
+        assert level_bounds(vals[:2]) == ((0, 1), (1, 3))
 
 
 class TestEighMany:
@@ -227,7 +199,7 @@ class TestExpmSkew:
     def test_result_unitary(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            assert unitarity_defect(expm_skew(random_hermitian(rng, 6), 1.7)) <= 1e-12
+            assert unitarity_defects(expm_skew(random_hermitian(rng, 6), 1.7))[0] <= 1e-12
 
     def test_many_from_decomposition(self):
         rng = np.random.default_rng(24)
@@ -239,29 +211,31 @@ class TestExpmSkew:
 
 class TestDefects:
     def test_unitarity_defect_identity(self):
-        assert unitarity_defect(np.eye(4)) == 0.0
+        assert np.array_equal(unitarity_defects(np.eye(4)), [0.0])
 
     def test_unitarity_defect_scaled_identity(self):
-        assert unitarity_defect(2.0 * np.eye(3)) == pytest.approx(3.0)
+        assert unitarity_defects(2.0 * np.eye(3))[0] == pytest.approx(3.0)
 
     def test_unitarity_defect_non_square(self):
         with pytest.raises(DomainError):
-            unitarity_defect(np.ones((2, 3)))
+            unitarity_defects(np.ones((2, 3)))
 
     def test_hermiticity_defect(self):
-        assert hermiticity_defect(np.eye(2)) == 0.0
-        assert hermiticity_defect(np.array([[0, 1], [0, 0]], dtype=complex)) == pytest.approx(1.0)
+        assert np.array_equal(require_hermitian(np.eye(2)), np.eye(2))
+        with pytest.raises(StructuralError, match="defect 1.000e\\+00"):
+            require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
-            hermiticity_defect(np.array([[np.inf, 0], [0, 0]], dtype=complex))
+            require_hermitian(np.array([[np.inf, 0], [0, 0]], dtype=complex))
+        with pytest.raises(DomainError):
+            unitarity_defects(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
-    def test_single_matrix_defects_reject_a_stack(self):
-        stack = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
-        with pytest.raises(DomainError, match="must be square"):
-            hermiticity_defect(stack)
-        with pytest.raises(DomainError, match="must be square"):
-            unitarity_defect(stack)
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError, match="is empty"):
+            require_hermitian(np.zeros((0, 0)))
+        with pytest.raises(DomainError, match="is empty"):
+            unitarity_defects(np.zeros((0, 2, 2)))
 
     def test_stacked_unitarity_defects_equal_per_matrix(self):
         rng = np.random.default_rng(37)
@@ -270,7 +244,7 @@ class TestDefects:
             stack = np.linalg.qr(m)[0] * rng.uniform(0.999, 1.001, size=(200, 1, 1))
             defects = unitarity_defects(stack)
             assert defects.shape == (200,)
-            assert np.array_equal(defects, [unitarity_defect(u) for u in stack])
+            assert np.array_equal(defects, [unitarity_defects(u)[0] for u in stack])
             assert np.array_equal(unitarity_defects(stack[0]), defects[:1])
 
     def test_require_unitary_names_first_bad_matrix(self):
@@ -282,11 +256,11 @@ class TestDefects:
         assert require_unitary(stack[0]).shape == (2, 2)
 
     def test_non_contiguous_views_accepted(self):
-        m = np.array([[0, 1j], [0, 0]])
-        assert hermiticity_defect(m.T) == pytest.approx(1.0)
-        assert unitarity_defect(np.eye(2, dtype=complex)[:, ::-1]) == 0.0
+        m = np.array([[1, 1j], [-1j, 0]])
+        assert np.array_equal(require_hermitian(m.T), m.T)
+        assert np.array_equal(unitarity_defects(np.eye(2, dtype=complex)[:, ::-1]), [0.0])
         with pytest.raises(DomainError):
-            hermiticity_defect(np.array([[np.nan, 0], [0, 0]], dtype=complex).T)
+            require_hermitian(np.array([[np.nan, 0], [0, 0]], dtype=complex).T)
 
 
 def random_complex_stack(rng, shape, l):
@@ -365,7 +339,7 @@ class TestPolarMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             q, smallest = polar_many(m)
-        assert smallest == 0 and unitarity_defect(q) <= 1e-15
+        assert smallest == 0 and unitarity_defects(q)[0] <= 1e-15
         p = q.conj().T @ m
         assert np.max(np.abs(p - p.conj().T)) <= 1e-15 * np.max(np.abs(m))
         if not m.any():
@@ -384,14 +358,13 @@ class TestPolarMany:
         q, smallest = polar_many(m)
         u, s, vh = np.linalg.svd(m)
         assert np.array_equal(q, u @ vh) and np.array_equal(smallest, s[:, -1])
-        assert np.array_equal(polar_unitary_factor(m), q)
 
 
 def test_polar_unitary_factor():
     rng = np.random.default_rng(31)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q = polar_unitary_factor(m)
-    assert unitarity_defect(q) <= 1e-12
+    q = polar_many(m)[0]
+    assert unitarity_defects(q)[0] <= 1e-12
     # residual q^dag m is the positive factor
     p = q.conj().T @ m
     assert np.max(np.abs(p - p.conj().T)) <= 1e-12

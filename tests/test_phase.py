@@ -40,16 +40,16 @@ class TestOverlapMatrix:
     def test_quadrupole_level2_closed_form(self):
         for theta, phi0, phi in [(TYCKO, 0.0, 2.1), (1.1, 0.4, 5.0), (2.0, -1.0, 1.0)]:
             zeta = np.cos(theta) / np.sin(theta)
-            fa = qd.eigenframe(qd.FieldPoint(1.0, phi0, zeta)).level(1).frame
-            fb = qd.eigenframe(qd.FieldPoint(1.0, phi, zeta)).level(1).frame
+            fa = qd.level_frame(qd.FieldPoint(1.0, phi0, zeta), 1)
+            fb = qd.level_frame(qd.FieldPoint(1.0, phi, zeta), 1)
             w = overlap_matrix(fa, fb)
             assert np.max(np.abs(w.matrix - qd.w2_closed(theta, phi0, phi))) <= 1e-12
 
     def test_quadrupole_level1_closed_form(self):
         for theta, phi0, phi in [(TYCKO, 0.0, 1.0), (0.8, 2.0, 2.5)]:
             zeta = np.cos(theta) / np.sin(theta)
-            fa = qd.eigenframe(qd.FieldPoint(1.0, phi0, zeta)).level(0).frame
-            fb = qd.eigenframe(qd.FieldPoint(1.0, phi, zeta)).level(0).frame
+            fa = qd.level_frame(qd.FieldPoint(1.0, phi0, zeta), 0)
+            fb = qd.level_frame(qd.FieldPoint(1.0, phi, zeta), 0)
             w = overlap_matrix(fa, fb)
             assert abs(w.matrix[0, 0] - qd.w1_closed(theta, phi0, phi)) <= 1e-12
 
@@ -192,7 +192,7 @@ class TestDiagonalDecomposition:
 
     def test_quadrupole_cyclic_unit_weights(self):
         zeta = np.cos(TYCKO) / np.sin(TYCKO)
-        f = qd.eigenframe(qd.FieldPoint(1.0, 0.0, zeta)).level(1).frame
+        f = qd.level_frame(qd.FieldPoint(1.0, 0.0, zeta), 1)
         gamma = qd.gamma2_closed(TYCKO, 0.0, 2 * np.pi)
         pairs = diagonal_decomposition(gamma, f, f)
         expected = sorted(wrap_angle(p) for p in qd.cyclic_eigenphases(TYCKO))
@@ -305,8 +305,8 @@ class TestGaugeBehavior:
     def test_pi_gauge_invariant_and_gcheck_covariant(self):
         rng = np.random.default_rng(9)
         zeta = np.cos(TYCKO) / np.sin(TYCKO)
-        f0 = qd.eigenframe(qd.FieldPoint(1.0, 0.0, zeta)).level(1).frame
-        ft = qd.eigenframe(qd.FieldPoint(1.0, 2.2, zeta)).level(1).frame
+        f0 = qd.level_frame(qd.FieldPoint(1.0, 0.0, zeta), 1)
+        ft = qd.level_frame(qd.FieldPoint(1.0, 2.2, zeta), 1)
         gamma = qd.gamma2_closed(TYCKO, 0.0, 2.2)
         base = noncyclic_phase(overlap_matrix(f0, ft), gamma)
         for _ in range(20):
@@ -327,7 +327,7 @@ class TestGaugeBehavior:
         scenario_b = qd.PrecessionScenario(theta=theta, omega=0.45, phi_final=2.0)
         za = np.cos(theta) / np.sin(theta)
         for scenario in (scenario_a, scenario_b):
-            f0 = qd.eigenframe(scenario.field_at(0.0)).level(0).frame
-            ft = qd.eigenframe(scenario.field_at(scenario.duration)).level(0).frame
+            f0 = qd.level_frame(scenario.field_at(0.0), 0)
+            ft = qd.level_frame(scenario.field_at(scenario.duration), 0)
             w = overlap_matrix(f0, ft)
             assert abs(abs(w.matrix[0, 0]) - abs(w_a)) <= 1e-12

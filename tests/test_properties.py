@@ -31,10 +31,10 @@ from holonomy import quadrupole as qd
 from holonomy.linalg import (
     _ordered_products,
     _tree_product,
-    eig_hermitian,
     eigh_many,
     expm_skew_many,
-    polar_unitary_factor,
+    level_bounds,
+    polar_many,
 )
 from holonomy.propagate import (
     METHODS,
@@ -51,12 +51,14 @@ SETTINGS = dict(derandomize=True, deadline=None)
 
 def sequential_transport(family, curve, level):
     """Aligned frames of one level, one sample at a time."""
-    spectra = [eig_hermitian(h) for h in family(curve.points)]
-    pattern = spectra[0].multiplicities
-    for k, spec in enumerate(spectra):
-        if spec.multiplicities != pattern:
-            raise LevelCrossingError(f"level structure changed at sample {k}: {pattern} -> {spec.multiplicities}")
-    frames = np.array([spec.level(level).frame for spec in spectra])
+    spectra = [eigh_many(h) for h in family(curve.points)]
+    bounds = [level_bounds(vals[None]) for vals, _ in spectra]
+    pattern = [tuple(b - a for a, b in row) for row in bounds]
+    for k, row in enumerate(pattern):
+        if row != pattern[0]:
+            raise LevelCrossingError(f"level structure changed at sample {k}: {pattern[0]} -> {row}")
+    a, b = bounds[0][level]
+    frames = np.array([vecs[:, a:b] for _, vecs in spectra])
     for k in range(1, len(frames)):
         overlap = frames[k - 1].conj().T @ frames[k]
         svals = np.linalg.svd(overlap, compute_uv=False)
@@ -64,7 +66,7 @@ def sequential_transport(family, curve, level):
             raise ResolutionError(
                 f"curve under-resolved between samples {k - 1} and {k}: min overlap singular value {svals.min():.3f}"
             )
-        frames[k] = frames[k] @ polar_unitary_factor(overlap).conj().T
+        frames[k] = frames[k] @ polar_many(overlap)[0].conj().T
     return frames
 
 

@@ -2,7 +2,8 @@
 
 The per-layer tracer in perfbench/ names private functions of the package;
 they must exist.  Every Hermitian eigendecomposition in the package goes
-through ``linalg.eigh_many``, and every singular value decomposition that
+through ``linalg.eigh_many``, its eigenvalues are clustered into levels only
+by ``linalg.level_bounds``, and every singular value decomposition that
 computes factors through ``linalg.polar_many``.  No package module imports
 scipy, which is a test dependency only, and the adiabatic propagator U0
 integrates nothing.
@@ -60,6 +61,14 @@ def test_eigh_many_is_the_one_eigensolver():
     inside = [(module, line) for module, line in calls
               if module == "linalg" and helper.lineno <= line <= helper.end_lineno]
     assert inside and calls == inside, f"eigh outside linalg.eigh_many: {sorted(set(calls) - set(inside))}"
+
+
+def test_level_bounds_is_the_one_clustering_rule():
+    # the clustering helpers and the crossing check they feed are reached only through level_bounds
+    uses = [(module, scope) for module, tree in _package_trees() for scope, node in _scoped_nodes(tree)
+            if (isinstance(node, ast.Name) and node.id in ("_level_splits", "_level_bounds"))
+            or (isinstance(node, ast.alias) and node.name in ("_level_splits", "_level_bounds"))]
+    assert uses and set(uses) == {("linalg", "level_bounds")}, sorted(set(uses))
 
 
 def _scoped_nodes(tree: ast.AST, scope: tuple[str, ...] = ()):
