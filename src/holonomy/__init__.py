@@ -19,7 +19,6 @@ from .errors import (
 )
 from .linalg import expm_skew
 from .frames import (
-    ConnectionSamples,
     Curve,
     FrameField,
     OperatorFamily,
@@ -34,8 +33,6 @@ from .propagate import (
     PropagatorTrace,
     assemble_V,
     assemble_evolution,
-    holonomy,
-    holonomy_problem,
     lewis_riesenfeld_u,
     propagate,
     propagate_final,
@@ -68,7 +65,6 @@ __all__ = [
     "StructuralError",
     "UndefinedPhaseError",
     "expm_skew",
-    "ConnectionSamples",
     "Curve",
     "FrameField",
     "OperatorFamily",
@@ -81,8 +77,6 @@ __all__ = [
     "PropagatorTrace",
     "assemble_V",
     "assemble_evolution",
-    "holonomy",
-    "holonomy_problem",
     "lewis_riesenfeld_u",
     "propagate",
     "propagate_final",

@@ -1,4 +1,4 @@
-"""Parameter curves, smooth eigenframe transport, and connections.
+"""Parameter curves, smooth eigenframe transport, and the holonomy of transported frames.
 
 A :class:`Curve` is a time-stamped path through parameter space.  An
 :class:`OperatorFamily` maps parameter vectors to Hermitian matrices.
@@ -11,14 +11,6 @@ unitaries by one more.  The connection of such
 frames vanishes, so :func:`transport_holonomy` gives their holonomy as the
 discrete Wilson line of the frames; the ``phase`` and ``adiabatic`` routes of
 a custom family take it from there.
-
-A :class:`ConnectionSamples` carries the per-level matrices
-
-    A^n(t)   = i <a| d/dt |b>              (connection matrix)
-    E^n(t)   = <a| H(t) |b>                (energy matrix, optional)
-
-both Hermitian l_n x l_n, where |a>, |b> run over the level frame, as batched
-evaluators of the times an integrator asks for.
 """
 
 from __future__ import annotations
@@ -108,6 +100,8 @@ class OperatorFamily:
         The whole batch is validated at once; each matrix is held to its own scale.
         """
         thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2:
+            raise DomainError(f"family parameters must be a stack (m, N), got shape {thetas.shape}")
         values = np.asarray(self.evaluator(thetas), dtype=complex)
         if values.shape != (len(thetas), self.dim, self.dim):
             raise DomainError(
@@ -161,25 +155,6 @@ class FrameField:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class ConnectionSamples:
-    """Per-level A^n and E^n as batched evaluators, ts (m,) -> (m, l, l), on a time grid.
-
-    A and the multiplicity are required.  E is optional: a holonomy reads
-    only A, while ``lewis_riesenfeld_u`` needs E too.
-    """
-
-    level_index: int
-    times: np.ndarray                # (m,)
-    evaluator_a: Callable[[np.ndarray], np.ndarray] | None = None
-    evaluator_e: Callable[[np.ndarray], np.ndarray] | None = None
-    multiplicity: int | None = None
-
-    def __post_init__(self):
-        if self.evaluator_a is None or self.multiplicity is None:
-            raise DomainError("a connection needs the evaluator of A and its multiplicity")
 
 
 def transport_frames(

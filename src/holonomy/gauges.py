@@ -9,23 +9,25 @@ identical paths.
 
 The exact derivative dv/dt comes from the Daleckii-Krein formula on the
 eigendecomposition of G (the Frechet derivative of the matrix exponential
-restricted to Hermitian arguments), so connections can be transformed by the
-exact gauge law
+restricted to Hermitian arguments), so the generator K of any integrator
+problem i dM/dt = K M is transformed by the exact gauge law
 
-    A -> v^dag A v + i v^dag (dv/dt)
+    K -> v^dag K v - i v^dag (dv/dt)
 
-without finite-difference noise.
+without finite-difference noise.  A connection A enters its holonomy as
+K = -A, so this is A -> v^dag A v + i v^dag (dv/dt); the coefficient
+equation of a level, K = E - A, transforms by the same law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .frames import ConnectionSamples
 from .linalg import _stack_last, _stack_matmul, eigh_many, expm_skew_many
+from .propagate import MatrixOdeProblem
 
 GAUGE_ORDER = 3  # Fourier harmonics of the generator G(t)
 GAUGE_AMPLITUDE = 0.4  # scale of its constant term; harmonic n is drawn at GAUGE_AMPLITUDE / n
@@ -115,34 +117,29 @@ def random_smooth_gauge(size: int, t0: float, t1: float, seed) -> SmoothGauge:
 
 
 class _TransformedConnectionEvaluator:
-    """A~ (or E~) under a smooth gauge, batched: ts (m,) -> (m, l, l).
+    """K~ = v^dag K v - i v^dag dv/dt under a smooth gauge, batched: ts (m,) -> (m, l, l).
 
     One eigendecomposition G = Q Lam Q^dag per node set gives both terms of
     the gauge law in the eigenbasis of G, with h_ab = (lam_a - lam_b) / 2:
 
-        Q^dag (v^dag X v) Q        = e^{-2ih} o (Q^dag X Q)
-        Q^dag (i v^dag dv/dt) Q    = -e^{-ih} o sinc(h) o (Q^dag Gdot Q)   (Daleckii-Krein)
+        Q^dag (v^dag K v) Q        = e^{-2ih} o (Q^dag K Q)
+        Q^dag (-i v^dag dv/dt) Q   = e^{-ih} o sinc(h) o (Q^dag Gdot Q)   (Daleckii-Krein)
     """
 
-    def __init__(self, base: Callable[[np.ndarray], np.ndarray], gauge: SmoothGauge, which: str):
+    def __init__(self, base: Callable[[np.ndarray], np.ndarray], gauge: SmoothGauge):
         self._base = base
         self._gauge = gauge
-        self._which = which
 
     def many(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         base = np.asarray(self._base(ts), dtype=complex)
-        if self._which == "a":
-            g, gdot = self._gauge.generator(ts, derivative=True)
-        else:
-            g = self._gauge.generator(ts)
+        g, gdot = self._gauge.generator(ts, derivative=True)
         lam, q = eigh_many(g)
         half, sinc = _half_gaps(lam)
         rot = np.exp(-1j * half)
         qh = np.conj(np.swapaxes(q, -1, -2))
         inner = rot * rot * _sandwich(qh, base, q)
-        if self._which == "a":
-            inner -= rot * sinc * _sandwich(qh, gdot, q)
+        inner += rot * sinc * _sandwich(qh, gdot, q)
         out = _sandwich(q, inner, qh)
         return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
@@ -156,18 +153,11 @@ def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.moveaxis(_stack_matmul(_stack_matmul(lt, xt), rt), -1, 0)
 
 
-def transform_connection(connection: ConnectionSamples, gauge: SmoothGauge) -> ConnectionSamples:
-    """Apply the exact gauge law to a connection's evaluators.
+def transform_problem(problem: MatrixOdeProblem, gauge: SmoothGauge) -> MatrixOdeProblem:
+    """The problem with its generator K gauge-transformed to v^dag K v - i v^dag dv/dt.
 
-    A~ = v^dag A v + i v^dag dv/dt, and E~ = v^dag E v when the connection has
-    E, evaluated on demand at the times the integrator asks for; nothing is
-    sampled here.
+    The generator is evaluated on demand at the nodes the integrator asks
+    for; nothing is sampled here.  The initial value is kept, so for
+    M(t_0) = 1 the transformed solution is v(t)^dag M(t) v(t_0).
     """
-    e = connection.evaluator_e
-    return ConnectionSamples(
-        level_index=connection.level_index,
-        times=connection.times.copy(),
-        evaluator_a=_TransformedConnectionEvaluator(connection.evaluator_a, gauge, "a"),
-        evaluator_e=None if e is None else _TransformedConnectionEvaluator(e, gauge, "e"),
-        multiplicity=connection.multiplicity,
-    )
+    return replace(problem, generator=_TransformedConnectionEvaluator(problem.generator, gauge))

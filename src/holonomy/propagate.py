@@ -21,6 +21,9 @@ M(t_k) = S_k ... S_1 M(t_0), from one log-depth scan
 from a pairwise tree of m - 1 products (``linalg._tree_product``), for
 callers that read nothing but the endpoint.  Grid refinement is the
 caller's responsibility; the trace carries the largest per-step |K| h.
+
+A level's holonomy Gamma^n is the problem K = -A^n, G(t_0) = 1, and its
+coefficient matrices u^n are K = E^n - A^n (``lewis_riesenfeld_u``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .frames import ConnectionSamples, FrameField
+from .frames import FrameField
 from .linalg import (
     HERMITICITY_TOL,
     _ordered_products,
@@ -149,44 +152,15 @@ def propagate_final(problem: MatrixOdeProblem, method: str = "magnus4") -> np.nd
     return _tree_product(steps, problem.initial)
 
 
-def holonomy_problem(connection: ConnectionSamples, times: np.ndarray | None = None) -> MatrixOdeProblem:
-    """i dG/dt = -A^n(t) G with G(t_0) = 1 on the connection's times, or on ``times``."""
-    ts = connection.times if times is None else np.asarray(times, dtype=float)
-    a = connection.evaluator_a
-    l = connection.multiplicity
-    return MatrixOdeProblem(generator=lambda nodes: -a(nodes), initial=np.eye(l, dtype=complex), times=ts)
-
-
-def holonomy(
-    connection: ConnectionSamples,
-    method: str = "magnus4",
-    times: np.ndarray | None = None,
-) -> PropagatorTrace:
-    """Path-ordered exponential of i * integral A^n dt.
-
-    Solves ``holonomy_problem(connection, times)``, evaluating A at the
-    integrator nodes.  The result depends on the sampled geometry, not on
-    traversal speed.
-    """
-    return propagate(holonomy_problem(connection, times), method)
-
-
 def lewis_riesenfeld_u(
-    connection: ConnectionSamples,
-    u0: np.ndarray | None = None,
+    a: Callable[[np.ndarray], np.ndarray],
+    e: Callable[[np.ndarray], np.ndarray],
+    u0: np.ndarray,
+    times: np.ndarray,
     method: str = "magnus4",
-    times: np.ndarray | None = None,
 ) -> PropagatorTrace:
-    """Coefficient matrices u^n(t): i du/dt = [E^n(t) - A^n(t)] u, u(t_0) = u0."""
-    a, e = connection.evaluator_a, connection.evaluator_e
-    if e is None:
-        raise DomainError("the coefficient equation needs the connection's energy evaluator E")
-    ts = connection.times if times is None else np.asarray(times, dtype=float)
-    l = connection.multiplicity
-    if u0 is None:
-        u0 = np.eye(l, dtype=complex)
-    gen = lambda nodes: e(nodes) - a(nodes)
-    problem = MatrixOdeProblem(generator=gen, initial=np.asarray(u0, dtype=complex), times=ts)
+    """Coefficient matrices u^n(t): i du/dt = [E^n(t) - A^n(t)] u, u(t_0) = u0, from batched A and E."""
+    problem = MatrixOdeProblem(generator=lambda nodes: e(nodes) - a(nodes), initial=u0, times=times)
     return propagate(problem, method)
 
 

@@ -32,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import AxisSingularityError, DomainError
-from .frames import ConnectionSamples, Curve, FrameField, OperatorFamily
+from .frames import Curve, FrameField, OperatorFamily
 from .linalg import expm_skew
+from .propagate import MatrixOdeProblem
 
 COEFF_IDENTITY_TOL = 1e-12
 
@@ -392,38 +393,13 @@ def level_frame_field(scenario: PrecessionScenario, level: int, num_samples: int
     )
 
 
-def _constant_generator(value: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """ts (m,) -> m copies of a constant matrix."""
-    value = np.asarray(value, dtype=complex)
-    return lambda ts: np.repeat(value[None], len(ts), axis=0)
-
-
-def level2_connection_samples(scenario: PrecessionScenario, num_samples: int) -> ConnectionSamples:
-    """Oracle connection of the degenerate level along the precession.
-
-    A(t) = A2(phi(t)) * omega, with the energy matrix E2 * identity (the
-    Hamiltonian restricted to its own eigenspace is scalar in any frame).
-    """
-    e2 = scenario.field_at(0.0).energy_split
-    ts = scenario.times(num_samples)
+def level2_holonomy_problem(scenario: PrecessionScenario, num_samples: int) -> MatrixOdeProblem:
+    """The oracle holonomy of the doublet: i dG/dt = -omega A2(phi(t)) G, G(0) = 1, on ``scenario.times``."""
     a2 = level2_connection(scenario.theta)
-
-    def eval_a(nodes: np.ndarray) -> np.ndarray:
-        return scenario.omega * a2(scenario.phi_at(nodes))
-
-    return ConnectionSamples(
-        level_index=1, times=ts, evaluator_a=eval_a, evaluator_e=_constant_generator(e2 * np.eye(2)), multiplicity=2
-    )
-
-
-def level1_connection_samples(scenario: PrecessionScenario, num_samples: int) -> ConnectionSamples:
-    """Oracle connection of the nondegenerate level: A = omega (pure gauge), E = 0."""
-    return ConnectionSamples(
-        level_index=0,
+    return MatrixOdeProblem(
+        generator=lambda nodes: -(scenario.omega * a2(scenario.phi_at(nodes))),
+        initial=np.eye(2, dtype=complex),
         times=scenario.times(num_samples),
-        evaluator_a=_constant_generator(scenario.omega * np.eye(1)),
-        evaluator_e=_constant_generator(np.zeros((1, 1))),
-        multiplicity=1,
     )
 
 

@@ -20,11 +20,11 @@ import numpy as np
 from . import quadrupole as qd
 from .adiabatic import AdiabaticScenario, adiabaticity_report, convergence_study
 from .config import ScenarioConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .frames import Curve, OperatorFamily, transport_frames, transport_holonomy
-from .gauges import random_smooth_gauge, transform_connection
+from .gauges import random_smooth_gauge, transform_problem
 from .io import read_curve_csv, read_generators_json
-from .linalg import unitarity_defects
+from .linalg import eigh_many, level_bounds, unitarity_defects
 from .phase import (
     OverlapMatrix,
     PhaseReport,
@@ -32,7 +32,7 @@ from .phase import (
     phase_angles,
     unwrap_nearest_branch,
 )
-from .propagate import holonomy, holonomy_problem, propagate_final
+from .propagate import propagate, propagate_final
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,7 @@ def run_quadrupole_phase(
                 )
             )
         else:
-            conn = qd.level2_connection_samples(scenario, num_samples)
-            trace = holonomy(conn, method=method)
+            trace = propagate(qd.level2_holonomy_problem(scenario, num_samples), method)
             w2 = qd.w2_closed(scenario.theta, scenario.phi0, phis)
             # np.trace of the product keeps the bytes of the per-sample trace; an einsum contraction does not
             pis = np.trace(w2 @ trace.matrices, axis1=1, axis2=2)
@@ -243,26 +242,32 @@ def _custom_family(config: ScenarioConfig) -> tuple[OperatorFamily, Curve]:
     return family, curve
 
 
-def _adiabaticity_ratio_for_curve(family: OperatorFamily, curve: Curve) -> float:
+def _custom_level_indices(config: ScenarioConfig, family: OperatorFamily, curve: Curve) -> tuple[int, ...] | None:
+    """0-based indices of the configured level labels, checked against the level count at the first sample."""
+    if config.levels is None:
+        return None
+    count = len(level_bounds(eigh_many(family(curve.points[:1]))[0]))
+    for label in config.levels:
+        if label > count:
+            raise ConfigError(f"levels {config.levels} do not exist: "
+                              f"level index {label - 1} out of range; the family has {count} levels")
+    return tuple(label - 1 for label in config.levels)
+
+
+def _normalized_scenario(family: OperatorFamily, curve: Curve) -> AdiabaticScenario:
+    """The family along the curve in normalized time s = (t - t0) / (t1 - t0), traversed in tau = t1 - t0."""
     t0, t1 = curve.times[0], curve.times[-1]
-    ss = (curve.times - t0) / (t1 - t0)
-    scen = AdiabaticScenario(
+    return AdiabaticScenario(
         family=family,
-        curve=Curve(times=ss, points=curve.points, cyclic=False),
+        curve=Curve(times=(curve.times - t0) / (t1 - t0), points=curve.points, cyclic=False),
         tau=float(t1 - t0),
     )
-    return adiabaticity_report(scen, num_samples=min(201, curve.num_samples)).summary_ratio
 
 
 def run_custom_phase(config: ScenarioConfig) -> RunResult:
     start = time.perf_counter()
     family, curve = _custom_family(config)
-
-    indices = None if config.levels is None else tuple(label - 1 for label in config.levels)
-    try:
-        fields = transport_frames(family, curve, indices)
-    except DomainError as exc:  # the inputs are read and checked: only a level index can be out of range
-        raise ConfigError(f"levels {config.levels} do not exist: {exc}") from None
+    fields = transport_frames(family, curve, _custom_level_indices(config, family, curve))
 
     out: list[LevelTrace] = []
     for frames in fields:
@@ -297,7 +302,9 @@ def run_custom_phase(config: ScenarioConfig) -> RunResult:
     return RunResult(
         system="custom-family",
         levels=tuple(out),
-        adiabaticity_ratio=_adiabaticity_ratio_for_curve(family, curve),
+        adiabaticity_ratio=adiabaticity_report(
+            _normalized_scenario(family, curve), num_samples=min(201, curve.num_samples)
+        ).summary_ratio,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -355,17 +362,14 @@ def run_sweep(
 
 
 def run_adiabatic(config: ScenarioConfig, tau_list: list[float]) -> list[tuple[float, float, float]]:
-    """(tau, defect, adiabaticity ratio) rows for a tau ladder."""
+    """(tau, defect, adiabaticity ratio) rows for a tau ladder; ``levels`` is checked as ``phase`` checks it."""
     if config.system == "quadrupole":
+        _quadrupole_level_labels(config.levels)
         scen = qd.adiabatic_scenario(config.precession_scenario())
     else:
         family, curve = _custom_family(config)
-        t0, t1 = curve.times[0], curve.times[-1]
-        scen = AdiabaticScenario(
-            family=family,
-            curve=Curve(times=(curve.times - t0) / (t1 - t0), points=curve.points, cyclic=False),
-            tau=float(t1 - t0),
-        )
+        _custom_level_indices(config, family, curve)
+        scen = _normalized_scenario(family, curve)
 
     defects = convergence_study(scen, tau_list, method=config.method)
     # dH/dt, and so every coupling over a fixed spectrum, scales as 1/tau: one report serves the ladder
@@ -395,11 +399,11 @@ def run_gauge_test(
 ) -> GaugeTestResult:
     """Seeded random smooth gauges on the quadrupole degenerate level.
 
-    Each gauge transforms the connection by the exact gauge law and the
-    overlap by its endpoint values; the trace must be invariant and the
-    noncyclic phase factor conjugated by the initial gauge value.  The
-    integrations run magnus4 on at least 1600 steps, which keeps the
-    integrator error well below the 1e-9 invariance tolerance.  The
+    Each gauge transforms the holonomy problem's generator by the exact
+    gauge law and the overlap by its endpoint values; the trace must be
+    invariant and the noncyclic phase factor conjugated by the initial gauge
+    value.  The integrations run magnus4 on at least 1600 steps, which keeps
+    the integrator error well below the 1e-9 invariance tolerance.  The
     second-order ``midpoint_exp`` misses it by its own error (about 2e-5 at
     1600 steps) on any gauge, so it is a configuration error here.
     """
@@ -416,20 +420,18 @@ def run_gauge_test(
         raise ConfigError(f"the gauge count must be >= 1, got {count}")
     num_samples = max(config.grid, 1600) + 1
 
-    conn = qd.level2_connection_samples(scenario, num_samples)
-    t_final = float(conn.times[-1])
+    problem = qd.level2_holonomy_problem(scenario, num_samples)
+    t_final = float(problem.times[-1])
     w_base = qd.w2_closed(scenario.theta, scenario.phi0, scenario.phi_at(t_final))
-    gamma_base = propagate_final(holonomy_problem(conn), config.method)
-    pi_base = np.trace(w_base @ gamma_base)
-    gcheck_base = w_base @ gamma_base
+    gcheck_base = w_base @ propagate_final(problem, config.method)
+    pi_base = np.trace(gcheck_base)
 
     seeds = np.random.SeedSequence(config.seed).spawn(count)
     dpi = np.empty(count)
     dconj = np.empty(count)
     for i, seq in enumerate(seeds):
         gauge = random_smooth_gauge(2, 0.0, t_final, seed=seq)
-        conn_t = transform_connection(conn, gauge)
-        gamma_t = propagate_final(holonomy_problem(conn_t), config.method)
+        gamma_t = propagate_final(transform_problem(problem, gauge), config.method)
         v0, vt = gauge(np.array([0.0, t_final]))
         w_t = v0.conj().T @ w_base @ vt
         dpi[i] = abs(np.trace(w_t @ gamma_t) - pi_base)
@@ -463,8 +465,7 @@ def run_oracle_verify(config: ScenarioConfig, num_random: int = 1000) -> list[Or
     rng = np.random.default_rng(config.seed)
 
     # 1. integrated holonomy against the closed form
-    conn = qd.level2_connection_samples(scenario, config.grid + 1)
-    trace = holonomy(conn, method=config.method)
+    trace = propagate(qd.level2_holonomy_problem(scenario, config.grid + 1), config.method)
     ref = qd.gamma2_closed(scenario.theta, scenario.phi0, scenario.phi_at(trace.times))
     gdev = float(np.max(np.abs(trace.matrices - ref)))
     checks.append(OracleCheck("holonomy_ode_vs_closed_form", gdev, 1e-8))

@@ -13,10 +13,10 @@ from holonomy.config import parse_config_text
 from holonomy.frames import Curve
 from holonomy.linalg import unitarity_defects
 from holonomy.phase import OverlapMatrix, abelian_phase, noncyclic_phase, wrap_angle
-from holonomy.propagate import holonomy
+from holonomy.propagate import propagate, propagate_final
 from holonomy.runner import run_adiabatic, run_gauge_test
 from holonomy import quadrupole as qd
-from test_propagate import transported_invariant_evolution
+from test_propagate import level1_holonomy_problem, transported_invariant_evolution
 
 TYCKO = qd.TYCKO_THETA
 
@@ -29,8 +29,7 @@ def test_criterion_01_oracle_equivalence():
     """Integrated holonomy matches the closed form at 800 steps over two cycles."""
     scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=2 * np.pi / 40, phi_final=4 * np.pi)
     start = time.perf_counter()
-    conn = qd.level2_connection_samples(scenario, 801)
-    trace = holonomy(conn, method="magnus4")
+    trace = propagate(qd.level2_holonomy_problem(scenario, 801), "magnus4")
     deviation = 0.0
     for k, t in enumerate(trace.times):
         ref = qd.gamma2_closed(TYCKO, 0.0, scenario.phi_at(t))
@@ -64,8 +63,7 @@ def test_criterion_03_endpoint_identity():
 
 def _cyclic_report():
     scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=2 * np.pi / 40, phi_final=2 * np.pi)
-    conn = qd.level2_connection_samples(scenario, 1601)
-    gamma = holonomy(conn, method="magnus4").final
+    gamma = propagate_final(qd.level2_holonomy_problem(scenario, 1601), "magnus4")
     w = OverlapMatrix(level_index=1, matrix=qd.w2_closed(TYCKO, 0.0, 2 * np.pi))
     return noncyclic_phase(w, gamma)
 
@@ -164,16 +162,15 @@ def test_criterion_06_overlap_consistency():
 def test_criterion_07_integrator_order():
     """Error-vs-step slopes sit in the stated bands; unitarity holds throughout."""
     scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=2 * np.pi / 40, phi_final=2 * np.pi)
-    conn = qd.level2_connection_samples(scenario, 2)
     bands = {"midpoint_exp": (2.5, 6.0), "magnus4": (8.0, 32.0)}
     lines = []
     worst_unitarity = 0.0
     ok = True
     for method, (lo, hi) in bands.items():
-        ref = holonomy(conn, method=method, times=np.linspace(0, scenario.duration, 6401)).final
+        ref = propagate_final(qd.level2_holonomy_problem(scenario, 6401), method)
         errs = []
         for steps in (80, 160, 320, 640):
-            trace = holonomy(conn, method=method, times=np.linspace(0, scenario.duration, steps + 1))
+            trace = propagate(qd.level2_holonomy_problem(scenario, steps + 1), method)
             errs.append(float(np.max(np.abs(trace.final - ref))))
             worst_unitarity = max(worst_unitarity, max(unitarity_defects(m)[0] for m in trace.matrices))
         ratios = [a / b for a, b in zip(errs, errs[1:])]
@@ -209,7 +206,7 @@ def test_criterion_08_adiabatic_convergence():
 def test_criterion_09_pure_gauge_level1():
     """Nondegenerate-level holonomy closes to 1; quarter-turn phase and visibility."""
     scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=0.2, phi_final=2 * np.pi)
-    trace = holonomy(qd.level1_connection_samples(scenario, 513), method="magnus4")
+    trace = propagate(level1_holonomy_problem(scenario, 513), "magnus4")
     cycle_dev = abs(trace.final[0, 0] - 1.0)
 
     theta_z1 = np.arccos(1 / np.sqrt(2))  # zeta = 1

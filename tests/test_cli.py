@@ -12,7 +12,7 @@ from holonomy.errors import ConfigError
 from holonomy.io import read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defects
 from holonomy.phase import IMAG_ROUNDOFF_FLOOR
-from holonomy.propagate import holonomy
+from holonomy.propagate import propagate
 from holonomy.runner import run_custom_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
 from test_generic_route import write_precession
@@ -396,7 +396,7 @@ class TestQuadrupoleRun:
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
         result = run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False)
         lv = result.levels[1]
-        trace = holonomy(qd.level2_connection_samples(scenario, 41))
+        trace = propagate(qd.level2_holonomy_problem(scenario, 41))
         pis, defects = [], []
         for phi, g in zip(result.phis, trace.matrices):
             pis.append(np.trace(qd.w2_closed(scenario.theta, scenario.phi0, phi) @ g))
@@ -535,6 +535,19 @@ class TestAdiabaticCommand:
         rows = list(csv.DictReader((out / "adiabatic.csv").read_text().splitlines()))
         for row in rows:
             assert float(row["defect"]) <= 1e-9
+
+    @pytest.mark.parametrize("system", ["quadrupole", "custom-family"])
+    def test_missing_levels_rejected_as_by_phase(self, system, tmp_path, capsys):
+        if system == "quadrupole":
+            cfg = tmp_path / "quad.cfg"
+            cfg.write_text(BASE_CONFIG + "levels = 1,3\n")
+            message = "quadrupole levels are labeled 1 and 2"
+        else:
+            cfg = write_precession(tmp_path / "in", 801, levels="1,5")
+            message = "levels (1, 5) do not exist: level index 4 out of range; the family has 2 levels"
+        for argv in (["phase"], ["adiabatic", "--tau-list", "50,100"]):
+            assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_bad_tau_list(self, quad_config, tmp_path):
         assert main([

@@ -73,6 +73,12 @@ class TestOperatorFamily:
         with pytest.raises(StructuralError):
             family(np.array([[0.0]]))
 
+    @pytest.mark.parametrize("thetas", [np.array([0.3, 0.7]), np.array(0.3), np.zeros((2, 1, 2))])
+    def test_parameters_not_a_stack_rejected(self, thetas):
+        family = family_from_generators([np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]], dtype=complex)])
+        with pytest.raises(DomainError, match=r"stack \(m, N\)"):
+            family(thetas)
+
 
 class TestBatchedFamily:
     def test_generator_family_stack_matches_points(self):

@@ -3,20 +3,21 @@ import pytest
 from scipy.linalg import expm
 
 from holonomy.config import parse_config_text
-from holonomy.errors import DomainError
-from holonomy.frames import ConnectionSamples
-from holonomy.gauges import SmoothGauge, _exp_i_and_frechet_many, random_smooth_gauge, transform_connection
+from holonomy.gauges import SmoothGauge, _exp_i_and_frechet_many, random_smooth_gauge, transform_problem
 from holonomy.linalg import unitarity_defects
-from holonomy.propagate import holonomy
+from holonomy.propagate import MatrixOdeProblem, propagate, propagate_final
 from holonomy.runner import run_gauge_test
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
 
 
-def tycko_connection(num=1601, cycles=1.0):
-    scenario = qd.PrecessionScenario(theta=TYCKO, omega=2 * np.pi / 40, phi_final=2 * np.pi * cycles)
-    return scenario, qd.level2_connection_samples(scenario, num)
+def tycko_scenario():
+    return qd.PrecessionScenario(theta=TYCKO, omega=2 * np.pi / 40, phi_final=2 * np.pi)
+
+
+def tycko_problem(num=1601):
+    return qd.level2_holonomy_problem(tycko_scenario(), num)
 
 
 class TestSmoothGauge:
@@ -70,55 +71,50 @@ class TestSmoothGauge:
 
 class TestTransformConnection:
     def test_transformed_connection_hermitian(self):
-        _, conn = tycko_connection(num=101)
-        gauge = random_smooth_gauge(2, 0.0, float(conn.times[-1]), seed=2)
-        a_tilde = transform_connection(conn, gauge).evaluator_a(conn.times)
+        problem = tycko_problem(num=101)
+        gauge = random_smooth_gauge(2, 0.0, float(problem.times[-1]), seed=2)
+        k_tilde = transform_problem(problem, gauge).generator(problem.times)
         for k in range(0, 101, 10):
-            a = a_tilde[k]
+            a = k_tilde[k]
             assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
     def test_holonomy_covariance(self):
-        _, conn = tycko_connection()
-        base = holonomy(conn).final
-        t1 = float(conn.times[-1])
+        problem = tycko_problem()
+        base = propagate_final(problem)
+        t1 = float(problem.times[-1])
         for seed in range(5):
             gauge = random_smooth_gauge(2, 0.0, t1, seed=seed)
-            got = holonomy(transform_connection(conn, gauge)).final
+            got = propagate_final(transform_problem(problem, gauge))
             expected = gauge(t1).conj().T @ base @ gauge(0.0)
             assert np.max(np.abs(got - expected)) <= 1e-9
 
     def test_trace_invariance(self):
-        scenario, conn = tycko_connection()
-        base = holonomy(conn).final
-        t1 = float(conn.times[-1])
+        scenario = tycko_scenario()
+        problem = qd.level2_holonomy_problem(scenario, 1601)
+        base = propagate_final(problem)
+        t1 = float(problem.times[-1])
         w = qd.w2_closed(scenario.theta, scenario.phi0, scenario.phi_at(t1))
         pi_base = np.trace(w @ base)
         for seed in range(5):
             gauge = random_smooth_gauge(2, 0.0, t1, seed=100 + seed)
-            got = holonomy(transform_connection(conn, gauge)).final
+            got = propagate_final(transform_problem(problem, gauge))
             w_t = gauge(0.0).conj().T @ w @ gauge(t1)
             assert abs(np.trace(w_t @ got) - pi_base) <= 1e-9
 
-    def test_connection_without_energy_stays_without(self):
-        _, conn = tycko_connection(num=101)
-        bare = ConnectionSamples(level_index=1, times=conn.times, evaluator_a=conn.evaluator_a, multiplicity=2)
-        gauge = random_smooth_gauge(2, 0.0, float(conn.times[-1]), seed=7)
-        assert transform_connection(bare, gauge).evaluator_e is None
 
-
-def _smooth_connection(size: int, t1: float, seed: int) -> ConnectionSamples:
-    """Evaluator-only connection whose A and E are smooth Hermitian functions of t."""
+def _smooth_evaluators(size: int, t1: float, seed: int):
+    """Batched A and E, smooth Hermitian functions of t; E is time-dependent and does not commute with A."""
     rng = np.random.default_rng(seed)
-    m0, m1, e0 = (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)) for _ in range(3))
-    m0, m1, e0 = (0.5 * (m + m.conj().T) for m in (m0, m1, e0))
+    m0, m1, e0, e1 = (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)) for _ in range(4))
+    m0, m1, e0, e1 = (0.5 * (m + m.conj().T) for m in (m0, m1, e0, e1))
 
     def eval_a(ts):
         return m0 + np.multiply.outer(np.sin(2 * np.pi * np.asarray(ts) / t1), m1)
 
-    return ConnectionSamples(
-        level_index=0, times=np.linspace(0.0, t1, 11), evaluator_a=eval_a,
-        evaluator_e=lambda ts: np.broadcast_to(e0, (len(ts), size, size)), multiplicity=size,
-    )
+    def eval_e(ts):
+        return e0 + np.multiply.outer(np.cos(2 * np.pi * np.asarray(ts) / t1), e1)
+
+    return eval_a, eval_e
 
 
 def _degenerate_gauge(size: int, t1: float) -> SmoothGauge:
@@ -131,22 +127,32 @@ def _degenerate_gauge(size: int, t1: float) -> SmoothGauge:
 class TestSinglePassLaw:
     @pytest.mark.parametrize("size, degenerate", [(2, False), (3, False), (2, True), (3, True)])
     def test_matches_two_step_law(self, size, degenerate):
+        # K -> v^dag K v - i v^dag dv/dt, for the holonomy's K = -A and the coefficient equation's K = E - A
         t1 = 3.0
-        conn = _smooth_connection(size, t1, seed=size)
+        eval_a, eval_e = _smooth_evaluators(size, t1, seed=size)
         gauge = _degenerate_gauge(size, t1) if degenerate else random_smooth_gauge(size, 0.0, t1, seed=11)
         ts = np.linspace(0.0, t1, 37)
         v, dv = gauge.value_and_derivative(ts)
         vh = np.conj(np.swapaxes(v, 1, 2))
-        law = vh @ conn.evaluator_a(ts) @ v + 1j * (vh @ dv)
-        law = 0.5 * (law + np.conj(np.swapaxes(law, 1, 2)))
-        transformed = transform_connection(conn, gauge)
-        assert transformed.multiplicity == size
-        assert np.max(np.abs(transformed.evaluator_a(ts) - law)) <= 1e-13
-        assert np.max(np.abs(transformed.evaluator_e(ts) - vh @ conn.evaluator_e(ts) @ v)) <= 1e-13
+        for generator in (lambda t: -eval_a(t), lambda t: eval_e(t) - eval_a(t)):
+            problem = MatrixOdeProblem(generator=generator, initial=np.eye(size), times=np.linspace(0.0, t1, 11))
+            law = vh @ generator(ts) @ v - 1j * (vh @ dv)
+            law = 0.5 * (law + np.conj(np.swapaxes(law, 1, 2)))
+            assert np.max(np.abs(transform_problem(problem, gauge).generator(ts) - law)) <= 1e-13
 
-    def test_connection_needs_samples_or_evaluators(self):
-        with pytest.raises(DomainError):
-            ConnectionSamples(level_index=0, times=np.linspace(0.0, 1.0, 5), evaluator_a=lambda ts: ts)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_coefficient_equation_transforms_by_the_same_law(self, seed):
+        # i du/dt = (E - A) u, u(0) = 1: the transformed problem solves for v(t)^dag u(t) v(0)
+        t1 = 3.0
+        eval_a, eval_e = _smooth_evaluators(2, t1, seed=seed)
+        ts = np.linspace(0.0, t1, 1601)
+        problem = MatrixOdeProblem(generator=lambda t: eval_e(t) - eval_a(t), initial=np.eye(2), times=ts)
+        gauge = random_smooth_gauge(2, 0.0, t1, seed=seed)
+        u = propagate(problem).matrices
+        got = propagate(transform_problem(problem, gauge)).matrices
+        v = gauge(ts)
+        expected = np.conj(np.swapaxes(v, 1, 2)) @ u @ v[0]
+        assert np.max(np.abs(got - expected)) <= 1e-9
 
 
 class TestGaugeTestNodes:

@@ -3,7 +3,7 @@ import pytest
 
 from holonomy.errors import DomainError, UndefinedPhaseError
 from holonomy.linalg import expm_skew
-from holonomy.propagate import holonomy
+from holonomy.propagate import propagate
 from holonomy.phase import (
     OverlapMatrix,
     abelian_phase,
@@ -293,7 +293,7 @@ class TestReportOwnership:
     def test_report_copies_matrices_out_of_stacks(self):
         # a report keeps only its endpoint matrices, not the run's whole stacks
         scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=1.0, duration=2.0)
-        trace = holonomy(qd.level2_connection_samples(scenario, 65))
+        trace = propagate(qd.level2_holonomy_problem(scenario, 65))
         w2 = qd.w2_closed(TYCKO, 0.0, scenario.phi_at(trace.times))
         report = noncyclic_phase(OverlapMatrix(level_index=1, matrix=w2[-1]), trace.final)
         assert not np.shares_memory(report.gamma, trace.matrices)

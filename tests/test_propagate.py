@@ -8,17 +8,17 @@ from holonomy import linalg
 from holonomy.adiabatic import full_propagator
 from holonomy.config import parse_config_text
 from holonomy.errors import DomainError, ResolutionError, StructuralError
-from holonomy.frames import ConnectionSamples, Curve, transport_frames, transport_holonomy
-from holonomy.gauges import random_smooth_gauge, transform_connection
+from holonomy.frames import Curve, transport_frames, transport_holonomy
+from holonomy.gauges import random_smooth_gauge, transform_problem
 from holonomy.linalg import expm_skew, unitarity_defects
 from holonomy.propagate import (
     MatrixOdeProblem,
     PropagatorTrace,
     assemble_V,
     assemble_evolution,
-    holonomy,
     lewis_riesenfeld_u,
     propagate,
+    propagate_final,
 )
 from holonomy.runner import run_gauge_test
 from holonomy import quadrupole as qd
@@ -29,6 +29,32 @@ TYCKO = qd.TYCKO_THETA
 def tycko_scenario(cycles=1.0, period=40.0):
     return qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=2 * np.pi / period,
                                  phi_final=2 * np.pi * cycles)
+
+
+def constant(value):
+    """Batched evaluator ts (m,) -> m copies of a constant matrix."""
+    value = np.asarray(value, dtype=complex)
+    return lambda ts: np.repeat(value[None], len(ts), axis=0)
+
+
+def level_evaluators(scenario):
+    """The oracle (A, E) evaluators of the quadrupole's nondegenerate and degenerate level.
+
+    Level 1 carries the pure-gauge A = omega and E = 0; the doublet carries
+    A = omega A2(phi(t)) and E = E2 (its Hamiltonian block is scalar in any frame).
+    """
+    a2 = qd.level2_connection(scenario.theta)
+    e2 = scenario.field_at(0.0).energy_split
+    return (
+        (constant(scenario.omega * np.eye(1)), constant(np.zeros((1, 1)))),
+        (lambda ts: scenario.omega * a2(scenario.phi_at(ts)), constant(e2 * np.eye(2))),
+    )
+
+
+def level1_holonomy_problem(scenario, num_samples):
+    """i dG/dt = -omega G, G(0) = 1: the nondegenerate level's holonomy along the precession."""
+    return MatrixOdeProblem(generator=constant(-scenario.omega * np.eye(1)), initial=np.eye(1, dtype=complex),
+                            times=scenario.times(num_samples))
 
 
 class TestPropagate:
@@ -56,20 +82,19 @@ class TestPropagate:
 
     def test_unitarity_along_trace(self):
         scenario = tycko_scenario()
-        conn = qd.level2_connection_samples(scenario, 401)
+        problem = qd.level2_holonomy_problem(scenario, 401)
         for method in ("midpoint_exp", "magnus4"):
-            trace = holonomy(conn, method=method)
+            trace = propagate(problem, method)
             assert max(unitarity_defects(m)[0] for m in trace.matrices) <= 1e-10
 
     def test_order_of_convergence(self):
         scenario = tycko_scenario()
-        conn = qd.level2_connection_samples(scenario, 2)
         bands = {"midpoint_exp": (2.5, 6.0), "magnus4": (8.0, 32.0)}
         for method, (lo, hi) in bands.items():
-            ref = holonomy(conn, method=method, times=np.linspace(0, scenario.duration, 4001)).final
+            ref = propagate_final(qd.level2_holonomy_problem(scenario, 4001), method)
             errs = []
             for steps in (50, 100, 200):
-                got = holonomy(conn, method=method, times=np.linspace(0, scenario.duration, steps + 1)).final
+                got = propagate_final(qd.level2_holonomy_problem(scenario, steps + 1), method)
                 errs.append(np.max(np.abs(got - ref)))
             for a, b in zip(errs, errs[1:]):
                 assert lo <= a / b <= hi
@@ -132,7 +157,7 @@ class TestFinalOnlyRoutes:
             monkeypatch.setattr(module, "_ordered_products", forbidden)
         scenario = tycko_scenario()
         with pytest.raises(AssertionError, match="final-only"):  # the patch reaches the scan's callers
-            holonomy(qd.level2_connection_samples(scenario, 65))
+            propagate(qd.level2_holonomy_problem(scenario, 65))
 
         u = full_propagator(dataclasses.replace(qd.adiabatic_scenario(scenario), propagator_fn=None),
                             steps_per_time=10.0)
@@ -147,24 +172,20 @@ class TestFinalOnlyRoutes:
 class TestHolonomy:
     def test_abelian_full_circle_is_unity(self):
         scenario = tycko_scenario()
-        conn = qd.level1_connection_samples(scenario, 257)
-        trace = holonomy(conn, method="magnus4")
+        trace = propagate(level1_holonomy_problem(scenario, 257), "magnus4")
         assert abs(trace.final[0, 0] - 1.0) <= 1e-10
 
     def test_zero_connection_identity(self):
-        ts = np.linspace(0, 1, 33)
-        conn = ConnectionSamples(
-            level_index=0, times=ts, evaluator_a=lambda nodes: np.zeros((len(nodes), 2, 2)), multiplicity=2
-        )
-        trace = holonomy(conn)
+        problem = MatrixOdeProblem(generator=constant(np.zeros((2, 2))), initial=np.eye(2, dtype=complex),
+                                   times=np.linspace(0, 1, 33))
+        trace = propagate(problem)
         for m in trace.matrices:
             assert np.max(np.abs(m - np.eye(2))) <= 1e-14
 
     def test_equatorial_diagonal_holonomy(self):
         # nu = 0 decouples the level: Gamma = diag(1, exp(-3i dphi / 2))
         scenario = qd.PrecessionScenario(theta=np.pi / 2, omega=0.2, phi_final=np.pi)
-        conn = qd.level2_connection_samples(scenario, 401)
-        trace = holonomy(conn)
+        trace = propagate(qd.level2_holonomy_problem(scenario, 401))
         for k in (100, 250, 400):
             dphi = scenario.omega * trace.times[k]
             expected = np.diag([1.0, np.exp(-1.5j * dphi)])
@@ -172,8 +193,7 @@ class TestHolonomy:
 
     def test_matches_closed_form(self):
         scenario = tycko_scenario()
-        conn = qd.level2_connection_samples(scenario, 401)
-        trace = holonomy(conn, method="magnus4")
+        trace = propagate(qd.level2_holonomy_problem(scenario, 401), "magnus4")
         for k in (0, 133, 400):
             ref = qd.gamma2_closed(TYCKO, 0.0, scenario.phi_at(trace.times[k]))
             assert np.max(np.abs(trace.matrices[k] - ref)) <= 1e-8
@@ -182,18 +202,18 @@ class TestHolonomy:
         # same azimuth samples traversed at a different speed
         scenario_slow = qd.PrecessionScenario(theta=TYCKO, omega=0.1, phi_final=2 * np.pi)
         scenario_fast = qd.PrecessionScenario(theta=TYCKO, omega=0.7, phi_final=2 * np.pi)
-        a = holonomy(qd.level2_connection_samples(scenario_slow, 401)).final
-        b = holonomy(qd.level2_connection_samples(scenario_fast, 401)).final
+        a = propagate_final(qd.level2_holonomy_problem(scenario_slow, 401))
+        b = propagate_final(qd.level2_holonomy_problem(scenario_fast, 401))
         assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_gauge_covariance_open_curve(self):
         scenario = tycko_scenario(cycles=0.7)
-        conn = qd.level2_connection_samples(scenario, 1601)
-        base = holonomy(conn).final
-        t1 = float(conn.times[-1])
+        problem = qd.level2_holonomy_problem(scenario, 1601)
+        base = propagate_final(problem)
+        t1 = float(problem.times[-1])
         for seed in (3, 4):
             gauge = random_smooth_gauge(2, 0.0, t1, seed=seed)
-            transformed = holonomy(transform_connection(conn, gauge)).final
+            transformed = propagate_final(transform_problem(problem, gauge))
             expected = gauge(t1).conj().T @ base @ gauge(0.0)
             assert np.max(np.abs(transformed - expected)) <= 1e-9
 
@@ -201,12 +221,12 @@ class TestHolonomy:
         # over a closed loop with a loop-periodic gauge: similarity at the start point,
         # so trace and eigenvalues are gauge-invariant
         scenario = tycko_scenario()
-        conn = qd.level2_connection_samples(scenario, 1601)
-        base = holonomy(conn).final
-        t1 = float(conn.times[-1])
+        problem = qd.level2_holonomy_problem(scenario, 1601)
+        base = propagate_final(problem)
+        t1 = float(problem.times[-1])
         gauge = random_smooth_gauge(2, 0.0, t1, seed=11)  # Fourier series: v(t1) = v(0)
         assert np.max(np.abs(gauge(t1) - gauge(0.0))) <= 1e-12
-        transformed = holonomy(transform_connection(conn, gauge)).final
+        transformed = propagate_final(transform_problem(problem, gauge))
         v0 = gauge(0.0)
         assert np.max(np.abs(transformed - v0.conj().T @ base @ v0)) <= 1e-9
         assert abs(np.trace(transformed) - np.trace(base)) <= 1e-9
@@ -229,10 +249,7 @@ class TestLewisRiesenfeldU:
             def __call__(self, ts):
                 return np.asarray(self.f(ts), dtype=complex)[:, None, None]
 
-        conn = ConnectionSamples(
-            level_index=0, times=ts, evaluator_a=_Eval(a_of_t), evaluator_e=_Eval(e_of_t), multiplicity=1
-        )
-        trace = lewis_riesenfeld_u(conn, method="magnus4")
+        trace = lewis_riesenfeld_u(_Eval(a_of_t), _Eval(e_of_t), np.eye(1), ts, method="magnus4")
         from scipy.integrate import quad
 
         for k in (60, 200):
@@ -244,24 +261,21 @@ class TestLewisRiesenfeldU:
 
     def test_zero_energy_reduces_to_holonomy(self):
         scenario = tycko_scenario()
-        base = qd.level2_connection_samples(scenario, 201)
-        conn = ConnectionSamples(
-            level_index=1, times=base.times, evaluator_a=base.evaluator_a,
-            evaluator_e=lambda ts: np.zeros((len(ts), 2, 2), dtype=complex), multiplicity=2,
-        )
-        u = lewis_riesenfeld_u(conn).final
-        g = holonomy(base).final
+        _, (a, _) = level_evaluators(scenario)
+        u = lewis_riesenfeld_u(a, constant(np.zeros((2, 2))), np.eye(2), scenario.times(201)).final
+        g = propagate_final(qd.level2_holonomy_problem(scenario, 201))
         assert np.max(np.abs(u - g)) <= 1e-12
 
     def test_commuting_case_factorizes(self):
         # equatorial point: E and A are both diagonal, so the ordered
         # exponentials factorize exactly
         scenario = qd.PrecessionScenario(theta=np.pi / 2, omega=0.3, phi_final=np.pi)
-        conn = qd.level2_connection_samples(scenario, 401)
-        u = lewis_riesenfeld_u(conn).final
-        g = holonomy(conn).final
+        _, (a, e) = level_evaluators(scenario)
+        ts = scenario.times(401)
+        u = lewis_riesenfeld_u(a, e, np.eye(2), ts).final
+        g = propagate_final(qd.level2_holonomy_problem(scenario, 401))
         e2 = scenario.field_at(0.0).energy_split
-        t1 = conn.times[-1]
+        t1 = ts[-1]
         factorized = np.exp(-1j * e2 * t1) * g
         assert np.max(np.abs(u - factorized)) <= 1e-9
 
@@ -275,11 +289,7 @@ class TestLewisRiesenfeldU:
             e[:, 1, 1] = -2 * nodes
             return e
 
-        conn = ConnectionSamples(
-            level_index=0, times=ts, evaluator_a=lambda nodes: np.zeros((len(nodes), 2, 2)),
-            evaluator_e=energy, multiplicity=2,
-        )
-        trace = lewis_riesenfeld_u(conn, method="magnus4")
+        trace = lewis_riesenfeld_u(constant(np.zeros((2, 2))), energy, np.eye(2), ts, method="magnus4")
         exact = np.zeros((21, 2, 2), dtype=complex)
         exact[:, 0, 0] = np.exp(-1j * (ts + ts**3))
         exact[:, 1, 1] = np.exp(1j * ts**2)
@@ -287,17 +297,10 @@ class TestLewisRiesenfeldU:
 
     def test_initial_value_respected(self):
         scenario = tycko_scenario()
-        conn = qd.level2_connection_samples(scenario, 101)
+        _, (a, e) = level_evaluators(scenario)
         u0 = expm_skew(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.7)
-        trace = lewis_riesenfeld_u(conn, u0=u0)
+        trace = lewis_riesenfeld_u(a, e, u0, scenario.times(101))
         assert np.max(np.abs(trace.matrices[0] - u0)) == 0.0
-
-    def test_energy_evaluator_required(self):
-        scenario = tycko_scenario()
-        base = qd.level2_connection_samples(scenario, 101)
-        conn = ConnectionSamples(level_index=1, times=base.times, evaluator_a=base.evaluator_a, multiplicity=2)
-        with pytest.raises(DomainError, match="energy evaluator"):
-            lewis_riesenfeld_u(conn)
 
 
 class TestAssembly:
@@ -305,37 +308,38 @@ class TestAssembly:
         scenario = tycko_scenario()
         f1 = qd.level_frame_field(scenario, 0, num)
         f2 = qd.level_frame_field(scenario, 1, num)
-        c1 = qd.level1_connection_samples(scenario, num)
-        c2 = qd.level2_connection_samples(scenario, num)
-        return scenario, (f1, f2), (c1, c2)
+        return scenario, (f1, f2)
+
+    def _u_traces(self, scenario, num):
+        ts = scenario.times(num)
+        return [lewis_riesenfeld_u(a, e, np.eye(l), ts) for l, (a, e) in zip((1, 2), level_evaluators(scenario))]
 
     def test_initial_value_is_identity(self):
-        _, frames, conns = self._tycko_pieces()
-        traces = [lewis_riesenfeld_u(c) for c in conns]
-        u = assemble_evolution(frames, traces)
+        scenario, frames = self._tycko_pieces()
+        u = assemble_evolution(frames, self._u_traces(scenario, 201))
         assert np.max(np.abs(u.matrices[0] - np.eye(3))) <= 1e-12
 
     def test_assembled_evolution_is_unitary(self):
-        _, frames, conns = self._tycko_pieces()
-        traces = [lewis_riesenfeld_u(c) for c in conns]
-        u = assemble_evolution(frames, traces)
+        scenario, frames = self._tycko_pieces()
+        u = assemble_evolution(frames, self._u_traces(scenario, 201))
         assert max(unitarity_defects(m)[0] for m in u.matrices) <= 1e-10
 
     def test_v_at_start_is_projector(self):
-        _, frames, conns = self._tycko_pieces()
-        traces = [holonomy(c) for c in conns]
+        scenario, frames = self._tycko_pieces()
+        problems = (level1_holonomy_problem(scenario, 201), qd.level2_holonomy_problem(scenario, 201))
+        traces = [propagate(problem) for problem in problems]
         vs = assemble_V(frames, traces)
         for f, v in zip(frames, vs):
             proj = f.frames[0] @ f.frames[0].conj().T
             assert np.max(np.abs(v[0] - proj)) <= 1e-12
 
     def test_v_gauge_invariant(self):
-        scenario, frames, conns = self._tycko_pieces(num=1601)
-        base = assemble_V([frames[1]], [holonomy(conns[1])])[0]
-        t1 = float(conns[1].times[-1])
+        scenario, frames = self._tycko_pieces(num=1601)
+        problem = qd.level2_holonomy_problem(scenario, 1601)
+        base = assemble_V([frames[1]], [propagate(problem)])[0]
+        t1 = float(problem.times[-1])
         gauge = random_smooth_gauge(2, 0.0, t1, seed=23)
-        conn_t = transform_connection(conns[1], gauge)
-        gamma_t = holonomy(conn_t)
+        gamma_t = propagate(transform_problem(problem, gauge))
         from holonomy.frames import apply_gauge
 
         frames_t = apply_gauge(frames[1], gauge)
@@ -343,22 +347,23 @@ class TestAssembly:
         assert np.max(np.abs(v_t[-1] - base[-1])) <= 1e-9
 
     def test_cyclic_trace_of_v_equals_trace_of_holonomy(self):
-        _, frames, conns = self._tycko_pieces(num=401)
-        gamma = holonomy(conns[1])
+        scenario, frames = self._tycko_pieces(num=401)
+        gamma = propagate(qd.level2_holonomy_problem(scenario, 401))
         v = assemble_V([frames[1]], [gamma])[0]
         # frames are periodic over the cycle, so trace V(T) = trace Gamma(T)
         assert abs(np.trace(v[-1]) - np.trace(gamma.final)) <= 1e-10
 
     def test_incomplete_cover_rejected(self):
-        _, frames, conns = self._tycko_pieces(num=201)
+        scenario, frames = self._tycko_pieces(num=201)
         with pytest.raises(DomainError):
-            assemble_evolution([frames[1]], [lewis_riesenfeld_u(conns[1])])
+            assemble_evolution([frames[1]], self._u_traces(scenario, 201)[1:])
 
     def test_mismatched_grids_rejected(self):
-        _, frames, conns = self._tycko_pieces(num=201)
-        short = lewis_riesenfeld_u(conns[1], times=np.linspace(0, 1, 21))
+        scenario, frames = self._tycko_pieces(num=201)
+        (a1, e1), (a2, e2) = level_evaluators(scenario)
+        short = lewis_riesenfeld_u(a2, e2, np.eye(2), np.linspace(0, 1, 21))
         with pytest.raises(DomainError):
-            assemble_evolution(list(frames), [lewis_riesenfeld_u(conns[0]), short])
+            assemble_evolution(list(frames), [lewis_riesenfeld_u(a1, e1, np.eye(1), scenario.times(201)), short])
 
 
 def transported_invariant_evolution(family, curve, ham):

@@ -41,7 +41,6 @@ from holonomy.propagate import (
     MatrixOdeProblem,
     PropagatorTrace,
     assemble_V,
-    holonomy_problem,
     propagate,
     propagate_final,
 )
@@ -335,7 +334,7 @@ def quadrupole_problems():
     full = MatrixOdeProblem(
         generator=lambda t: qd.hamiltonian(scenario.field_at(t)), initial=np.eye(3, dtype=complex), times=ts
     )
-    return holonomy_problem(qd.level2_connection_samples(scenario, 1601)), full
+    return qd.level2_holonomy_problem(scenario, 1601), full
 
 
 @pytest.mark.parametrize("method", METHODS)

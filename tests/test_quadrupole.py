@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from holonomy.errors import AxisSingularityError, DomainError
-from holonomy.frames import ConnectionSamples
 from holonomy.linalg import eigh_many, expm_skew, level_bounds, unitarity_defects
-from holonomy.propagate import holonomy
+from holonomy.propagate import MatrixOdeProblem, propagate
 from holonomy import quadrupole as qd
+from test_propagate import constant, level1_holonomy_problem
 
 TYCKO = qd.TYCKO_THETA
 SQRT3 = np.sqrt(3.0)
@@ -309,8 +309,7 @@ class TestStackedClosedForms:
 class TestOracleConnection:
     def test_ode_reproduces_closed_form(self):
         scenario = qd.PrecessionScenario(theta=TYCKO, omega=2 * np.pi / 40, phi_final=4 * np.pi)
-        conn = qd.level2_connection_samples(scenario, 801)
-        trace = holonomy(conn, method="magnus4")
+        trace = propagate(qd.level2_holonomy_problem(scenario, 801), "magnus4")
         dev = 0.0
         for k, t in enumerate(trace.times):
             ref = qd.gamma2_closed(TYCKO, 0.0, scenario.phi_at(t))
@@ -326,13 +325,13 @@ class TestOracleConnection:
     def test_level1_holonomy_is_the_closed_form(self):
         # the run reports the closed form; integrating the constant connection agrees to roundoff
         scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.3, omega=0.31, phi_final=0.3 + 5 * np.pi)
-        trace = holonomy(qd.level1_connection_samples(scenario, 801))
+        trace = propagate(level1_holonomy_problem(scenario, 801))
         closed = qd.gamma1_closed(scenario.phi0, scenario.phi_at(trace.times))
         assert np.max(np.abs(trace.matrices[:, 0, 0] - closed)) <= 1e-12
 
     def test_level1_cycle_is_pure_gauge(self):
         scenario = qd.PrecessionScenario(theta=TYCKO, omega=0.31, phi_final=2 * np.pi)
-        trace = holonomy(qd.level1_connection_samples(scenario, 257))
+        trace = propagate(level1_holonomy_problem(scenario, 257))
         assert abs(trace.final[0, 0] - 1.0) <= 1e-10
 
     def test_frame_consistent_connection_from_finite_differences(self):
@@ -356,14 +355,9 @@ class TestOracleConnection:
         dphi = scenario.omega * scenario.duration
         for level, connection in ((0, np.zeros((1, 1))), (1, dphi * qd.frame_consistent_level2(TYCKO))):
             frames, gamma = adiabatic.level_fn(level, ss)
-            conn = ConnectionSamples(
-                level_index=level,
-                times=ss,
-                evaluator_a=lambda ts, a=connection: np.repeat(a[None], len(ts), axis=0),
-                multiplicity=frames.multiplicity,
-            )
+            problem = MatrixOdeProblem(generator=constant(-connection), initial=np.eye(frames.multiplicity), times=ss)
             assert gamma.shape == (len(ss), frames.multiplicity, frames.multiplicity)
-            assert np.max(np.abs(gamma - holonomy(conn).matrices)) <= 1e-12
+            assert np.max(np.abs(gamma - propagate(problem).matrices)) <= 1e-12
 
 
 class TestPauliIdentity:

@@ -127,7 +127,12 @@ def test_no_package_module_imports_scipy():
 
 
 def test_adiabatic_imports_no_integrator():
-    # U0 takes every Gamma0 from the transported frames or from the hook's closed form
+    # U0 takes every Gamma0 from the transported frames or from the hook's closed form: of the
+    # adiabatic module, only the full propagator U(tau) of a scenario without a hook integrates
     tree = ast.parse((ROOT / "src" / "holonomy" / "adiabatic.py").read_text(encoding="utf-8"))
-    names = {name for _, _, names in _imports(tree) for name in names or ()}
-    assert not names & {"holonomy", "ConnectionSamples"}, sorted(names)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"adiabatic_propagator", "_level_holonomies", "adiabatic_noncyclic_phase"} <= functions
+    integrator = {"propagate", "propagate_final", "MatrixOdeProblem", "lewis_riesenfeld_u"}
+    scopes = {scope.split(".")[0] for scope, node in _scoped_nodes(tree)
+              if isinstance(node, ast.Name) and node.id in integrator}
+    assert scopes == {"full_propagator"}, sorted(scopes)
