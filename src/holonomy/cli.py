@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, parse_config
+from .config import ScenarioConfig, parse_config, with_overrides
 from .errors import (
     ConfigError,
     HolonomyError,
@@ -63,19 +63,7 @@ def _setup_logging() -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    config = parse_config(args.config)
-    overrides = {}
-    if getattr(args, "grid", None) is not None:
-        overrides["grid"] = args.grid
-    if getattr(args, "method", None) is not None:
-        overrides["method"] = {"midpoint": "midpoint_exp"}.get(args.method, args.method)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config
+    return with_overrides(parse_config(args.config), grid=args.grid, method=args.method, seed=args.seed)
 
 
 def _phase_rows(result: RunResult) -> tuple[list[str], list[tuple]]:
@@ -197,6 +185,8 @@ def cmd_adiabatic(args: argparse.Namespace) -> int:
         raise ConfigError(f"--tau-list must be comma-separated numbers, got {args.tau_list!r}") from None
     if not tau_list:
         raise ConfigError("--tau-list is empty")
+    if not (np.all(np.isfinite(tau_list)) and tau_list[0] > 0 and np.all(np.diff(tau_list) > 0)):
+        raise ConfigError(f"--tau-list must be finite, positive and increasing, got {args.tau_list!r}")
     rows = run_adiabatic(config, tau_list)
     out = Path(args.out)
     write_csv(out / "adiabatic.csv", ["tau", "defect", "adiabaticity_ratio"], rows)

@@ -25,7 +25,7 @@ still accepted and must be >= 1; runs are sequential and it has no effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ConfigError
 from .quadrupole import TYCKO_THETA, PrecessionScenario
 
-VALID_METHODS = ("midpoint_exp", "magnus4")
 METHOD_ALIASES = {"midpoint": "midpoint_exp", "midpoint_exp": "midpoint_exp", "magnus4": "magnus4"}
 
 _COMMON_KEYS = {"system", "grid", "method", "levels", "seed", "gauge_count", "workers"}
@@ -115,6 +114,35 @@ def _as_int(pairs: dict[str, str], key: str, default: int) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {pairs[key]!r}") from None
 
 
+def _checked_grid(grid: int) -> int:
+    if grid < MIN_GRID:
+        raise ConfigError(f"grid must be >= {MIN_GRID}, got {grid}")
+    return grid
+
+
+def _checked_method(method: str) -> str:
+    if method not in METHOD_ALIASES:
+        raise ConfigError(f"method must be one of {sorted(set(METHOD_ALIASES))}, got {method!r}")
+    return METHOD_ALIASES[method]
+
+
+def _checked_seed(seed: int) -> int:
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+_OVERRIDE_CHECKS = {"grid": _checked_grid, "method": _checked_method, "seed": _checked_seed}
+
+
+def with_overrides(config: ScenarioConfig, **values) -> ScenarioConfig:
+    """``config`` with the given grid, method or seed, each checked as its file key is; None keeps the file's.
+
+    ``raw`` keeps the file's pairs.
+    """
+    return replace(config, **{key: _OVERRIDE_CHECKS[key](value) for key, value in values.items() if value is not None})
+
+
 def parse_config_text(text: str) -> ScenarioConfig:
     pairs = _parse_pairs(text)
     unknown = set(pairs) - _ALL_KEYS
@@ -125,14 +153,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if system not in ("quadrupole", "custom-family"):
         raise ConfigError("key 'system' must be 'quadrupole' or 'custom-family'")
 
-    grid = _as_int(pairs, "grid", 800)
-    if grid < MIN_GRID:
-        raise ConfigError(f"grid must be >= {MIN_GRID}, got {grid}")
-
-    method = pairs.get("method", "magnus4")
-    if method not in METHOD_ALIASES:
-        raise ConfigError(f"method must be one of {sorted(set(METHOD_ALIASES))}, got {method!r}")
-    method = METHOD_ALIASES[method]
+    grid = _checked_grid(_as_int(pairs, "grid", 800))
+    method = _checked_method(pairs.get("method", "magnus4"))
 
     levels: tuple[int, ...] | None
     levels_raw = pairs.get("levels", "all")
@@ -145,10 +167,10 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"levels must be 'all' or comma-separated integers, got {levels_raw!r}") from None
         if any(l < 1 for l in levels):
             raise ConfigError("level labels are 1-based")
+        if len(set(levels)) != len(levels):
+            raise ConfigError(f"levels must not repeat a label, got {levels_raw!r}")
 
-    seed = _as_int(pairs, "seed", 0)
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    seed = _checked_seed(_as_int(pairs, "seed", 0))
 
     gauge_count = _as_int(pairs, "gauge_count", 100)
     if gauge_count < 1:

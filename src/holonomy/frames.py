@@ -144,7 +144,6 @@ class FrameField:
     times: np.ndarray               # (m,)
     frames: np.ndarray              # (m, dim, l)
     eigenvalues: np.ndarray         # (m,) level eigenvalue per sample
-    cyclic: bool = False
     cyclic_misalignment: float | None = None  # aligned transport around a loop
     min_overlap_singular_value: float | None = None  # aligned transport: smallest over successive overlaps
 
@@ -194,7 +193,6 @@ def transport_frames(
                 times=curve.times.copy(),
                 frames=frames,
                 eigenvalues=np.mean(vals[:, a:b], axis=1),
-                cyclic=curve.cyclic,
                 cyclic_misalignment=float(np.max(np.abs(frames[-1] - frames[0]))) if curve.cyclic else None,
                 min_overlap_singular_value=smallest,
             )
@@ -253,8 +251,6 @@ def apply_gauge(frames: FrameField, v: Callable[[np.ndarray], np.ndarray]) -> Fr
         times=frames.times.copy(),
         frames=frames.frames @ vs,
         eigenvalues=frames.eigenvalues.copy(),
-        cyclic=frames.cyclic,
-        cyclic_misalignment=None,
     )
 
 

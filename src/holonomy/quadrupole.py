@@ -389,7 +389,6 @@ def level_frame_field(scenario: PrecessionScenario, level: int, num_samples: int
         times=ts,
         frames=frames,
         eigenvalues=eigs,
-        cyclic=scenario.is_cyclic,
     )
 
 
@@ -450,7 +449,6 @@ def adiabatic_scenario(scenario: PrecessionScenario):
             times=s_grid,
             frames=level_frame(field, level),
             eigenvalues=np.full(len(s_grid), 0.0 if level == 0 else e2),
-            cyclic=False,
         )
         if level == 0:
             return frames, np.ones((len(s_grid), 1, 1), dtype=complex)

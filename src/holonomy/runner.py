@@ -1,13 +1,16 @@
 """Run pipelines behind the CLI: phase traces, sweeps, ladders, gauge tests.
 
-The quadrupole pipeline follows the closed-form oracle route: the oracle
-connection of the degenerate level is integrated numerically, the
-nondegenerate level's constant connection has the closed-form holonomy
-exp(i (phi - phi0)), endpoint overlaps come from the closed-form overlap
-matrices, and deviations from the closed-form holonomy
-and trace are reported as diagnostics.  Custom operator families run the
-generic route: one eigendecomposition, parallel transport of the frames, and
-Pi from their endpoint overlaps (the discrete Wilson line; no integrator).
+Every phase route hands ``_level_trace`` one level's overlap and holonomy
+stacks w, Gamma (m, l, l) and its dynamical phase; that one rule forms
+Pi = tr(w Gamma), the unitarity defects of Gamma, the Abelian angle,
+unwrapped angle and visibility |w|, and the endpoint report.  The
+quadrupole route takes the nondegenerate level's w and Gamma = exp(i (phi -
+phi0)) from closed forms, integrates the oracle connection of the degenerate
+level, and reports deviations from the closed-form holonomy and trace;
+phi_final = phi0 is one sample with identity stacks.  Custom operator
+families run the generic route: one eigendecomposition, parallel transport
+of the frames, w from their overlaps with the first frame and Gamma from
+their link phases (the discrete Wilson line; no integrator).
 """
 
 from __future__ import annotations
@@ -106,42 +109,35 @@ def _quadrupole_level_labels(config_levels: tuple[int, ...] | None) -> tuple[int
     return config_levels
 
 
-def _zero_length_run(
-    scenario: qd.PrecessionScenario,
-    labels: tuple[int, ...],
-    start: float,
-) -> RunResult:
-    """phi_final = phi0: a single sample with the identity phase data."""
-    out = []
-    for label in labels:
-        mult = 1 if label == 1 else 2
-        report = noncyclic_phase(
-            OverlapMatrix(level_index=label - 1, matrix=np.eye(mult, dtype=complex)),
-            np.eye(mult, dtype=complex),
-            dynamical_phase=0.0,
+def _level_trace(
+    label: int,
+    times: np.ndarray,
+    w: np.ndarray,
+    gammas: np.ndarray,
+    dynamical_phase: float | None,
+    **diagnostics,
+) -> LevelTrace:
+    """The record of one level from its overlap and holonomy stacks (m, l, l), whichever route made them.
+
+    Pi = tr(w Gamma) per sample, the Gram defects of Gamma, and the endpoint
+    report of the last sample; an Abelian level adds arg(w Gamma), its
+    nearest-branch unwrapping and the visibility |w|.
+    """
+    # np.trace of the product keeps the bytes of the per-sample trace; an einsum contraction does not
+    pis = np.trace(w @ gammas, axis1=1, axis2=2)
+    if w.shape[1] == 1:
+        angles = phase_angles(pis)
+        diagnostics.update(
+            phase_angles=angles, phase_unwrapped=unwrap_nearest_branch(angles), visibilities=np.abs(w[:, 0, 0])
         )
-        out.append(
-            LevelTrace(
-                label=label,
-                multiplicity=mult,
-                times=np.zeros(1),
-                pi=np.array([complex(mult)]),
-                unitarity_defects=np.zeros(1),
-                phase_angles=np.zeros(1) if mult == 1 else None,
-                phase_unwrapped=np.zeros(1) if mult == 1 else None,
-                visibilities=np.ones(1) if mult == 1 else None,
-                report=report,
-                oracle_gamma_deviation=0.0 if label == 2 else None,
-                oracle_trace_deviation=0.0 if label == 2 else None,
-            )
-        )
-    return RunResult(
-        system="quadrupole",
-        levels=tuple(out),
-        phis=np.array([scenario.phi0]),
-        adiabaticity_ratio=None,
-        max_step_norm=0.0,
-        wall_time_s=time.perf_counter() - start,
+    return LevelTrace(
+        label=label,
+        multiplicity=w.shape[1],
+        times=times,
+        pi=pis,
+        unitarity_defects=unitarity_defects(gammas),
+        report=noncyclic_phase(OverlapMatrix(label - 1, w[-1]), gammas[-1], dynamical_phase=dynamical_phase),
+        **diagnostics,
     )
 
 
@@ -152,72 +148,35 @@ def run_quadrupole_phase(
     levels: tuple[int, ...] | None = None,
     with_adiabaticity: bool = True,
 ) -> RunResult:
+    """Level 1 from its closed forms, level 2 from the integrated oracle holonomy; phi_final = phi0 is one sample."""
     start = time.perf_counter()
     labels = _quadrupole_level_labels(levels)
-    if scenario.duration == 0:
-        return _zero_length_run(scenario, labels, start)
+    zero_length = scenario.duration == 0
     num_samples = grid + 1
-    ts = scenario.times(num_samples)
-    phis = scenario.phi0 + scenario.omega * ts
+    ts = np.zeros(1) if zero_length else scenario.times(num_samples)
+    phis = np.array([scenario.phi0]) if zero_length else scenario.phi0 + scenario.omega * ts
     out: list[LevelTrace] = []
     max_step = 0.0
 
     for label in labels:
-        if label == 1:
-            gam = qd.gamma1_closed(scenario.phi0, phis)
-            w = qd.w1_closed(scenario.theta, scenario.phi0, phis)
-            pi = w * gam
-            defects = np.abs(np.abs(gam) ** 2 - 1.0)
-            angles = phase_angles(pi)
-            vis = np.abs(w)
-            report = noncyclic_phase(
-                OverlapMatrix(level_index=0, matrix=np.array([[w[-1]]])),
-                np.array([[gam[-1]]]),
-                dynamical_phase=0.0,
-            )
-            out.append(
-                LevelTrace(
-                    label=1,
-                    multiplicity=1,
-                    times=ts,
-                    pi=pi,
-                    unitarity_defects=defects,
-                    phase_angles=angles,
-                    phase_unwrapped=unwrap_nearest_branch(angles),
-                    visibilities=vis,
-                    report=report,
-                )
-            )
+        if zero_length:  # identity overlaps and holonomies: the quadrupole level labeled l has multiplicity l
+            eye = np.eye(label, dtype=complex)[None]
+            lv = _level_trace(label, ts, eye, eye, 0.0)
+            gdev = pdev = 0.0
+        elif label == 1:
+            w = qd.w1_closed(scenario.theta, scenario.phi0, phis)[:, None, None].astype(complex)
+            lv = _level_trace(1, ts, w, qd.gamma1_closed(scenario.phi0, phis)[:, None, None], 0.0)
         else:
             trace = propagate(qd.level2_holonomy_problem(scenario, num_samples), method)
-            w2 = qd.w2_closed(scenario.theta, scenario.phi0, phis)
-            # np.trace of the product keeps the bytes of the per-sample trace; an einsum contraction does not
-            pis = np.trace(w2 @ trace.matrices, axis1=1, axis2=2)
-            defects = unitarity_defects(trace.matrices)
-            gdev = float(np.max(np.abs(trace.matrices - qd.gamma2_closed(scenario.theta, scenario.phi0, phis))))
-            pdev = float(np.max(np.abs(pis - qd.pi2_closed(scenario.theta, scenario.phi0, phis))))
-            e2 = scenario.field_at(0.0).energy_split
-            report = noncyclic_phase(
-                OverlapMatrix(level_index=1, matrix=w2[-1]),
-                trace.final,
-                dynamical_phase=-e2 * ts[-1],
-            )
-            out.append(
-                LevelTrace(
-                    label=2,
-                    multiplicity=2,
-                    times=ts,
-                    pi=pis,
-                    unitarity_defects=defects,
-                    report=report,
-                    oracle_gamma_deviation=gdev,
-                    oracle_trace_deviation=pdev,
-                )
-            )
             max_step = trace.max_step_norm
+            e2 = scenario.field_at(0.0).energy_split
+            lv = _level_trace(2, ts, qd.w2_closed(scenario.theta, scenario.phi0, phis), trace.matrices, -e2 * ts[-1])
+            gdev = float(np.max(np.abs(trace.matrices - qd.gamma2_closed(scenario.theta, scenario.phi0, phis))))
+            pdev = float(np.max(np.abs(lv.pi - qd.pi2_closed(scenario.theta, scenario.phi0, phis))))
+        out.append(replace(lv, oracle_gamma_deviation=gdev, oracle_trace_deviation=pdev) if label == 2 else lv)
 
     ratio = None
-    if with_adiabaticity:
+    if with_adiabaticity and not zero_length:
         ratio = adiabaticity_report(qd.adiabatic_scenario(scenario), num_samples=101).summary_ratio
     return RunResult(
         system="quadrupole",
@@ -271,33 +230,19 @@ def run_custom_phase(config: ScenarioConfig) -> RunResult:
 
     out: list[LevelTrace] = []
     for frames in fields:
-        gammas = transport_holonomy(frames)
-        w = frames.frames[0].conj().T @ frames.frames
-        pis = np.trace(w @ gammas, axis1=1, axis2=2)
-        dyn = angles = vis = unwrapped = None
+        dyn = None
         if frames.multiplicity == 1:
             energies = frames.eigenvalues
             dyn = float(-np.sum(0.5 * (energies[1:] + energies[:-1]) * np.diff(frames.times)))
-            angles = phase_angles(pis)
-            unwrapped = unwrap_nearest_branch(angles)
-            vis = np.abs(w[:, 0, 0])
-        w_final = OverlapMatrix(frames.level_index, w[-1])
-        report = noncyclic_phase(w_final, gammas[-1], dynamical_phase=dyn)
-        out.append(
-            LevelTrace(
-                label=frames.level_index + 1,
-                multiplicity=frames.multiplicity,
-                times=frames.times,
-                pi=pis,
-                unitarity_defects=unitarity_defects(gammas),
-                phase_angles=angles,
-                phase_unwrapped=unwrapped,
-                visibilities=vis,
-                report=report,
-                min_overlap_singular_value=frames.min_overlap_singular_value,
-                cyclic_misalignment=frames.cyclic_misalignment,
-            )
-        )
+        out.append(_level_trace(
+            frames.level_index + 1,
+            frames.times,
+            frames.frames[0].conj().T @ frames.frames,
+            transport_holonomy(frames),
+            dyn,
+            min_overlap_singular_value=frames.min_overlap_singular_value,
+            cyclic_misalignment=frames.cyclic_misalignment,
+        ))
 
     return RunResult(
         system="custom-family",

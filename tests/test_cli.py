@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from holonomy.cli import main
-from holonomy.config import parse_config, parse_config_text
+from holonomy.config import parse_config, parse_config_text, with_overrides
 from holonomy.errors import ConfigError
 from holonomy.io import read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defects
-from holonomy.phase import IMAG_ROUNDOFF_FLOOR
+from holonomy.phase import IMAG_ROUNDOFF_FLOOR, phase_angles
 from holonomy.propagate import propagate
 from holonomy.runner import run_custom_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
@@ -93,9 +93,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(BASE_CONFIG + "\nlevels = 0,1\n")
 
+    def test_repeated_level_label_rejected(self):
+        # a repeated label would write each of its rows twice to phase.csv
+        with pytest.raises(ConfigError, match="levels must not repeat a label, got '1,1'"):
+            parse_config_text(BASE_CONFIG + "\nlevels = 1,1\n")
+
     def test_method_alias(self):
         cfg = parse_config_text(BASE_CONFIG.replace("magnus4", "midpoint"))
         assert cfg.method == "midpoint_exp"
+
+    def test_overrides_keep_the_file_pairs(self):
+        cfg = parse_config_text(BASE_CONFIG)
+        over = with_overrides(cfg, grid=64, method="midpoint", seed=None)
+        assert (over.grid, over.method, over.seed) == (64, "midpoint_exp", 99)
+        assert over.raw == cfg.raw and over.raw["grid"] == "400"
+
+    @pytest.mark.parametrize("command, flag, value, file_line", [
+        ("phase", "--grid", "-5", "grid = 400"),
+        ("phase", "--grid", "0", "grid = 400"),
+        ("gauge-test", "--seed", "-1", "seed = 99"),
+    ])
+    def test_cli_override_checked_as_its_file_key(self, quad_config, tmp_path, capsys, command, flag, value, file_line):
+        out = ["--out", str(tmp_path / "o")]
+        assert main([command, "--config", str(quad_config), flag, value] + out) == 2
+        from_cli = capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE_CONFIG.replace(file_line, f"{flag[2:]} = {value}"))
+        assert main([command, "--config", str(cfg)] + out) == 2
+        assert from_cli == capsys.readouterr().err
+        assert from_cli.startswith(f"configuration error: {flag[2:]} must")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -240,6 +266,16 @@ class TestPhaseCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["levels"]["1"]["re_pi"] == pytest.approx(1.0)
         assert summary["levels"]["2"]["re_pi"] == pytest.approx(2.0)
+        assert "adiabaticity_ratio" not in summary["diagnostics"]
+        # both records come from the one level-record rule, on identity overlaps and holonomies
+        scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=0.15707963267948966, phi_final=0.0)
+        result = run_quadrupole_phase(scenario)
+        assert result.adiabaticity_ratio is None
+        lv1, lv2 = result.levels
+        assert np.array_equal(lv1.unitarity_defects, [0.0]) and np.array_equal(lv2.unitarity_defects, [0.0])
+        assert np.array_equal(lv1.phase_angles, [0.0]) and np.array_equal(lv1.visibilities, [1.0])
+        assert lv2.phase_angles is None and lv2.visibilities is None
+        assert lv2.oracle_gamma_deviation == 0.0 and lv2.oracle_trace_deviation == 0.0
 
     def test_deterministic_csv_bytes(self, quad_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -392,6 +428,18 @@ class TestImport:
 
 
 class TestQuadrupoleRun:
+    def test_level1_trace_equals_closed_forms(self):
+        scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
+        lv = run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False).levels[0]
+        phis = scenario.phi_at(scenario.times(41))
+        w1 = qd.w1_closed(scenario.theta, scenario.phi0, phis)
+        gamma1 = qd.gamma1_closed(scenario.phi0, phis)
+        assert np.array_equal(lv.pi, w1 * gamma1)
+        assert np.array_equal(lv.visibilities, np.abs(w1))
+        assert np.array_equal(lv.phase_angles, phase_angles(lv.pi))
+        # the Gram defect |conj(g) g - 1|, as on level 2 and the custom route
+        assert np.array_equal(lv.unitarity_defects, unitarity_defects(gamma1[:, None, None]))
+
     def test_level2_trace_equals_per_sample_reference(self):
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
         result = run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False)
@@ -549,11 +597,13 @@ class TestAdiabaticCommand:
             assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
             assert f"configuration error: {message}" in capsys.readouterr().err
 
-    def test_bad_tau_list(self, quad_config, tmp_path):
+    @pytest.mark.parametrize("tau_list", ["nope", "50,50", "0,50", "-5", "nan", "inf", "100,50"])
+    def test_bad_tau_list(self, quad_config, tmp_path, capsys, tau_list):
         assert main([
             "adiabatic", "--config", str(quad_config), "--out", str(tmp_path / "a"),
-            "--tau-list", "nope",
+            "--tau-list", tau_list,
         ]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --tau-list")
 
     @pytest.fixture
     def integration_forbidden(self, monkeypatch):
