@@ -56,8 +56,8 @@ class AdiabaticScenario:
     propagator_fn: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise DomainError("tau must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise DomainError(f"tau must be finite and positive, got {self.tau!r}")
         if abs(self.curve.times[0]) > 1e-12 or abs(self.curve.times[-1] - 1.0) > 1e-12:
             raise DomainError("scenario curve must be parameterized by s in [0, 1]")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, compress, cycle, groupby, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,39 +33,35 @@ def fmt(value) -> str:
     return str(value)
 
 
-_F17 = "%.17g".__mod__
 _BLOCK_ROWS = 2048
-_FLOAT_OR_BLANK = {float, np.float64, type(None)}
-
-
-def _format_column(values: tuple) -> list[str]:
-    """The cells of one column as ``fmt`` renders them; floats and blanks, or ints, in one pass."""
-    types = set(map(type, values))
-    if types <= _FLOAT_OR_BLANK:
-        return ["" if v is None else _F17(v) for v in values]
-    if types == {int}:
-        return list(map(str, values))
-    return list(map(fmt, values))
+# the one printf conversion of each cell type whose bytes equal fmt's; blanks take none
+_CONVERSION = {float: "%.17g", np.float64: "%.17g", int: "%d", type(None): ""}
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows; each cell as ``fmt`` renders it, quoted by the csv module where needed.
 
-    ``rows`` is read once.  Blocks of rows of one width are formatted a
-    column at a time; a block bounds the formatted cells held at once.
+    ``rows`` is read once, a block of rows at a time.  Within a block, a run
+    of consecutive rows of two or more cells whose types are each exactly
+    ``float``, ``np.float64``, ``int`` or ``None`` is rendered by one ``%``
+    call; such cells never need quoting.  Any other run goes through
+    ``csv.writer`` cell by cell.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = list(rows)
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(list(header))
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            if len({len(row) for row in block}) == 1 and len(block[0]) > 0:
-                writer.writerows(zip(*map(_format_column, zip(*block))))
-            else:
-                writer.writerows([fmt(v) for v in row] for row in block)
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            for types, run in groupby(block, key=lambda row: tuple(map(type, row))):
+                run = list(run)
+                conversions = [_CONVERSION.get(t) for t in types]
+                if len(types) == 1 or None in conversions:  # csv quotes a lone blank cell
+                    writer.writerows([fmt(v) for v in row] for row in run)
+                    continue
+                cells = compress(chain.from_iterable(run), cycle(conversions))  # drops the blanks
+                fh.write(((",".join(conversions) + "\r\n") * len(run)) % tuple(cells))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

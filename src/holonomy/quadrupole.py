@@ -133,11 +133,6 @@ class PrecessionScenario:
     def times(self, num_samples: int) -> np.ndarray:
         return np.linspace(0.0, self.duration, num_samples)
 
-    @property
-    def is_cyclic(self) -> bool:
-        return abs((self.phi_final - self.phi0) % (2 * np.pi)) < 1e-12 or \
-            abs((self.phi_final - self.phi0) % (2 * np.pi) - 2 * np.pi) < 1e-12
-
     def hamiltonian_family(self) -> OperatorFamily:
         """One-parameter family phi -> H(phi) at this scenario's theta."""
         def evaluate(phis: np.ndarray) -> np.ndarray:

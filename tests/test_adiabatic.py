@@ -74,6 +74,14 @@ class TestAdiabaticPropagator:
         with pytest.raises(DomainError):
             scen.with_tau(0.0)
 
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
+    def test_tau_required_finite(self, tau):
+        with pytest.raises(DomainError, match="finite and positive"):
+            constant_scenario(tau=tau)
+        scen, _ = constant_scenario()
+        with pytest.raises(DomainError, match="finite and positive"):
+            scen.with_tau(tau)
+
 
 class TestAdiabaticityReport:
     def test_constant_hamiltonian_zero_couplings(self):
@@ -157,6 +165,11 @@ class TestConvergenceStudy:
         scen, _ = constant_scenario()
         with pytest.raises(DomainError):
             convergence_study(scen, [10.0, 5.0])
+
+    def test_rejects_infinite_tau_before_the_propagator(self):
+        # the closed-form hook would otherwise build a precession at omega = dphi / inf = 0
+        with pytest.raises(DomainError, match="tau must be finite and positive"):
+            convergence_study(tycko_adiabatic(), [50.0, np.inf])
 
     def test_full_propagator_matches_exact(self):
         # without the closed-form hook, magnus4 integrates U(tau)

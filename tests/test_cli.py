@@ -1,19 +1,20 @@
 import csv
 import hashlib
 import importlib
+import io as stdio
 import json
 
 import numpy as np
 import pytest
 
-from holonomy.cli import main
+from holonomy.cli import _phase_rows, main
 from holonomy.config import parse_config, parse_config_text, with_overrides
 from holonomy.errors import ConfigError
-from holonomy.io import read_curve_csv, read_generators_json, write_csv
+from holonomy.io import fmt, read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defects
 from holonomy.phase import IMAG_ROUNDOFF_FLOOR, phase_angles
 from holonomy.propagate import propagate
-from holonomy.runner import run_custom_phase, run_quadrupole_phase
+from holonomy.runner import run_custom_phase, run_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
 from test_generic_route import write_precession
 
@@ -56,6 +57,15 @@ def custom_inputs(tmp_path):
         "levels = all\ngrid = 64\nseed = 3\n"
     )
     return cfg
+
+
+def _cell_by_cell_csv(header, rows) -> bytes:
+    """The bytes of csv.writer writing each cell as fmt renders it."""
+    expected = stdio.StringIO(newline="")
+    writer = csv.writer(expected, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return expected.getvalue().encode()
 
 
 class TestConfigParsing:
@@ -210,11 +220,7 @@ class TestIO:
         assert b"\r\n" in raw  # RFC-4180 line endings
 
     def test_csv_columns_match_cell_by_cell_writer(self, tmp_path):
-        # the column pass writes the bytes of formatting each cell with fmt
-        import io as stdio
-
-        from holonomy.io import fmt
-
+        # each run of same-typed rows is written with the bytes of formatting each cell with fmt
         rng = np.random.default_rng(4)
         floats = rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6)
         rows = [
@@ -225,17 +231,24 @@ class TestIO:
         rows[2][0] = float("nan")
         rows[4][1] = -np.inf
         rows[5][0] = -0.0
-        header = [f"c{j}" for j in range(len(rows[0]))]
+        # a phase-shaped table: an int label column, a float-only run, then a run with blank middle
+        # columns; the runs change inside the first block and the table crosses the block edge
+        phase = [(0.1 * k, 1, 0.5 * k, -k / 3.0, 1.0, 0.25, 0.25, 1.0, 1e-17 * k) for k in range(1500)]
+        phase += [(0.1 * k, 2, k / 7.0, 0.5, 2.0, None, None, None, 4e-16) for k in range(1500)]
+        # special values inside a fast run
+        special = [float("nan"), np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
+                   1e-300, -1e300, np.float64(np.nan), np.float64(-0.0), np.float64(4.9e-324)]
+        special = [[0.5, v, 7, None, v] for v in special]
+        # one odd cell inside an otherwise fast table takes the fallback and raises no % error
+        odd = [[[1.5, 2, None]] * 3 + [[1.5, v, None]] + [[1.5, 2, None]] * 3
+               for v in (True, np.int64(2), np.float32(0.1), complex(1, 2), "5%", "%s,%d", "a,b", 'q"t')]
         long = [[0.1 * k, None if k > 3000 else k, "a,b" if k == 4000 else 0.5] for k in range(5000)]  # several blocks
-        for table in (rows, [[None], [1.5]], [[None], [None]], [["x", 2], [3]], [], long):
-            expected = stdio.StringIO(newline="")
-            writer = csv.writer(expected, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(header)
-            for row in table:
-                writer.writerow([fmt(v) for v in row])
+        blank = [[None, None, None], [None], [None], [1.5, None], [None, None]]
+        for table in (rows, phase, special, *odd, blank, [[None], [1.5]], [[None], [None]], [["x", 2], [3]],
+                      [[], [], [1.0, 2]], [], long):
             path = tmp_path / "x.csv"
-            write_csv(path, header, iter(table))  # an iterator: read once
-            assert path.read_bytes() == expected.getvalue().encode()
+            write_csv(path, ["a", "b"], iter(table))  # an iterator: read once
+            assert path.read_bytes() == _cell_by_cell_csv(["a", "b"], table)
 
     def test_csv_blank_for_none(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -284,6 +297,15 @@ class TestPhaseCommand:
         h1 = hashlib.sha256((out1 / "phase.csv").read_bytes()).hexdigest()
         h2 = hashlib.sha256((out2 / "phase.csv").read_bytes()).hexdigest()
         assert h1 == h2
+
+    def test_custom_phase_csv_is_the_cell_by_cell_rendering(self, tmp_path):
+        # a degenerate level's rows have blank angle columns; 2 x 2401 rows cross the block edge
+        cfg = write_precession(tmp_path / "in", 2401)
+        out = tmp_path / "out"
+        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = _phase_rows(run_phase(parse_config(cfg)))
+        assert {row[1] for row in rows} == {1, 2} and any(row[5] is None for row in rows)
+        assert (out / "phase.csv").read_bytes() == _cell_by_cell_csv(header, rows)
 
     def test_custom_family_constant_curve(self, custom_inputs, tmp_path):
         out = tmp_path / "out"

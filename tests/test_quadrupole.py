@@ -418,7 +418,3 @@ class TestScenario:
     def test_zero_omega_rejected(self):
         with pytest.raises(DomainError):
             qd.PrecessionScenario(theta=1.0, omega=0.0, duration=1.0)
-
-    def test_cyclic_detection(self):
-        assert qd.PrecessionScenario(theta=1.0, omega=1.0, phi_final=2 * np.pi).is_cyclic
-        assert not qd.PrecessionScenario(theta=1.0, omega=1.0, phi_final=1.0).is_cyclic

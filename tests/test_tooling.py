@@ -6,7 +6,8 @@ through ``linalg.eigh_many``, its eigenvalues are clustered into levels only
 by ``linalg.level_bounds``, and every singular value decomposition that
 computes factors through ``linalg.polar_many``.  No package module imports
 scipy, which is a test dependency only, and the adiabatic propagator U0
-integrates nothing.
+integrates nothing.  A ``csv.writer`` is built only in ``io.write_csv``, so
+every CSV the package writes has the bytes of that one writer.
 """
 
 import ast
@@ -107,6 +108,15 @@ def test_polar_many_is_the_one_svd():
     # the two norms read singular values only: the contraction check of an endpoint overlap
     # and the coupling norms of the adiabaticity report
     assert values_only == [("adiabatic", "adiabaticity_report"), ("phase", "OverlapMatrix.__post_init__")]
+
+
+def test_write_csv_is_the_one_csv_writer():
+    # every ``writer`` attribute call (csv.writer) and every ``from csv import writer``
+    uses = [(module, scope) for module, tree in _package_trees() for scope, node in _scoped_nodes(tree)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "writer")
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                and any(alias.name == "writer" for alias in node.names))]
+    assert uses == [("io", "write_csv")], f"csv.writer outside io.write_csv: {uses}"
 
 
 def _imports(tree: ast.AST) -> list[tuple[str, str, tuple[str, ...] | None]]:
