@@ -12,29 +12,28 @@ assembled from whatever smooth frame field is available; as an operator it is
 independent of that gauge choice.  Every level follows one rule: its frames
 come with their Gamma0, and no connection is integrated.
 
-* without a hook, one ``transport_frames`` call follows all levels with
+* in general, one ``transport_frames`` call follows all levels with
   parallel-transported eigenframes, whose connection vanishes, so Gamma0^n
   is the discrete Wilson line of the frames (``transport_holonomy``);
-* a scenario's ``level_fn`` hook supplies analytic frames together with
-  their Gamma0 in closed form.
+* a precessing drive H(s) = e^{-isG} H(0) e^{isG}, a scenario with a
+  ``drive_generator`` G, is closed-form at any spin from one eigendecomposition
+  of H(0): frames e^{-isG} F0, connection A = F0^dag G F0, Gamma0 = e^{isA}.
 
-The energies E_n are the level eigenvalues the frames carry.  The full
-propagator U(tau) that U0 is compared with follows the same split: a
-scenario's ``propagator_fn`` hook supplies it in closed form (the quadrupole's
-rotating-frame product), and without the hook it is the one thing here that
-runs an integrator.
+The energies E_n are the level eigenvalues the frames carry.  U(tau) follows
+the same split: e^{-iG} e^{-i(tau H(0) - G)}, else this module's one
+integration.  Frames and Gamma0 do not depend on tau: a ladder builds them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, LevelCrossingError, ResolutionError
-from .frames import Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
-from .linalg import eigh_many, level_bounds
+from .frames import GENERATOR_CONSISTENCY_TOL, Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
+from .linalg import HERMITICITY_TOL, _first_over_scale, eigh_many, expm_skew, level_bounds
 from .phase import PhaseReport, noncyclic_phase, overlap_matrix
 from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, propagate_final
 
@@ -48,18 +47,16 @@ class AdiabaticScenario:
     family: OperatorFamily
     curve: Curve                      # parameterized by s in [0, 1]
     tau: float
-    # optional analytic hook: (level, s grid (m,)) -> (the level's frames on the grid,
-    # their holonomy Gamma0 (m, l, l) from s = 0)
-    level_fn: Callable[[int, np.ndarray], tuple[FrameField, np.ndarray]] | None = None
-    # optional analytic hook: tau -> the full propagator U(tau) (dim, dim) of the drive
-    # traversed in duration tau; full_propagator returns it and integrates nothing
-    propagator_fn: Callable[[float], np.ndarray] | None = None
+    # optional Hermitian G (dim, dim) of a precessing drive H(s) = e^{-isG} H(0) e^{isG}: U0, U(tau) in closed form
+    drive_generator: np.ndarray | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise DomainError(f"tau must be finite and positive, got {self.tau!r}")
         if abs(self.curve.times[0]) > 1e-12 or abs(self.curve.times[-1] - 1.0) > 1e-12:
             raise DomainError("scenario curve must be parameterized by s in [0, 1]")
+        if self.drive_generator is not None:  # held as a complex C-contiguous copy
+            object.__setattr__(self, "drive_generator", np.array(self.drive_generator, dtype=complex))
 
     def with_tau(self, tau: float) -> "AdiabaticScenario":
         return replace(self, tau=tau)
@@ -90,42 +87,69 @@ class AdiabaticScenario:
         return Curve(times=ss, points=self.theta_at(ss), cyclic=False, evaluator=self.curve.evaluator)
 
 
+def _flow(ss: np.ndarray, k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """exp(-i s K) rhs (d, l) at each s of ss (m,) as (m, d, l): phases (m, d) @ spectral terms (d, d * l)."""
+    lam, vec = eigh_many(k)
+    terms = vec.T[:, :, None] * (vec.conj().T @ rhs)[:, None, :]  # v_j v_j^dag rhs
+    return (np.exp(-1j * np.outer(ss, lam)) @ terms.reshape(len(lam), -1)).reshape(len(ss), *rhs.shape)
+
+
 def _level_holonomies(
     scenario: AdiabaticScenario,
-    levels: Sequence[int],
+    levels: Sequence[int] | None,
     num_samples: int,
 ) -> list[tuple[FrameField, np.ndarray]]:
-    """Frames of each level on the s grid and their holonomy Gamma0 (m, l, l), by the module's one rule."""
-    if scenario.level_fn is None:
+    """Frames of each level (``None``: every level) on the s grid and their Gamma0 (m, l, l), by the one rule.
+
+    A drive generator G must be finite, Hermitian, (dim, dim) and give the family at the curve's own
+    samples, to GENERATOR_CONSISTENCY_TOL * max(1, max|G|) of each sample's scale.
+    """
+    if scenario.drive_generator is None:
         fields = transport_frames(scenario.family, scenario.sampled_curve(num_samples), levels)
         return [(f, transport_holonomy(f)) for f in fields]
+    g, curve, dim = scenario.drive_generator, scenario.curve, scenario.family.dim
+    if g.shape != (dim, dim) or not np.all(np.isfinite(g)) or _first_over_scale(
+            np.abs(g - g.conj().T)[None], g[None], HERMITICITY_TOL) is not None:
+        raise DomainError(f"drive_generator must be a finite Hermitian ({dim}, {dim}) matrix, got shape {g.shape}")
+    hams = scenario.family(curve.points)
+    rot = _flow(curve.times, g, np.eye(len(g), dtype=complex))
+    mismatch = np.abs(rot @ hams[0] @ np.conj(np.swapaxes(rot, 1, 2)) - hams)
+    k = _first_over_scale(mismatch, hams, GENERATOR_CONSISTENCY_TOL * max(1.0, float(np.max(np.abs(g)))))
+    if k is not None:
+        raise DomainError(f"drive_generator misses the family by {np.max(mismatch[k]):.3e} at s = {curve.times[k]:.6g}")
+    vals, vecs = eigh_many(hams[0])
+    bounds = level_bounds(vals[None])
+    levels = range(len(bounds)) if levels is None else levels
+    if bad := [level for level in levels if not 0 <= level < len(bounds)]:
+        raise DomainError(f"level index {bad[0]} out of range; the family has {len(bounds)} levels")
     ss = scenario.s_grid(num_samples)
-    return [scenario.level_fn(level, ss) for level in levels]
-
-
-def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    frames = _flow(ss, g, vecs)  # e^{-isG} F0, every level at once
+    out = []
+    for level in levels:
+        a, b = bounds[level]
+        connection = vecs[:, a:b].conj().T @ g @ vecs[:, a:b]  # A, constant in s
+        field = FrameField(level, b - a, ss, frames[:, :, a:b], np.full(len(ss), np.mean(vals[a:b])))
+        out.append((field, _flow(ss, -connection, np.eye(b - a, dtype=complex))))  # Gamma0 = e^{isA}
     return out
 
 
 def _dynamical_phases(scenario: AdiabaticScenario, frames: FrameField) -> np.ndarray:
-    """delta_n(s_k) = -tau * integral_0^{s_k} E_n(s') ds'."""
-    return -scenario.tau * _cumulative_trapezoid(frames.eigenvalues, frames.times)
+    """delta_n(s_k) = -tau * integral_0^{s_k} E_n(s') ds', by the trapezoid rule."""
+    e, ss = frames.eigenvalues, frames.times
+    return -scenario.tau * np.concatenate([[0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * np.diff(ss))])
+
+
+def _assemble_u0(scenario: AdiabaticScenario, fields: list[tuple[FrameField, np.ndarray]]) -> PropagatorTrace:
+    """U0(t) on the grid t = tau * s from every level's frames, Gamma0 and dynamical phase."""
+    phases = [np.exp(1j * _dynamical_phases(scenario, f))[:, None, None] for f, _ in fields]
+    traces = [PropagatorTrace(f.times, gamma * u, "adiabatic", 0.0) for (f, gamma), u in zip(fields, phases)]
+    trace_s = assemble_evolution([f for f, _ in fields], traces)
+    return replace(trace_s, times=scenario.tau * trace_s.times)
 
 
 def adiabatic_propagator(scenario: AdiabaticScenario, num_samples: int = 801) -> PropagatorTrace:
     """Assemble U0(t) on the grid t = tau * s from every level's frames, Gamma0 and dynamical phase."""
-    num_levels = len(level_bounds(eigh_many(scenario.hamiltonian_at(np.zeros(1)))[0]))
-
-    frame_fields: list[FrameField] = []
-    traces: list[PropagatorTrace] = []
-    for frames, gamma in _level_holonomies(scenario, range(num_levels), num_samples):
-        u = gamma * np.exp(1j * _dynamical_phases(scenario, frames))[:, None, None]
-        traces.append(PropagatorTrace(times=frames.times, matrices=u, method="adiabatic", max_step_norm=0.0))
-        frame_fields.append(frames)
-    trace_s = assemble_evolution(frame_fields, traces)
-    return replace(trace_s, times=scenario.tau * trace_s.times)
+    return _assemble_u0(scenario, _level_holonomies(scenario, None, num_samples))
 
 
 @dataclass(frozen=True)
@@ -188,19 +212,20 @@ def full_propagator(
     steps_per_time: float = 20.0,
     method: str = "magnus4",
 ) -> np.ndarray:
-    """U(tau): the scenario's ``propagator_fn`` hook when it has one, else an integration.
+    """U(tau): e^{-iG} e^{-i(tau H(0) - G)} for a precessing drive, else an integration.
 
-    Without the hook, i dU/dt = H(t) U is integrated over the full drive by
-    ``method`` on at least MIN_FULL_STEPS steps; ``steps_per_time`` and
-    ``method`` apply to that integration only.
+    The closed form trusts the scenario's ``drive_generator`` G (U0 checks it).
+    Without G, i dU/dt = H(t) U is integrated over the full drive by ``method``
+    on at least MIN_FULL_STEPS steps at ``steps_per_time``.
     """
-    if scenario.propagator_fn is not None:
-        return scenario.propagator_fn(scenario.tau)
-    steps = max(MIN_FULL_STEPS, int(np.ceil(scenario.tau * steps_per_time)))
-    ts = np.linspace(0.0, scenario.tau, steps + 1)
-    gen = lambda nodes: scenario.hamiltonian_at(nodes / scenario.tau)
-    dim = scenario.family.dim
-    problem = MatrixOdeProblem(generator=gen, initial=np.eye(dim, dtype=complex), times=ts)
+    tau, g = scenario.tau, scenario.drive_generator
+    if g is not None:
+        rate = (g.view(float) / tau).view(complex)  # G / tau by real division, as numpy's complex one rounds apart
+        return expm_skew(rate, tau) @ expm_skew(scenario.hamiltonian_at(np.zeros(1))[0] - rate, tau)
+    steps = max(MIN_FULL_STEPS, int(np.ceil(tau * steps_per_time)))
+    ts = np.linspace(0.0, tau, steps + 1)
+    gen = lambda nodes: scenario.hamiltonian_at(nodes / tau)
+    problem = MatrixOdeProblem(generator=gen, initial=np.eye(scenario.family.dim, dtype=complex), times=ts)
     return propagate_final(problem, method)
 
 
@@ -213,17 +238,19 @@ def convergence_study(
 ) -> list[tuple[float, float]]:
     """Defects |U(tau) - U0(tau)|_max along an increasing tau ladder.
 
-    U(tau) comes from ``full_propagator``: the scenario's closed-form hook,
-    or else ``method`` integrating the drive at ``steps_per_time``.
+    U(tau) comes from ``full_propagator``: closed-form for a precessing
+    drive, or else ``method`` integrating the drive at ``steps_per_time``.
+    U0's frames and Gamma0 are built once; each tau adds its dynamical phases.
     """
     taus = list(tau_list)
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise DomainError("tau_list must be increasing")
+    fields = _level_holonomies(scenario, None, num_samples)
     out = []
     for tau in taus:
         scen = scenario.with_tau(tau)
         u_full = full_propagator(scen, steps_per_time=steps_per_time, method=method)
-        u0 = adiabatic_propagator(scen, num_samples=num_samples).final
+        u0 = _assemble_u0(scen, fields).final
         out.append((float(tau), float(np.max(np.abs(u_full - u0)))))
     return out
 

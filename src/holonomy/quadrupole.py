@@ -26,7 +26,7 @@ matrices are evaluated in the plain position-space eigenframe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -411,55 +411,27 @@ def frame_consistent_level2(theta: float) -> np.ndarray:
 
 
 def adiabatic_scenario(scenario: PrecessionScenario):
-    """Adiabatic scenario for the precessing quadrupole, with two analytic hooks.
+    """Adiabatic scenario of the precession's sweep dphi over s in [0, 1], with drive generator dphi J3.
 
-    ``level_fn`` supplies each level's plain eigenframes along the drive, with
-    their eigenvalues, and the holonomy of those frames in closed form: the
-    connection is constant in s, 0 for level 0 and dphi [[mu, nu], [nu, -mu]]
-    for the doublet, so Gamma0(s) = exp(i s dphi [[mu, nu], [nu, -mu]]).
-    ``propagator_fn`` supplies the full propagator U(tau) of the same sweep
-    dphi traversed in duration tau, by :func:`exact_propagator` with
-    omega = dphi / tau.  Neither U0 nor U(tau) carries transport or
+    H(phi0 + s dphi) = e^{-is dphi J3} H(phi0) e^{is dphi J3}, so U0 is
+    closed-form and U(tau) equals :func:`exact_propagator` of the sweep
+    traversed in duration tau (omega = dphi / tau): no transport or
     integration error.
     """
     from .adiabatic import AdiabaticScenario
 
     dphi_total = scenario.omega * scenario.duration
-    e2 = scenario.field_at(0.0).energy_split
-    a2_const = frame_consistent_level2(scenario.theta)
-    radius = float(np.hypot(a2_const[0, 0].real, a2_const[0, 1].real))  # |(mu, nu)|
 
     def phi_of_s(ss: np.ndarray) -> np.ndarray:
         return (scenario.phi0 + dphi_total * np.asarray(ss, dtype=float))[:, None]
 
     ss = np.linspace(0.0, 1.0, 65)
     curve = Curve(times=ss, points=phi_of_s(ss), cyclic=False, evaluator=phi_of_s)
-
-    def level_fn(level: int, s_grid: np.ndarray) -> tuple[FrameField, np.ndarray]:
-        s_grid = np.asarray(s_grid, dtype=float)
-        field = FieldPoint(scenario.rho, phi_of_s(s_grid)[:, 0], scenario.zeta, scenario.coupling)
-        frames = FrameField(
-            level_index=level,
-            multiplicity=1 if level == 0 else 2,
-            times=s_grid,
-            frames=level_frame(field, level),
-            eigenvalues=np.full(len(s_grid), 0.0 if level == 0 else e2),
-        )
-        if level == 0:
-            return frames, np.ones((len(s_grid), 1, 1), dtype=complex)
-        # M = [[mu, nu], [nu, -mu]] squares to radius^2, so exp(i x M) = cos(x radius) + i x sinc(x radius) M
-        x = (dphi_total * s_grid)[:, None, None]
-        return frames, np.cos(x * radius) * S0 + 1j * x * np.sinc(x * radius / np.pi) * a2_const
-
-    def propagator_fn(tau: float) -> np.ndarray:
-        return exact_propagator(replace(scenario, omega=dphi_total / tau, duration=tau, phi_final=None), tau)
-
     return AdiabaticScenario(
         family=scenario.hamiltonian_family(),
         curve=curve,
         tau=scenario.duration,
-        level_fn=level_fn,
-        propagator_fn=propagator_fn,
+        drive_generator=dphi_total * J3,
     )
 
 

@@ -159,7 +159,7 @@ class TestFinalOnlyRoutes:
         with pytest.raises(AssertionError, match="final-only"):  # the patch reaches the scan's callers
             propagate(qd.level2_holonomy_problem(scenario, 65))
 
-        u = full_propagator(dataclasses.replace(qd.adiabatic_scenario(scenario), propagator_fn=None),
+        u = full_propagator(dataclasses.replace(qd.adiabatic_scenario(scenario), drive_generator=None),
                             steps_per_time=10.0)
         assert np.max(np.abs(u - qd.exact_propagator(scenario, scenario.duration))) <= 1e-6
         config = parse_config_text(

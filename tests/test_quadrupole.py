@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from holonomy.adiabatic import _level_holonomies
 from holonomy.errors import AxisSingularityError, DomainError
 from holonomy.linalg import eigh_many, expm_skew, level_bounds, unitarity_defects
 from holonomy.propagate import MatrixOdeProblem, propagate
@@ -347,14 +348,22 @@ class TestOracleConnection:
 
     @pytest.mark.parametrize("fraction", [1.0, 0.37])
     def test_adiabatic_hook_gamma0_is_the_integrated_constant_connection(self, fraction):
-        # the hook's closed-form Gamma0 against the integrator on the constant connection of its
-        # plain frames, dphi * [[mu, nu], [nu, -mu]] for the doublet and 0 for level 0, per unit s
+        # the closed-form Gamma0 of the drive generator G = dphi J3 against the integrator on the
+        # constant connection A = F0^dag G F0 of its own frames e^{-isG} F0, per unit s: 0 for level 0,
+        # and for the doublet eigenvalues +-dphi cos(theta), since mu^2 + nu^2 = cos^2(theta)
         scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.3, omega=2 * np.pi / 50, duration=50.0 * fraction)
         adiabatic = qd.adiabatic_scenario(scenario)
         ss = adiabatic.s_grid(801)
         dphi = scenario.omega * scenario.duration
-        for level, connection in ((0, np.zeros((1, 1))), (1, dphi * qd.frame_consistent_level2(TYCKO))):
-            frames, gamma = adiabatic.level_fn(level, ss)
+        g = adiabatic.drive_generator
+        fields = _level_holonomies(adiabatic, None, 801)
+        assert [frames.multiplicity for frames, _ in fields] == [1, 2]
+        for frames, gamma in fields:
+            f = frames.frames
+            connection = f[0].conj().T @ g @ f[0]
+            assert np.max(np.abs(np.conj(np.swapaxes(f, 1, 2)) @ g @ f - connection)) <= 1e-12  # constant in s
+            expected = [0.0] if frames.multiplicity == 1 else [-dphi * np.cos(TYCKO), dphi * np.cos(TYCKO)]
+            assert np.max(np.abs(np.linalg.eigvalsh(connection) - expected)) <= 1e-12
             problem = MatrixOdeProblem(generator=constant(-connection), initial=np.eye(frames.multiplicity), times=ss)
             assert gamma.shape == (len(ss), frames.multiplicity, frames.multiplicity)
             assert np.max(np.abs(gamma - propagate(problem).matrices)) <= 1e-12

@@ -6,7 +6,9 @@ through ``linalg.eigh_many``, its eigenvalues are clustered into levels only
 by ``linalg.level_bounds``, and every singular value decomposition that
 computes factors through ``linalg.polar_many``.  No package module imports
 scipy, which is a test dependency only, and the adiabatic propagator U0
-integrates nothing.  A ``csv.writer`` is built only in ``io.write_csv``, so
+integrates nothing.  The adiabatic module stays spin-agnostic and takes no
+callable hooks: a scenario's fields are data, and it imports nothing from the
+quadrupole.  A ``csv.writer`` is built only in ``io.write_csv``, so
 every CSV the package writes has the bytes of that one writer.
 """
 
@@ -137,8 +139,8 @@ def test_no_package_module_imports_scipy():
 
 
 def test_adiabatic_imports_no_integrator():
-    # U0 takes every Gamma0 from the transported frames or from the hook's closed form: of the
-    # adiabatic module, only the full propagator U(tau) of a scenario without a hook integrates
+    # U0 takes every Gamma0 from the transported frames or from the drive generator's closed form: of
+    # the adiabatic module, only the full propagator U(tau) of a scenario without a drive generator integrates
     tree = ast.parse((ROOT / "src" / "holonomy" / "adiabatic.py").read_text(encoding="utf-8"))
     functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert {"adiabatic_propagator", "_level_holonomies", "adiabatic_noncyclic_phase"} <= functions
@@ -146,3 +148,16 @@ def test_adiabatic_imports_no_integrator():
     scopes = {scope.split(".")[0] for scope, node in _scoped_nodes(tree)
               if isinstance(node, ast.Name) and node.id in integrator}
     assert scopes == {"full_propagator"}, sorted(scopes)
+
+
+def test_adiabatic_scenario_is_data_and_spin_agnostic():
+    # every field of AdiabaticScenario is data, none a Callable hook, and the generic module knows no spin
+    tree = ast.parse((ROOT / "src" / "holonomy" / "adiabatic.py").read_text(encoding="utf-8"))
+    [scenario] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "AdiabaticScenario"]
+    fields = {node.target.id: ast.unparse(node.annotation) for node in scenario.body if isinstance(node, ast.AnnAssign)}
+    assert list(fields) == ["family", "curve", "tau", "drive_generator"], fields
+    hooks = {name: text for name, text in fields.items() if "Callable" in text}
+    assert hooks == {}, hooks
+    quadrupole = [(scope, module, names) for scope, module, names in _imports(tree)
+                  if "quadrupole" in module.split(".") or "quadrupole" in (names or ())]
+    assert quadrupole == [], quadrupole
