@@ -170,7 +170,8 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
     basis inside a degenerate level leaves unchanged; its largest entry would
     depend on the arbitrary basis that ``eigh_many`` returns.  One stacked
     ``eigh_many`` decomposes every sample, and ``level_bounds`` clusters its
-    eigenvalues and raises at a level crossing.
+    eigenvalues and raises at a level crossing.  A family of one level has no
+    couplings: empty dicts, ``min_gaps`` inf and a ratio of 0.
     """
     if num_samples < 3:
         raise ResolutionError("adiabaticity report needs at least 3 samples")
@@ -194,13 +195,13 @@ def adiabaticity_report(scenario: AdiabaticScenario, num_samples: int = 201) -> 
         1j * (np.conj(np.swapaxes(frames[m], 1, 2)) @ dh @ frames[n]) / gaps[:, m, n, None, None]
         for m, n in pairs
     ]
-    # the largest singular value of every block of every sample, (m, pairs)
-    norms = np.stack([np.linalg.svd(block, compute_uv=False)[:, 0] for block in blocks], axis=1)
-    local_max = np.max(norms, axis=1)
-    min_gaps = np.min(np.abs(gaps[:, off_diagonal]), axis=1)
+    # the largest singular value of every block of every sample, (pairs, m); a single level has no pairs
+    norms = np.reshape([np.linalg.svd(block, compute_uv=False)[:, 0] for block in blocks], (len(pairs), len(ss)))
+    local_max = np.max(norms, axis=0, initial=0.0)
+    min_gaps = np.min(np.abs(gaps[:, off_diagonal]), axis=1, initial=np.inf)
     return AdiabaticityReport(
         times=scenario.tau * ss,
-        couplings=tuple(dict(zip(pairs, sample)) for sample in zip(*blocks)),
+        couplings=tuple({pair: block[k] for pair, block in zip(pairs, blocks)} for k in range(len(ss))),
         min_gaps=min_gaps,
         max_coupling=float(np.max(local_max)),
         summary_ratio=float(np.max(local_max / min_gaps)),

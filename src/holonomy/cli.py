@@ -8,10 +8,16 @@ sweep          one summary row per sweep point of theta, phi_f, omega or tau
 adiabatic      (tau, defect, adiabaticity ratio) rows for a tau ladder
 gauge-test     seeded random smooth gauges; asserts trace invariance
 
-Exit codes: 0 success, 1 tolerance breach, 2 invalid configuration,
-3 numerical failure (level crossing, resolution).  Human diagnostics go to
-stderr; stdout stays silent unless --progress is given.  Set HOLONOMY_LOG to
-DEBUG/INFO/WARNING to adjust verbosity.
+Exit codes: 0 success, 1 tolerance breach, 2 invalid input, 3 numerical
+failure.  The class of the error decides the code, and only :func:`main`
+applies the rule: ``ConfigError``, ``DomainError`` (with
+``AxisSingularityError``) and ``StructuralError`` are invalid input, printed
+as ``configuration error: <message>`` with exit 2 (a bad curve file, a
+non-Hermitian generator, a field on the axis, a backward sweep); every other
+``HolonomyError`` (a level crossing, an under-resolved curve, orthogonal
+endpoints) is printed as ``numerical failure: <message>`` with exit 3.  Human
+diagnostics go to stderr; stdout stays silent unless --progress is given.
+Set HOLONOMY_LOG to DEBUG/INFO/WARNING to adjust verbosity.
 """
 
 from __future__ import annotations
@@ -25,14 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, parse_config, with_overrides
-from .errors import (
-    ConfigError,
-    HolonomyError,
-    LevelCrossingError,
-    ResolutionError,
-    StructuralError,
-    UndefinedPhaseError,
-)
+from .errors import ConfigError, DomainError, HolonomyError, StructuralError
 from .io import write_csv, write_json
 from .runner import (
     RunResult,
@@ -287,14 +286,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, StructuralError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LevelCrossingError, ResolutionError, StructuralError, UndefinedPhaseError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except HolonomyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

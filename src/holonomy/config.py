@@ -17,7 +17,9 @@ lines ignored.  Unknown keys are errors.  Example:
     gauge_count = 100
 
 ``theta = tycko`` selects arccos(1/sqrt(3)).  Exactly one of ``phi_final``
-or ``duration`` must be given for the quadrupole system.  Custom families
+or ``duration`` must be given for the quadrupole system; the values of the
+quadrupole keys are checked by ``PrecessionScenario``, which every subcommand
+builds before it does any work.  Custom families
 replace the field keys with ``generators_file`` and ``curve_file`` (formats
 documented in :mod:`holonomy.io`).  The ``workers`` key of older configs is
 still accepted and must be >= 1; runs are sequential and it has no effect.
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .quadrupole import TYCKO_THETA, PrecessionScenario
@@ -192,15 +192,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"keys {sorted(forbidden)} are not valid for system=quadrupole")
         theta_raw = pairs["theta"].lower()
         theta = TYCKO_THETA if theta_raw == "tycko" else _as_float(pairs, "theta")
-        if not 0 < theta < np.pi:
-            raise ConfigError("theta must lie strictly between 0 and pi")
         phi_final = _as_float(pairs, "phi_final")
         duration = _as_float(pairs, "duration")
         if (phi_final is None) == (duration is None):
             raise ConfigError("specify exactly one of phi_final or duration")
         omega = _as_float(pairs, "omega")
-        if omega == 0:
-            raise ConfigError("omega must be nonzero")
         return ScenarioConfig(
             **common,
             coupling=_as_float(pairs, "coupling", 1.0),

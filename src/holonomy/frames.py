@@ -20,9 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, StructuralError
+from .errors import DomainError, ResolutionError
 from .linalg import (
-    _first_over_scale,
     _ordered_products,
     eigh_many,
     level_bounds,
@@ -33,7 +32,7 @@ from .linalg import (
 
 CYCLIC_ENDPOINT_TOL = 1e-12
 MIN_OVERLAP_SINGULAR_VALUE = 0.5
-GENERATOR_CONSISTENCY_TOL = 1e-12  # relative: a family's values against its generator expansion
+GENERATOR_CONSISTENCY_TOL = 1e-12  # relative: adiabatic._level_holonomies' drive generator against the family
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,13 @@ def curve_from_function(
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Hermitian operator family I[theta], optionally linear in fixed generators.
+    """Hermitian operator family I[theta].
 
     ``evaluator`` is batched: it maps a parameter stack (m, N) to (m, dim, dim).
     """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    generators: tuple[np.ndarray, ...] | None = None
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         """I at a parameter stack (m, N) -> (m, dim, dim).
@@ -108,12 +106,7 @@ class OperatorFamily:
                 f"family evaluator returned shape {values.shape} for {len(thetas)} points, "
                 f"expected ({len(thetas)}, {self.dim}, {self.dim})"
             )
-        require_hermitian(values, name="family value")
-        if self.generators is not None:
-            mismatch = np.abs(values - _expand(thetas, self.generators))
-            if _first_over_scale(mismatch, values, GENERATOR_CONSISTENCY_TOL) is not None:
-                raise StructuralError("family evaluator disagrees with its generator expansion")
-        return values
+        return require_hermitian(values, name="family value")
 
 
 def _expand(thetas: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
@@ -132,7 +125,7 @@ def family_from_generators(generators: Sequence[np.ndarray]) -> OperatorFamily:
     dim = gens[0].shape[0]
     if any(g.shape != (dim, dim) for g in gens):
         raise DomainError("generators must share one dimension")
-    return OperatorFamily(dim=dim, evaluator=lambda thetas: _expand(thetas, gens), generators=gens)
+    return OperatorFamily(dim=dim, evaluator=lambda thetas: _expand(thetas, gens))
 
 
 @dataclass(frozen=True)

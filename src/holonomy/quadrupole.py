@@ -115,6 +115,9 @@ class PrecessionScenario:
             object.__setattr__(self, "phi_final", self.phi0 + self.omega * self.duration)
         if self.duration < 0:
             raise DomainError("scenario duration must be nonnegative")
+        if self.coupling == 0:
+            raise DomainError("coupling must be nonzero: at zero coupling H vanishes and has no quadrupole levels")
+        self.field_at(0.0)  # FieldPoint rejects a field on the axis (rho <= 0)
 
     @property
     def zeta(self) -> float:
@@ -402,9 +405,10 @@ def frame_consistent_level2(theta: float) -> np.ndarray:
 
     The analytic frames of :func:`level_frame` generate the constant matrix
     [[mu, nu], [nu, -mu]]; its holonomy differs from :func:`gamma2_closed` by
-    the change of gauge built into the closed-form convention.  This is the
-    connection that makes the assembled adiabatic propagator converge to the
-    true evolution.
+    the change of gauge built into the closed-form convention.  The adiabatic
+    propagator's doublet connection F0^dag G F0 (G = dphi J3, F0 in the eigh
+    gauge) is dphi times this matrix up to a constant change of basis: both
+    have eigenvalues +-dphi cos(theta), since mu^2 + nu^2 = cos^2(theta).
     """
     k = connection_coeffs(theta)
     return np.array([[k.mu, k.nu], [k.nu, -k.mu]], dtype=complex)

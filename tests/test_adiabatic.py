@@ -118,6 +118,16 @@ class TestAdiabaticityReport:
         assert report.max_coupling <= 1e-12
         assert report.summary_ratio <= 1e-12
 
+    def test_one_level_has_no_couplings(self):
+        # H proportional to 1 at d = 3: a single threefold level, nothing to couple to and no gap
+        family = family_from_generators([np.eye(3, dtype=complex)])
+        ss = np.linspace(0.0, 1.0, 17)
+        scen = AdiabaticScenario(family=family, curve=Curve(times=ss, points=1.0 + ss[:, None]), tau=5.0)
+        report = adiabaticity_report(scen, num_samples=11)
+        assert report.couplings == ({},) * 11
+        assert np.array_equal(report.min_gaps, np.full(11, np.inf))
+        assert report.max_coupling == 0.0 and report.summary_ratio == 0.0
+
     def test_coupling_linear_in_drive_rate(self):
         r1 = adiabaticity_report(tycko_adiabatic(tau=50.0), num_samples=101)
         r2 = adiabaticity_report(tycko_adiabatic(tau=25.0), num_samples=101)

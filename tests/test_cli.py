@@ -672,3 +672,84 @@ class TestGaugeTestCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "1e-9 invariance tolerance needs method magnus4" in err
+
+
+def _write_custom(tmp_path, generators, curve_rows, extra=""):
+    """Config of a custom family from generator matrices and curve rows (t, theta...); returns its path."""
+    gen_path = tmp_path / "g.json"
+    gen_path.write_text(json.dumps({"generators": [[[[complex(z).real, complex(z).imag] for z in row] for row in g]
+                                                   for g in generators]}))
+    curve_path = tmp_path / "c.csv"
+    curve_path.write_text("".join(",".join(map(str, row)) + "\n" for row in curve_rows))
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(f"system = custom-family\ngenerators_file = {gen_path}\ncurve_file = {curve_path}\n{extra}")
+    return cfg
+
+
+SX = [[0, 1], [1, 0]]
+SZ = [[1, 0], [0, -1]]
+ARC = [(t, np.cos(t), np.sin(t)) for t in np.linspace(0.0, 1.0, 21)]
+BACKWARD = BASE_CONFIG.replace("phi_final = 6.283185307179586", "phi_final = -1.0")
+
+
+def _quad(text):
+    def write(tmp_path):
+        path = tmp_path / "quad.cfg"
+        path.write_text(text)
+        return path
+    return write
+
+
+# (id, subcommand and its own flags, config writer, the owner's message)
+INVALID_INPUTS = [
+    ("backward-phase", ["phase"], _quad(BACKWARD), "scenario duration must be nonnegative"),
+    ("backward-adiabatic", ["adiabatic", "--tau-list", "50,100"], _quad(BACKWARD),
+     "scenario duration must be nonnegative"),
+    ("backward-gauge-test", ["gauge-test", "--count", "2"], _quad(BACKWARD), "scenario duration must be nonnegative"),
+    ("backward-oracle-verify", ["oracle-verify", "--random-points", "5"], _quad(BACKWARD),
+     "scenario duration must be nonnegative"),
+    ("rho-phase", ["phase"], _quad(BASE_CONFIG + "rho = -1\n"), "field point on the symmetry axis (rho must be > 0)"),
+    ("rho-oracle-verify", ["oracle-verify", "--random-points", "5"], _quad(BASE_CONFIG + "rho = -1\n"),
+     "field point on the symmetry axis (rho must be > 0)"),
+    ("zero-coupling", ["phase"], _quad(BASE_CONFIG + "coupling = 0\n"), "coupling must be nonzero"),
+    ("non-hermitian-generator", ["phase"], lambda tmp: _write_custom(tmp, [[[0, 1], [0, 0]], SZ], ARC),
+     "generator is not Hermitian"),
+    ("generators-of-two-sizes", ["phase"], lambda tmp: _write_custom(tmp, [SX, np.eye(3)], ARC),
+     "generators must share one dimension"),
+    ("curve-times-not-increasing", ["phase"],
+     lambda tmp: _write_custom(tmp, [SX, SZ], [(0, 1, 0), (1, 1, 0.1), (0.5, 1, 0.2)]),
+     "curve times must be strictly increasing"),
+    ("cyclic-endpoints-differ", ["phase"], lambda tmp: _write_custom(tmp, [SX, SZ], ARC, "cyclic = true\n"),
+     "cyclic curve endpoints differ beyond tolerance"),
+    ("curve-cell-inf", ["phase"], lambda tmp: _write_custom(tmp, [SX, SZ], [(0, 1, 0), (1, "inf", 0.1), (2, 1, 0.2)]),
+     "family value has non-finite entries"),
+    ("sweep-theta-from-0", ["sweep", "--param", "theta", "--start", "0", "--stop", "1", "--count", "3"],
+     _quad(BASE_CONFIG), "theta must lie strictly between 0 and pi"),
+    ("sweep-omega-through-0", ["sweep", "--param", "omega", "--start", "0.2", "--stop", "-0.2", "--count", "3"],
+     _quad(BASE_CONFIG), "omega must be nonzero for a precessing field"),
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command, write_config, message",
+                             [row[1:] for row in INVALID_INPUTS], ids=[row[0] for row in INVALID_INPUTS])
+    def test_invalid_input_exits_2_with_its_owners_message(self, tmp_path, capsys, command, write_config, message):
+        out = tmp_path / "out"
+        argv = command[:1] + ["--config", str(write_config(tmp_path)), "--out", str(out)] + command[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_one_level_family_runs_phase_and_adiabatic(self, tmp_path):
+        # a 1x1 family has no couplings: ratio 0, and U0 is U(tau) up to roundoff
+        cfg = _write_custom(tmp_path, [[[2.0]]], [(t, 1.0 + t) for t in np.linspace(0.0, 1.0, 21)])
+        assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+        assert summary["diagnostics"]["adiabaticity_ratio"] == 0.0
+        assert list(summary["levels"]) == ["1"]
+        assert main(["adiabatic", "--config", str(cfg), "--out", str(tmp_path / "a"), "--tau-list", "4,8"]) == 0
+        rows = list(csv.DictReader((tmp_path / "a" / "adiabatic.csv").read_text().splitlines()))
+        assert [float(row["adiabaticity_ratio"]) for row in rows] == [0.0, 0.0]
+        assert all(float(row["defect"]) <= 1e-12 for row in rows)

@@ -427,3 +427,14 @@ class TestScenario:
     def test_zero_omega_rejected(self):
         with pytest.raises(DomainError):
             qd.PrecessionScenario(theta=1.0, omega=0.0, duration=1.0)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_field_on_the_axis_rejected(self, rho):
+        # the scenario builds its field, so every route rejects rho <= 0, not only those that evaluate H
+        with pytest.raises(AxisSingularityError, match="rho must be > 0"):
+            qd.PrecessionScenario(theta=1.0, omega=1.0, duration=1.0, rho=rho)
+
+    def test_zero_coupling_rejected(self):
+        # H = 0 has one threefold level, not the quadrupole's two
+        with pytest.raises(DomainError, match="coupling must be nonzero"):
+            qd.PrecessionScenario(theta=1.0, omega=1.0, duration=1.0, coupling=0.0)

@@ -9,12 +9,14 @@ scipy, which is a test dependency only, and the adiabatic propagator U0
 integrates nothing.  The adiabatic module stays spin-agnostic and takes no
 callable hooks: a scenario's fields are data, and it imports nothing from the
 quadrupole.  A ``csv.writer`` is built only in ``io.write_csv``, so
-every CSV the package writes has the bytes of that one writer.
+every CSV the package writes has the bytes of that one writer.  The class of
+an error alone decides the CLI's exit code.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -161,3 +163,32 @@ def test_adiabatic_scenario_is_data_and_spin_agnostic():
     quadrupole = [(scope, module, names) for scope, module, names in _imports(tree)
                   if "quadrupole" in module.split(".") or "quadrupole" in (names or ())]
     assert quadrupole == [], quadrupole
+
+
+# the documented exit code of every error class: invalid input exits 2, a numerical failure 3
+EXIT_CODES = {
+    "ConfigError": 2,
+    "DomainError": 2,
+    "AxisSingularityError": 2,
+    "StructuralError": 2,
+    "HolonomyError": 3,
+    "LevelCrossingError": 3,
+    "ResolutionError": 3,
+    "UndefinedPhaseError": 3,
+}
+PREFIXES = {2: "configuration error: ", 3: "numerical failure: "}
+
+
+def test_every_error_class_maps_to_its_exit_code(monkeypatch, capsys):
+    cli = importlib.import_module("holonomy.cli")
+    errors = importlib.import_module("holonomy.errors")
+    classes = {name: cls for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and issubclass(cls, errors.HolonomyError)}
+    assert set(classes) == set(EXIT_CODES), "give each error class its documented exit code"
+    for name, cls in classes.items():
+        def raising(args, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, "cmd_phase", raising)  # build_parser binds the subcommand when main runs
+        assert cli.main(["phase", "--config", "unread.cfg", "--out", "unwritten"]) == EXIT_CODES[name], name
+        assert capsys.readouterr().err == f"{PREFIXES[EXIT_CODES[name]]}{name} raised\n"
