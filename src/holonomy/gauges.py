@@ -7,16 +7,30 @@ harmonic 1 at scale GAUGE_AMPLITUDE, harmonic n at GAUGE_AMPLITUDE / n.  The
 construction is documented and reproducible: identical (seed, size) give
 identical paths.
 
-The exact derivative dv/dt comes from the Daleckii-Krein formula on the
-eigendecomposition of G (the Frechet derivative of the matrix exponential
-restricted to Hermitian arguments), so the generator K of any integrator
-problem i dM/dt = K M is transformed by the exact gauge law
+The generator K of any integrator problem i dM/dt = K M is transformed by the
+exact gauge law
 
     K -> v^dag K v - i v^dag (dv/dt)
 
 without finite-difference noise.  A connection A enters its holonomy as
 K = -A, so this is A -> v^dag A v + i v^dag (dv/dt); the coefficient
 equation of a level, K = E - A, transforms by the same law.
+
+For a doublet (l = 2) the law is a closed form in Pauli vectors and needs no
+eigendecomposition.  Write G = g0 + g.sigma, K = k0 + k.sigma,
+dG/dt = h0 + h.sigma and r = |g|.  Conjugation by exp(i g.sigma) rotates a
+Pauli vector by 2r about g (Rodrigues), so v^dag (k.sigma) v = (R k).sigma,
+and -i v^dag dv/dt = int_0^1 exp(-iuG) (dG/dt) exp(iuG) du = h0 + (A h).sigma
+with A the rotation averaged over the angles 0..2r.  With
+sinc = sin r / r, x = cos r sinc = sin 2r / 2r and y = (1 - x) / r^2:
+
+    K~ = k0 + h0 + [cos 2r k + x h + g x (2x k + sinc^2 h) + g (2 sinc^2 g.k + y g.h)] . sigma
+
+Every coefficient is finite at r = 0 (sinc = x = 1, y = 2/3), and one sin r
+and one cos r per node give them all.  For any other size the law is formed
+in the eigenbasis of G by the Daleckii-Krein formula (the Frechet derivative
+of the matrix exponential restricted to Hermitian arguments), which also
+gives the exact dv/dt of ``SmoothGauge.value_and_derivative``.
 """
 
 from __future__ import annotations
@@ -69,25 +83,31 @@ class SmoothGauge:
     def generator(self, t, derivative: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """G(t), or (G(t), dG/dt) from the same cosines and sines when ``derivative``.
 
-        Accepts a scalar or an array of times (stacked output).
+        Accepts a scalar or an array of times (stacked output).  Harmonics 2..order
+        come from the fundamental by angle addition, and G and dG/dt from one real
+        product of the harmonics with the coefficients' real view.
         """
-        s = 2 * np.pi * (np.asarray(t, dtype=float) - self.t0) / (self.t1 - self.t0)
-        ks = np.arange(1, len(self.cos_coeffs) + 1)
-        angles = np.multiply.outer(s, ks)  # (..., order)
-        cos, sin = np.cos(angles), np.sin(angles)
-        g = (
-            self.base
-            + np.tensordot(cos, self.cos_coeffs, axes=([-1], [0]))
-            + np.tensordot(sin, self.sin_coeffs, axes=([-1], [0]))
-        )
-        if not derivative:
-            return g
-        rate = 2 * np.pi / (self.t1 - self.t0)
-        gdot = rate * (
-            np.tensordot(-sin * ks, self.cos_coeffs, axes=([-1], [0]))
-            + np.tensordot(cos * ks, self.sin_coeffs, axes=([-1], [0]))
-        )
-        return g, gdot
+        t = np.asarray(t, dtype=float)
+        s = 2 * np.pi * (t.ravel() - self.t0) / (self.t1 - self.t0)
+        order = len(self.cos_coeffs)
+        waves = np.empty((2, order, s.size))  # cos(ks), sin(ks) for k = 1..order
+        waves[0, 0], waves[1, 0] = np.cos(s), np.sin(s)
+        for k in range(1, order):
+            waves[0, k] = waves[0, k - 1] * waves[0, 0] - waves[1, k - 1] * waves[1, 0]
+            waves[1, k] = waves[1, k - 1] * waves[0, 0] + waves[0, k - 1] * waves[1, 0]
+        outputs = 2 if derivative else 1
+        harmonics = np.empty((1 + 2 * order, outputs, s.size))  # rows: base, cos, sin; columns: G, dG/dt
+        harmonics[0, 0] = 1.0
+        harmonics[1:, 0] = waves.reshape(2 * order, -1)
+        if derivative:
+            rate = (2 * np.pi / (self.t1 - self.t0)) * np.arange(1, order + 1)[:, None]
+            harmonics[0, 1] = 0.0
+            harmonics[1 : 1 + order, 1] = -rate * waves[1]
+            harmonics[1 + order :, 1] = rate * waves[0]
+        coeffs = np.concatenate([self.base[None], self.cos_coeffs, self.sin_coeffs]).astype(complex, copy=False)
+        values = harmonics.reshape(1 + 2 * order, -1).T @ coeffs.reshape(1 + 2 * order, -1).view(float)
+        values = values.view(complex).reshape(outputs, *t.shape, self.size, self.size)
+        return (values[0], values[1]) if derivative else values[0]
 
     def generator_derivative(self, t) -> np.ndarray:
         return self.generator(t, derivative=True)[1]
@@ -119,11 +139,8 @@ def random_smooth_gauge(size: int, t0: float, t1: float, seed) -> SmoothGauge:
 class _TransformedConnectionEvaluator:
     """K~ = v^dag K v - i v^dag dv/dt under a smooth gauge, batched: ts (m,) -> (m, l, l).
 
-    One eigendecomposition G = Q Lam Q^dag per node set gives both terms of
-    the gauge law in the eigenbasis of G, with h_ab = (lam_a - lam_b) / 2:
-
-        Q^dag (v^dag K v) Q        = e^{-2ih} o (Q^dag K Q)
-        Q^dag (-i v^dag dv/dt) Q   = e^{-ih} o sinc(h) o (Q^dag Gdot Q)   (Daleckii-Krein)
+    A doublet takes the closed form of ``_doublet_gauge_law``; any other size
+    takes ``_eigenbasis_gauge_law``.
     """
 
     def __init__(self, base: Callable[[np.ndarray], np.ndarray], gauge: SmoothGauge):
@@ -134,23 +151,71 @@ class _TransformedConnectionEvaluator:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         base = np.asarray(self._base(ts), dtype=complex)
         g, gdot = self._gauge.generator(ts, derivative=True)
-        lam, q = eigh_many(g)
-        half, sinc = _half_gaps(lam)
-        rot = np.exp(-1j * half)
-        qh = np.conj(np.swapaxes(q, -1, -2))
-        inner = rot * rot * _sandwich(qh, base, q)
-        inner += rot * sinc * _sandwich(qh, gdot, q)
-        out = _sandwich(q, inner, qh)
-        return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+        law = _doublet_gauge_law if base.shape[1:] == g.shape[1:] == (2, 2) else _eigenbasis_gauge_law
+        return law(base, g, gdot)
 
     def __call__(self, ts) -> np.ndarray:
         return self.many(ts)
+
+
+def _eigenbasis_gauge_law(k: np.ndarray, g: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+    """K~ for stacks (m, l, l) of K, G and dG/dt from one eigendecomposition G = Q Lam Q^dag.
+
+    Both terms of the law are formed in the eigenbasis of G, with
+    h_ab = (lam_a - lam_b) / 2:
+
+        Q^dag (v^dag K v) Q        = e^{-2ih} o (Q^dag K Q)
+        Q^dag (-i v^dag dv/dt) Q   = e^{-ih} o sinc(h) o (Q^dag Gdot Q)   (Daleckii-Krein)
+    """
+    lam, q = eigh_many(g)
+    half, sinc = _half_gaps(lam)
+    rot = np.exp(-1j * half)
+    qh = np.conj(np.swapaxes(q, -1, -2))
+    inner = rot * rot * _sandwich(qh, k, q)
+    inner += rot * sinc * _sandwich(qh, gdot, q)
+    out = _sandwich(q, inner, qh)
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left @ x @ right over stacks (m, l, l) of small matrices, with the stack axis innermost."""
     lt, xt, rt = (_stack_last(z) for z in (left, x, right))
     return np.moveaxis(_stack_matmul(_stack_matmul(lt, xt), rt), -1, 0)
+
+
+# Rows: the real view (Re, Im of M00, M01, M10, M11) of a 2x2 matrix M; columns:
+# (m0, mx, my, mz) of its Hermitian part m0 + m.sigma.  Twice the transpose maps
+# the components back to the real view of m0 + m.sigma.
+_PAULI = 0.5 * np.array([
+    [1, 0, 0, 1], [0, 0, 0, 0],
+    [0, 1, 0, 0], [0, 0, -1, 0],
+    [0, 1, 0, 0], [0, 0, 1, 0],
+    [1, 0, 0, -1], [0, 0, 0, 0],
+])
+
+
+def _pauli(stack: np.ndarray) -> np.ndarray:
+    """(m0, mx, my, mz) of the Hermitian part of each matrix of a stack (m, 2, 2), as (4, m)."""
+    return _PAULI.T @ np.ascontiguousarray(stack, dtype=complex).reshape(-1, 4).view(float).T
+
+
+def _doublet_gauge_law(k: np.ndarray, g: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+    """K~ for stacks (m, 2, 2) of K, G and dG/dt in closed form (module docstring); Hermitian by construction."""
+    kc, gc, hc = _pauli(k), _pauli(g), _pauli(gdot)
+    kv, gv, hv = kc[1:], gc[1:], hc[1:]
+    r2 = np.einsum("im,im->m", gv, gv)
+    r = np.sqrt(r2)
+    sin, cos = np.sin(r), np.cos(r)
+    turning = r2 > 0
+    sinc = np.divide(sin, r, out=np.ones_like(r), where=turning)
+    x = cos * sinc  # sin 2r / 2r
+    y = np.divide(1.0 - x, r2, out=np.full_like(r2, 2.0 / 3.0), where=turning)
+    z = sinc * sinc  # (1 - cos 2r) / 2r^2
+    w = np.empty_like(kc)
+    w[0] = kc[0] + hc[0]
+    w[1:] = (cos * cos - sin * sin) * kv + x * hv + np.cross(gv, 2 * x * kv + z * hv, axis=0)
+    w[1:] += gv * (2 * z * np.einsum("im,im->m", gv, kv) + y * np.einsum("im,im->m", gv, hv))
+    return (w.T @ (2 * _PAULI.T)).view(complex).reshape(-1, 2, 2)
 
 
 def transform_problem(problem: MatrixOdeProblem, gauge: SmoothGauge) -> MatrixOdeProblem:

@@ -103,6 +103,10 @@ class PrecessionScenario:
     rho: float = 1.0
 
     def __post_init__(self):
+        for key in ("phi0", "omega", "duration", "phi_final", "coupling", "rho"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):
+                raise DomainError(f"{key} must be finite, got {value!r}")
         if self.omega == 0:
             raise DomainError("omega must be nonzero for a precessing field")
         if not 0 < self.theta < np.pi:

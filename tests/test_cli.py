@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io as stdio
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -690,6 +691,9 @@ SX = [[0, 1], [1, 0]]
 SZ = [[1, 0], [0, -1]]
 ARC = [(t, np.cos(t), np.sin(t)) for t in np.linspace(0.0, 1.0, 21)]
 BACKWARD = BASE_CONFIG.replace("phi_final = 6.283185307179586", "phi_final = -1.0")
+OMEGA_NAN = BASE_CONFIG.replace("omega = 0.15707963267948966", "omega = nan")
+DURATION_INF = BASE_CONFIG.replace("phi_final = 6.283185307179586", "duration = inf")
+PHI_FINAL_NAN = BASE_CONFIG.replace("phi_final = 6.283185307179586", "phi_final = nan")
 
 
 def _quad(text):
@@ -727,6 +731,9 @@ INVALID_INPUTS = [
      _quad(BASE_CONFIG), "theta must lie strictly between 0 and pi"),
     ("sweep-omega-through-0", ["sweep", "--param", "omega", "--start", "0.2", "--stop", "-0.2", "--count", "3"],
      _quad(BASE_CONFIG), "omega must be nonzero for a precessing field"),
+    ("omega-nan", ["phase"], _quad(OMEGA_NAN), "omega must be finite"),
+    ("duration-inf", ["phase"], _quad(DURATION_INF), "duration must be finite"),
+    ("phi-final-nan", ["phase"], _quad(PHI_FINAL_NAN), "phi_final must be finite"),
 ]
 
 
@@ -736,7 +743,10 @@ class TestExitCodeContract:
     def test_invalid_input_exits_2_with_its_owners_message(self, tmp_path, capsys, command, write_config, message):
         out = tmp_path / "out"
         argv = command[:1] + ["--config", str(write_config(tmp_path)), "--out", str(out)] + command[1:]
-        assert main(argv) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}"), err
         assert "Traceback" not in err
@@ -753,3 +763,12 @@ class TestExitCodeContract:
         rows = list(csv.DictReader((tmp_path / "a" / "adiabatic.csv").read_text().splitlines()))
         assert [float(row["adiabaticity_ratio"]) for row in rows] == [0.0, 0.0]
         assert all(float(row["defect"]) <= 1e-12 for row in rows)
+
+    def test_two_sample_curve_runs_phase(self, tmp_path):
+        # the adiabaticity report's np.gradient needs two samples, as frame transport does
+        cfg = _write_custom(tmp_path, [SX, SZ], [(0.0, 1.0, 0.0), (1.0, 0.8, 0.6)])
+        assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+        assert summary["diagnostics"]["adiabaticity_ratio"] > 0
+        assert list(summary["levels"]) == ["1", "2"]
+        assert main(["adiabatic", "--config", str(cfg), "--out", str(tmp_path / "a"), "--tau-list", "4,8"]) == 0

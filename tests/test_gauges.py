@@ -1,9 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from holonomy import linalg
 from holonomy.config import parse_config_text
-from holonomy.gauges import SmoothGauge, _exp_i_and_frechet_many, random_smooth_gauge, transform_problem
+from holonomy.gauges import (
+    SmoothGauge,
+    _doublet_gauge_law,
+    _eigenbasis_gauge_law,
+    _exp_i_and_frechet_many,
+    random_smooth_gauge,
+    transform_problem,
+)
 from holonomy.linalg import unitarity_defects
 from holonomy.propagate import MatrixOdeProblem, propagate, propagate_final
 from holonomy.runner import run_gauge_test
@@ -67,6 +77,77 @@ class TestSmoothGauge:
         # Fourier construction: v(t1) = v(t0)
         gauge = random_smooth_gauge(2, 0.0, 5.0, seed=3)
         assert np.max(np.abs(gauge(5.0) - gauge(0.0))) <= 1e-12
+
+
+def _fourier_sum(gauge: SmoothGauge, t):
+    """(G(t), dG/dt) summed harmonic by harmonic, each cos(ks) and sin(ks) evaluated on its own."""
+    s = 2 * np.pi * (np.asarray(t, dtype=float) - gauge.t0) / (gauge.t1 - gauge.t0)
+    ks = np.arange(1, len(gauge.cos_coeffs) + 1)
+    angles = np.multiply.outer(s, ks)
+    cos, sin = np.cos(angles), np.sin(angles)
+    g = (gauge.base + np.tensordot(cos, gauge.cos_coeffs, axes=([-1], [0]))
+         + np.tensordot(sin, gauge.sin_coeffs, axes=([-1], [0])))
+    rate = 2 * np.pi / (gauge.t1 - gauge.t0)
+    gdot = rate * (np.tensordot(-sin * ks, gauge.cos_coeffs, axes=([-1], [0]))
+                   + np.tensordot(cos * ks, gauge.sin_coeffs, axes=([-1], [0])))
+    return g, gdot
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.7, np.linspace(-1.0, 6.0, 41), np.linspace(0.0, 5.0, 12).reshape(3, 4)])
+    def test_matches_fourier_sum(self, size, t):
+        gauge = random_smooth_gauge(size, 0.0, 5.0, seed=size)
+        g_ref, gdot_ref = _fourier_sum(gauge, t)
+        g, gdot = gauge.generator(t, derivative=True)
+        assert g.shape == gdot.shape == np.shape(t) + (size, size)
+        assert np.max(np.abs(g - g_ref)) <= 1e-13
+        assert np.max(np.abs(gdot - gdot_ref)) <= 1e-13
+        assert np.max(np.abs(gauge.generator(t) - g_ref)) <= 1e-13
+
+
+def _unit_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
+    a = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    return 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+class TestDoubletClosedForm:
+    @pytest.mark.parametrize("r", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, np.pi / 2, np.pi, 5.0, 20.0])
+    def test_matches_eigenbasis_law(self, r):
+        # G = g0 + r n.sigma with random unit n; K and dG/dt unit-scale Hermitian
+        rng = np.random.default_rng(7)
+        m = 64
+        n = rng.normal(size=(m, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        g = rng.normal(size=m)[:, None, None] * np.eye(2) + r * np.einsum("mi,ijk->mjk", n, pauli)
+        k, gdot = _unit_hermitian(rng, m), _unit_hermitian(rng, m)
+        closed = _doublet_gauge_law(k, g, gdot)
+        assert np.array_equal(closed, np.conj(np.swapaxes(closed, 1, 2)))
+        assert np.max(np.abs(closed - _eigenbasis_gauge_law(k, g, gdot))) <= 1e-13
+
+    def test_gauge_test_decomposes_no_node_set(self, monkeypatch):
+        # eigh_many runs only on the two endpoint values of each gauge and on the step exponentials
+        config = parse_config_text(
+            "system = quadrupole\ntheta = tycko\nphi0 = 0.0\nomega = 0.15707963267948966\n"
+            "phi_final = 6.283185307179586\ngrid = 400\nmethod = magnus4\nseed = 5\n"
+        )
+        calls = []
+        original = linalg.eigh_many
+
+        def recording(caller):
+            def eigh_many(h):
+                calls.append((caller, np.shape(h)))
+                return original(h)
+            return eigh_many
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("holonomy") and getattr(module, "eigh_many", None) is original:
+                monkeypatch.setattr(module, "eigh_many", recording(name))
+        result = run_gauge_test(config, count=3)
+        assert result.passed
+        steps = max(config.grid, 1600)
+        assert sorted(calls) == [("holonomy.gauges", (2, 2, 2))] * 3 + [("holonomy.propagate", (steps, 2, 2))] * 4
 
 
 class TestTransformConnection:
