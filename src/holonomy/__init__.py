@@ -15,7 +15,6 @@ from .errors import (
     LevelCrossingError,
     ResolutionError,
     StructuralError,
-    UndefinedPhaseError,
 )
 from .linalg import expm_skew
 from .frames import (
@@ -37,14 +36,7 @@ from .propagate import (
     propagate,
     propagate_final,
 )
-from .phase import (
-    OverlapMatrix,
-    PhaseReport,
-    abelian_phase,
-    diagonal_decomposition,
-    noncyclic_phase,
-    overlap_matrix,
-)
+from .phase import LevelTrace, diagonal_decomposition, level_trace
 from .adiabatic import (
     AdiabaticScenario,
     AdiabaticityReport,
@@ -63,7 +55,6 @@ __all__ = [
     "LevelCrossingError",
     "ResolutionError",
     "StructuralError",
-    "UndefinedPhaseError",
     "expm_skew",
     "Curve",
     "FrameField",
@@ -80,12 +71,9 @@ __all__ = [
     "lewis_riesenfeld_u",
     "propagate",
     "propagate_final",
-    "OverlapMatrix",
-    "PhaseReport",
-    "abelian_phase",
+    "LevelTrace",
     "diagonal_decomposition",
-    "noncyclic_phase",
-    "overlap_matrix",
+    "level_trace",
     "AdiabaticScenario",
     "AdiabaticityReport",
     "adiabatic_noncyclic_phase",

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, LevelCrossingError, ResolutionError
 from .frames import GENERATOR_CONSISTENCY_TOL, Curve, FrameField, OperatorFamily, transport_frames, transport_holonomy
 from .linalg import HERMITICITY_TOL, _first_over_scale, eigh_many, expm_skew, level_bounds
-from .phase import PhaseReport, noncyclic_phase, overlap_matrix
+from .phase import LevelTrace, level_trace
 from .propagate import MatrixOdeProblem, PropagatorTrace, assemble_evolution, propagate_final
 
 MIN_FULL_STEPS = 400  # the fewest steps the full propagator U(tau) takes
@@ -261,12 +261,13 @@ def adiabatic_noncyclic_phase(
     level: int,
     t: float | None = None,
     num_samples: int = 801,
-) -> PhaseReport:
-    """Noncyclic phase report of one level in the adiabatic limit at time t.
+) -> LevelTrace:
+    """Noncyclic phase data of one level (0-based index) in the adiabatic limit up to time t.
 
-    Built from the scenario's frame field: w from the endpoint frames, Gamma
-    by the module's one rule, and the dynamical phase from the energy
-    quadrature.
+    Built from the scenario's frame field up to the sample nearest t: w from
+    the frames' overlaps with the first, Gamma by the module's one rule, and
+    the dynamical phase at t from the energy quadrature; ``phase.level_trace``
+    forms the rest, and its record holds the values at t.
     """
     if t is None:
         t = scenario.tau
@@ -275,6 +276,6 @@ def adiabatic_noncyclic_phase(
 
     [(frames, gamma)] = _level_holonomies(scenario, (level,), num_samples)
     delta = _dynamical_phases(scenario, frames)
-    k = int(np.argmin(np.abs(frames.times - t / scenario.tau)))
-    w = overlap_matrix(frames.frames[0], frames.frames[k], level_index=level)
-    return noncyclic_phase(w, gamma[k], dynamical_phase=float(delta[k]))
+    n = int(np.argmin(np.abs(frames.times - t / scenario.tau))) + 1  # the samples up to the one nearest t
+    f = frames.frames[:n]
+    return level_trace(level + 1, scenario.tau * frames.times[:n], f[0].conj().T @ f, gamma[:n], float(delta[n - 1]))

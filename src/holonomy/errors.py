@@ -27,9 +27,5 @@ class ResolutionError(HolonomyError):
     """Sampling or step size too coarse for the requested computation."""
 
 
-class UndefinedPhaseError(HolonomyError):
-    """Endpoint overlap vanishes; the noncyclic phase angle has no meaning."""
-
-
 class ConfigError(HolonomyError):
     """Invalid or incomplete run configuration."""

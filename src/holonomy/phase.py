@@ -9,7 +9,9 @@ The central objects are, per degenerate level n,
 
 For a cyclic evolution w^n is the identity and Gcheck reduces to the cyclic
 holonomy.  In the Abelian case (l_n = 1) the modulus of w is the visibility
-and arg(Gcheck) the real noncyclic phase angle.
+and arg(Gcheck) the real noncyclic phase angle.  One rule, ``level_trace``,
+forms all of these from a level's w and Gamma stacks, one matrix per sample;
+its endpoint record is their last row.
 """
 
 from __future__ import annotations
@@ -18,45 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UndefinedPhaseError
-from .linalg import require_unitary
+from .errors import DomainError
+from .linalg import require_unitary, unitarity_defects
 
 VISIBILITY_FLOOR = 1e-12
 OVERLAP_SINGULAR_TOL = 1e-10
 IMAG_ROUNDOFF_FLOOR = 4 * np.finfo(float).eps  # absolute: the roundoff of a unit-scale trace
 MODULUS_TIE_TOL = 1e-12  # eigenvalue moduli closer than this are ordered by argument
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Endpoint frame overlap for one level; a contraction (singular values <= 1)."""
-
-    level_index: int
-    matrix: np.ndarray  # (l, l), w_ba = <b; start | a; end>
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)  # a copy: a view would keep its whole stack alive
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals.size and svals.max() > 1.0 + OVERLAP_SINGULAR_TOL:
-            raise DomainError(f"overlap matrix has singular value {svals.max():.6f} > 1")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def multiplicity(self) -> int:
-        return self.matrix.shape[0]
-
-
-def overlap_matrix(
-    frame_start: np.ndarray,
-    frame_end: np.ndarray,
-    level_index: int = 0,
-) -> OverlapMatrix:
-    """w_ba = <b; start | a; end> for two orthonormal frames of one level."""
-    a = np.asarray(frame_start, dtype=complex)
-    b = np.asarray(frame_end, dtype=complex)
-    if a.shape != b.shape:
-        raise DomainError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    return OverlapMatrix(level_index=level_index, matrix=a.conj().T @ b)
 
 
 def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
@@ -104,112 +74,75 @@ def _sorted_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PhaseReport:
-    """Geometric-phase data for one level at one endpoint time."""
+class LevelTrace:
+    """Per-sample phase data of one level along the run, and its endpoint record."""
 
-    level_index: int
+    label: int                      # 1-based level label
     multiplicity: int
-    gamma: np.ndarray                 # holonomy matrix (l, l)
-    w: OverlapMatrix
-    gamma_check: np.ndarray           # w * gamma
-    pi: complex                       # trace(w * gamma)
-    eigenvalues: np.ndarray           # eigenvalues of gamma_check, sorted
-    # Abelian-only angles (radians); None for degenerate levels
-    phase_angle: float | None = None      # arg(w * gamma)
-    overlap_angle: float | None = None    # arg(w)
-    holonomy_angle: float | None = None   # arg(gamma)
-    visibility: float | None = None       # |w|
-    dynamical_phase: float | None = None  # -integral of E^n, when supplied
-
-    def to_record(self) -> dict:
-        """Flat serializable record (complex values split into re_/im_)."""
-        rec: dict = {
-            "level": self.level_index,
-            "multiplicity": self.multiplicity,
-            "re_pi": self.pi.real,
-            "im_pi": self.pi.imag,
-            "abs_pi": abs(self.pi),
-        }
-        for i, ev in enumerate(self.eigenvalues, start=1):
-            rec[f"re_eig{i}"] = ev.real
-            rec[f"im_eig{i}"] = ev.imag
-        if self.visibility is not None:
-            rec["visibility"] = self.visibility
-        if self.phase_angle is not None:
-            rec["phase_angle"] = self.phase_angle
-        if self.overlap_angle is not None:
-            rec["overlap_angle"] = self.overlap_angle
-        if self.holonomy_angle is not None:
-            rec["holonomy_angle"] = self.holonomy_angle
-        if self.dynamical_phase is not None:
-            rec["dynamical_phase"] = self.dynamical_phase
-        return rec
+    times: np.ndarray
+    pi: np.ndarray                  # complex, per sample
+    unitarity_defects: np.ndarray
+    record: dict                    # the summary.json level record, read from the last sample
+    phase_angles: np.ndarray | None = None       # Abelian, wrapped
+    phase_unwrapped: np.ndarray | None = None    # Abelian, cumulative
+    visibilities: np.ndarray | None = None
+    oracle_gamma_deviation: float | None = None
+    oracle_trace_deviation: float | None = None
+    min_overlap_singular_value: float | None = None  # transported frames only
+    cyclic_misalignment: float | None = None         # transported frames on a loop
 
 
-def noncyclic_phase(
-    w: OverlapMatrix,
-    gamma: np.ndarray,
-    dynamical_phase: float | None = None,
-) -> PhaseReport:
-    """Combine an endpoint overlap with a holonomy into a phase report.
+def level_trace(
+    label: int,
+    times: np.ndarray,
+    w: np.ndarray,
+    gammas: np.ndarray,
+    dynamical_phase: float | None,
+    **diagnostics,
+) -> LevelTrace:
+    """The phase data of one level from its overlap and holonomy stacks (m, l, l), whichever route made them.
 
-    Gcheck = w Gamma is generally not unitary (its eigenvalues live inside the
-    unit disc); they are computed with a general complex eigensolver and
-    ordered deterministically.
+    Pi = tr(w Gamma) per sample and the Gram defects of Gamma; an Abelian
+    level adds arg(w Gamma), its nearest-branch unwrapping and the
+    visibility |w|.  The endpoint record is the last row of these plus the
+    eigenvalues of w Gamma there, which is generally not unitary (they lie
+    in the unit disc), sorted deterministically.  The last w must be a
+    contraction (singular values <= 1), and an Abelian record leaves out the
+    phase and overlap angles of a visibility at or below VISIBILITY_FLOOR.
     """
-    gamma = np.array(gamma, dtype=complex)  # a copy, as in OverlapMatrix
-    if gamma.shape != w.matrix.shape:
-        raise DomainError(f"gamma shape {gamma.shape} does not match overlap {w.matrix.shape}")
-    gcheck = w.matrix @ gamma
-    pi = complex(np.trace(gcheck))
-    eigs = _sorted_eigenvalues(gcheck)
-    l = w.multiplicity
-
-    if l == 1:
-        wval = complex(w.matrix[0, 0])
-        gval = complex(gamma[0, 0])
-        visibility = abs(wval)
-        phase_angle, overlap_angle, holonomy_angle = map(float, phase_angles(np.array([wval * gval, wval, gval])))
-        if visibility <= VISIBILITY_FLOOR:
-            phase_angle = overlap_angle = None
-        return PhaseReport(
-            level_index=w.level_index,
-            multiplicity=1,
-            gamma=gamma,
-            w=w,
-            gamma_check=gcheck,
-            pi=pi,
-            eigenvalues=eigs,
-            phase_angle=phase_angle,
-            overlap_angle=overlap_angle,
-            holonomy_angle=holonomy_angle,
-            visibility=visibility,
-            dynamical_phase=dynamical_phase,
-        )
-
-    return PhaseReport(
-        level_index=w.level_index,
-        multiplicity=l,
-        gamma=gamma,
-        w=w,
-        gamma_check=gcheck,
-        pi=pi,
-        eigenvalues=eigs,
-        dynamical_phase=dynamical_phase,
+    if w.shape != gammas.shape:
+        raise DomainError(f"gamma stack shape {gammas.shape} does not match overlap stack {w.shape}")
+    svals = np.linalg.svd(w[-1], compute_uv=False)
+    if svals.max() > 1.0 + OVERLAP_SINGULAR_TOL:
+        raise DomainError(f"overlap matrix has singular value {svals.max():.6f} > 1")
+    gchecks = w @ gammas
+    # np.trace of the product keeps the bytes of the per-sample trace; an einsum contraction does not
+    pis = np.trace(gchecks, axis1=1, axis2=2)
+    pi = complex(pis[-1])
+    record = {"level": label, "multiplicity": w.shape[1], "re_pi": pi.real, "im_pi": pi.imag, "abs_pi": abs(pi)}
+    for i, ev in enumerate(_sorted_eigenvalues(gchecks[-1]), start=1):
+        record[f"re_eig{i}"] = ev.real
+        record[f"im_eig{i}"] = ev.imag
+    if w.shape[1] == 1:
+        angles = phase_angles(pis)
+        visibilities = np.abs(w[:, 0, 0])
+        diagnostics.update(phase_angles=angles, phase_unwrapped=unwrap_nearest_branch(angles), visibilities=visibilities)
+        overlap_angle, holonomy_angle = map(float, phase_angles(np.array([w[-1, 0, 0], gammas[-1, 0, 0]])))
+        record["visibility"] = float(visibilities[-1])
+        if visibilities[-1] > VISIBILITY_FLOOR:
+            record.update(phase_angle=float(angles[-1]), overlap_angle=overlap_angle)
+        record["holonomy_angle"] = holonomy_angle
+    if dynamical_phase is not None:
+        record["dynamical_phase"] = dynamical_phase
+    return LevelTrace(
+        label=label,
+        multiplicity=w.shape[1],
+        times=times,
+        pi=pis,
+        unitarity_defects=unitarity_defects(gammas),
+        record=record,
+        **diagnostics,
     )
-
-
-def abelian_phase(w: complex, gamma: complex) -> tuple[float, float]:
-    """(phase angle, visibility) for a nondegenerate level.
-
-    The angle is arg(w * gamma) in (-pi, pi], the sum of the endpoint-overlap
-    angle and the holonomy angle; the visibility is |w|.  A vanishing overlap
-    leaves the angle undefined: a visibility at or below VISIBILITY_FLOOR raises.
-    """
-    visibility = abs(w)
-    if visibility <= VISIBILITY_FLOOR:
-        raise UndefinedPhaseError("endpoint states are orthogonal; the noncyclic phase is undefined")
-    return phase_angles(w * gamma), visibility
 
 
 def diagonal_decomposition(
@@ -224,7 +157,11 @@ def diagonal_decomposition(
     the basis where Gamma is diagonal.
     """
     gamma = require_unitary(np.asarray(gamma, dtype=complex), name="holonomy")
-    w = overlap_matrix(frame_start, frame_end).matrix
+    a = np.asarray(frame_start, dtype=complex)
+    b = np.asarray(frame_end, dtype=complex)
+    if a.shape != b.shape:
+        raise DomainError(f"frame shapes differ: {a.shape} vs {b.shape}")
+    w = a.conj().T @ b
     # LAPACK geev back-substitutes the Schur form T = Z^dag Gamma Z, so eig's vectors
     # are Z X with X upper triangular and their QR gives Z up to column phases.  Gamma
     # is normal, so T is diagonal and Z is an orthonormal eigenbasis, degenerate

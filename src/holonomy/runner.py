@@ -1,16 +1,17 @@
 """Run pipelines behind the CLI: phase traces, sweeps, ladders, gauge tests.
 
-Every phase route hands ``_level_trace`` one level's overlap and holonomy
-stacks w, Gamma (m, l, l) and its dynamical phase; that one rule forms
-Pi = tr(w Gamma), the unitarity defects of Gamma, the Abelian angle,
-unwrapped angle and visibility |w|, and the endpoint report.  The
-quadrupole route takes the nondegenerate level's w and Gamma = exp(i (phi -
-phi0)) from closed forms, integrates the oracle connection of the degenerate
-level, and reports deviations from the closed-form holonomy and trace;
-phi_final = phi0 is one sample with identity stacks.  Custom operator
-families run the generic route: one eigendecomposition, parallel transport
-of the frames, w from their overlaps with the first frame and Gamma from
-their link phases (the discrete Wilson line; no integrator).
+Every phase route hands ``phase.level_trace`` one level's overlap and
+holonomy stacks w, Gamma (m, l, l) and its dynamical phase; that one rule
+forms Pi = tr(w Gamma), the unitarity defects of Gamma, the Abelian angle,
+unwrapped angle and visibility |w|, and the summary's level record from
+their last sample.  The quadrupole route takes the nondegenerate level's w
+and Gamma = exp(i (phi - phi0)) from closed forms, integrates the oracle
+connection of the degenerate level, and reports deviations from the
+closed-form holonomy and trace; phi_final = phi0 is one sample with identity
+stacks.  Custom operator families run the generic route: one
+eigendecomposition, parallel transport of the frames, w from their overlaps
+with the first frame and Gamma from their link phases (the discrete Wilson
+line; no integrator).
 """
 
 from __future__ import annotations
@@ -28,33 +29,8 @@ from .frames import Curve, OperatorFamily, transport_frames, transport_holonomy
 from .gauges import random_smooth_gauge, transform_problem
 from .io import read_curve_csv, read_generators_json
 from .linalg import eigh_many, level_bounds, unitarity_defects
-from .phase import (
-    OverlapMatrix,
-    PhaseReport,
-    noncyclic_phase,
-    phase_angles,
-    unwrap_nearest_branch,
-)
+from .phase import LevelTrace, level_trace
 from .propagate import propagate, propagate_final
-
-
-@dataclass(frozen=True)
-class LevelTrace:
-    """Per-sample phase data of one level along the run."""
-
-    label: int                      # 1-based level label
-    multiplicity: int
-    times: np.ndarray
-    pi: np.ndarray                  # complex, per sample
-    unitarity_defects: np.ndarray
-    phase_angles: np.ndarray | None = None       # Abelian, wrapped
-    phase_unwrapped: np.ndarray | None = None    # Abelian, cumulative
-    visibilities: np.ndarray | None = None
-    report: PhaseReport | None = None            # endpoint report
-    oracle_gamma_deviation: float | None = None
-    oracle_trace_deviation: float | None = None
-    min_overlap_singular_value: float | None = None  # transported frames only
-    cyclic_misalignment: float | None = None         # transported frames on a loop
 
 
 @dataclass(frozen=True)
@@ -73,8 +49,7 @@ class RunResult:
     def summary(self, config_echo: dict | None = None) -> dict:
         levels = {}
         for lv in self.levels:
-            rec = lv.report.to_record() if lv.report is not None else {}
-            rec["level"] = lv.label
+            rec = dict(lv.record)
             rec["convention"] = "oracle" if self.system == "quadrupole" else "parallel-transport"
             rec["max_unitarity_defect"] = float(np.max(lv.unitarity_defects))
             if lv.oracle_gamma_deviation is not None:
@@ -109,38 +84,6 @@ def _quadrupole_level_labels(config_levels: tuple[int, ...] | None) -> tuple[int
     return config_levels
 
 
-def _level_trace(
-    label: int,
-    times: np.ndarray,
-    w: np.ndarray,
-    gammas: np.ndarray,
-    dynamical_phase: float | None,
-    **diagnostics,
-) -> LevelTrace:
-    """The record of one level from its overlap and holonomy stacks (m, l, l), whichever route made them.
-
-    Pi = tr(w Gamma) per sample, the Gram defects of Gamma, and the endpoint
-    report of the last sample; an Abelian level adds arg(w Gamma), its
-    nearest-branch unwrapping and the visibility |w|.
-    """
-    # np.trace of the product keeps the bytes of the per-sample trace; an einsum contraction does not
-    pis = np.trace(w @ gammas, axis1=1, axis2=2)
-    if w.shape[1] == 1:
-        angles = phase_angles(pis)
-        diagnostics.update(
-            phase_angles=angles, phase_unwrapped=unwrap_nearest_branch(angles), visibilities=np.abs(w[:, 0, 0])
-        )
-    return LevelTrace(
-        label=label,
-        multiplicity=w.shape[1],
-        times=times,
-        pi=pis,
-        unitarity_defects=unitarity_defects(gammas),
-        report=noncyclic_phase(OverlapMatrix(label - 1, w[-1]), gammas[-1], dynamical_phase=dynamical_phase),
-        **diagnostics,
-    )
-
-
 def run_quadrupole_phase(
     scenario: qd.PrecessionScenario,
     grid: int = 800,
@@ -161,16 +104,16 @@ def run_quadrupole_phase(
     for label in labels:
         if zero_length:  # identity overlaps and holonomies: the quadrupole level labeled l has multiplicity l
             eye = np.eye(label, dtype=complex)[None]
-            lv = _level_trace(label, ts, eye, eye, 0.0)
+            lv = level_trace(label, ts, eye, eye, 0.0)
             gdev = pdev = 0.0
         elif label == 1:
             w = qd.w1_closed(scenario.theta, scenario.phi0, phis)[:, None, None].astype(complex)
-            lv = _level_trace(1, ts, w, qd.gamma1_closed(scenario.phi0, phis)[:, None, None], 0.0)
+            lv = level_trace(1, ts, w, qd.gamma1_closed(scenario.phi0, phis)[:, None, None], 0.0)
         else:
             trace = propagate(qd.level2_holonomy_problem(scenario, num_samples), method)
             max_step = trace.max_step_norm
             e2 = scenario.field_at(0.0).energy_split
-            lv = _level_trace(2, ts, qd.w2_closed(scenario.theta, scenario.phi0, phis), trace.matrices, -e2 * ts[-1])
+            lv = level_trace(2, ts, qd.w2_closed(scenario.theta, scenario.phi0, phis), trace.matrices, -e2 * ts[-1])
             gdev = float(np.max(np.abs(trace.matrices - qd.gamma2_closed(scenario.theta, scenario.phi0, phis))))
             pdev = float(np.max(np.abs(lv.pi - qd.pi2_closed(scenario.theta, scenario.phi0, phis))))
         out.append(replace(lv, oracle_gamma_deviation=gdev, oracle_trace_deviation=pdev) if label == 2 else lv)
@@ -234,7 +177,7 @@ def run_custom_phase(config: ScenarioConfig) -> RunResult:
         if frames.multiplicity == 1:
             energies = frames.eigenvalues
             dyn = float(-np.sum(0.5 * (energies[1:] + energies[:-1]) * np.diff(frames.times)))
-        out.append(_level_trace(
+        out.append(level_trace(
             frames.level_index + 1,
             frames.times,
             frames.frames[0].conj().T @ frames.frames,

@@ -12,7 +12,7 @@ import pytest
 from holonomy.config import parse_config_text
 from holonomy.frames import Curve
 from holonomy.linalg import unitarity_defects
-from holonomy.phase import OverlapMatrix, abelian_phase, noncyclic_phase, wrap_angle
+from holonomy.phase import level_trace, wrap_angle
 from holonomy.propagate import propagate, propagate_final
 from holonomy.runner import run_adiabatic, run_gauge_test
 from holonomy import quadrupole as qd
@@ -23,6 +23,11 @@ TYCKO = qd.TYCKO_THETA
 
 def report(number: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:2d} {'PASS' if passed else 'FAIL'}  {detail}")
+
+
+def endpoint_record(label: int, w: np.ndarray, gamma: np.ndarray) -> dict:
+    """The phase rule's record of a single (w, Gamma) pair, taken as one-sample stacks."""
+    return level_trace(label, np.zeros(1), np.asarray(w, dtype=complex)[None], gamma[None], None).record
 
 
 def test_criterion_01_oracle_equivalence():
@@ -54,34 +59,34 @@ def test_criterion_03_endpoint_identity():
     deviation = 0.0
     for phi0 in (0.0, 1.3, -2.0):
         deviation = max(deviation, abs(qd.pi2_closed(TYCKO, phi0, phi0) - 2.0))
-        w = OverlapMatrix(level_index=1, matrix=qd.w2_closed(TYCKO, phi0, phi0))
-        rep = noncyclic_phase(w, qd.gamma2_closed(TYCKO, phi0, phi0))
-        deviation = max(deviation, abs(rep.pi - 2.0))
+        rec = endpoint_record(2, qd.w2_closed(TYCKO, phi0, phi0), qd.gamma2_closed(TYCKO, phi0, phi0))
+        deviation = max(deviation, abs(complex(rec["re_pi"], rec["im_pi"]) - 2.0))
     report(3, deviation <= 1e-12, f"|Pi2(phi0) - 2| = {deviation:.3e} (<=1e-12)")
     assert deviation <= 1e-12
 
 
-def _cyclic_report():
+def _cyclic_report() -> tuple[complex, np.ndarray]:
+    """Pi and the eigenvalues of w Gamma from the record of the integrated cyclic holonomy."""
     scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=2 * np.pi / 40, phi_final=2 * np.pi)
     gamma = propagate_final(qd.level2_holonomy_problem(scenario, 1601), "magnus4")
-    w = OverlapMatrix(level_index=1, matrix=qd.w2_closed(TYCKO, 0.0, 2 * np.pi))
-    return noncyclic_phase(w, gamma)
+    rec = endpoint_record(2, qd.w2_closed(TYCKO, 0.0, 2 * np.pi), gamma)
+    return complex(rec["re_pi"], rec["im_pi"]), np.array([complex(rec[f"re_eig{i}"], rec[f"im_eig{i}"]) for i in (1, 2)])
 
 
 def test_criterion_04_cyclic_results():
     """Cyclic trace and eigenphases of the degenerate-level holonomy."""
-    rep = _cyclic_report()
+    pi, eigenvalues = _cyclic_report()
     k = qd.connection_coeffs(TYCKO)
-    trace_dev = abs(rep.pi - (-2 * np.exp(1j * np.pi * (k.mu + k.sigma)) * np.cos(np.pi * k.delta)))
+    trace_dev = abs(pi - (-2 * np.exp(1j * np.pi * (k.mu + k.sigma)) * np.cos(np.pi * k.delta)))
 
     # eigenphases carry the determinant phase pi*(mu+sigma) on top of the
     # symmetric pair; compare after removing it, and check the raw values
     # against their closed form pi*(mu+sigma+1 +- Delta)
-    raw = np.sort(np.angle(rep.eigenvalues))
+    raw = np.sort(np.angle(eigenvalues))
     raw_expected = np.sort([wrap_angle(p) for p in qd.cyclic_eigenphases(TYCKO)])
     raw_dev = float(np.max(np.abs(raw - raw_expected)))
 
-    normalized = np.sort(np.angle(rep.eigenvalues * np.exp(-1j * np.pi * (k.mu + k.sigma))))
+    normalized = np.sort(np.angle(eigenvalues * np.exp(-1j * np.pi * (k.mu + k.sigma))))
     target = wrap_angle(np.pi * (k.delta + 1))
     norm_dev = float(np.max(np.abs(normalized - np.sort([-target, target]))))
 
@@ -112,9 +117,9 @@ def test_criterion_04_cyclic_results():
 )
 def test_criterion_04_literal_eigenphases():
     """Literal reading: raw eigenphases equal +-pi(Delta+1) mod 2pi."""
-    rep = _cyclic_report()
+    _, eigenvalues = _cyclic_report()
     k = qd.connection_coeffs(TYCKO)
-    raw = np.sort(np.angle(rep.eigenvalues))
+    raw = np.sort(np.angle(eigenvalues))
     target = wrap_angle(np.pi * (k.delta + 1))
     assert np.max(np.abs(raw - np.sort([-target, target]))) <= 1e-8
 
@@ -211,9 +216,9 @@ def test_criterion_09_pure_gauge_level1():
 
     theta_z1 = np.arccos(1 / np.sqrt(2))  # zeta = 1
     w = qd.w1_closed(theta_z1, 0.0, np.pi / 2)
-    angle, visibility = abelian_phase(w, qd.gamma1_closed(0.0, np.pi / 2))
-    vis_dev = abs(visibility - 0.5)
-    ang_dev = abs(angle - np.pi / 2)
+    rec = endpoint_record(1, [[w]], np.array([[qd.gamma1_closed(0.0, np.pi / 2)]]))
+    vis_dev = abs(rec["visibility"] - 0.5)
+    ang_dev = abs(rec["phase_angle"] - np.pi / 2)
     passed = cycle_dev <= 1e-10 and vis_dev <= 1e-10 and ang_dev <= 1e-10
     report(
         9,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io as stdio
@@ -17,7 +18,7 @@ from holonomy.phase import IMAG_ROUNDOFF_FLOOR, phase_angles
 from holonomy.propagate import propagate
 from holonomy.runner import run_custom_phase, run_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
-from test_generic_route import write_precession
+from test_generic_route import SIGMA, write_closed_loop, write_precession
 
 TYCKO = qd.TYCKO_THETA
 
@@ -291,6 +292,48 @@ class TestPhaseCommand:
         assert lv2.phase_angles is None and lv2.visibilities is None
         assert lv2.oracle_gamma_deviation == 0.0 and lv2.oracle_trace_deviation == 0.0
 
+    # the configuration of the README example
+    README_CONFIG = (
+        "system = quadrupole\ncoupling = 1.0\nrho = 1.0\ntheta = tycko\nphi0 = 0.0\n"
+        "omega = 0.12566370614359174\nphi_final = 6.2831853071795865\ngrid = 800\nmethod = magnus4\n"
+        "levels = 1,2\nseed = 12345\ngauge_count = 100\n"
+    )
+
+    @pytest.mark.parametrize("run", ["readme-quadrupole", "spin-half-cone-0.4", "spin-half-cone-1.1"])
+    def test_summary_record_is_the_last_csv_row(self, tmp_path, run):
+        if run == "readme-quadrupole":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(self.README_CONFIG)
+        else:
+            theta, phis = float(run.rpartition("-")[2]), np.linspace(0.0, 2 * np.pi, 401)
+            r = np.column_stack([np.sin(theta) * np.cos(phis), np.sin(theta) * np.sin(phis),
+                                 np.full_like(phis, np.cos(theta))])
+            cfg = write_closed_loop(tmp_path / "in", SIGMA, np.linspace(0.0, 10.0, 401), r)
+        out = tmp_path / "out"
+        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        last = {}
+        for row in csv.DictReader((out / "phase.csv").read_text().splitlines()):
+            last[row["level"]] = row
+        assert set(last) == set(summary["levels"]) == {"1", "2"}
+        for label, rec in summary["levels"].items():
+            keys = ["re_pi", "im_pi", "abs_pi"] + [k for k in ("visibility", "phase_angle") if k in rec]
+            assert "visibility" in rec or last[label]["visibility"] == ""
+            assert "phase_angle" in rec or last[label]["phase_angle"] == ""
+            assert {k: rec[k] for k in keys} == {k: float(last[label][k]) for k in keys}, label
+
+    def test_orthogonal_endpoints_leave_the_angles_out(self, tmp_path):
+        # theta = pi/2 and a quarter turn: the nondegenerate level's endpoint states are orthogonal
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(BASE_CONFIG.replace("theta = tycko", "theta = 1.5707963267948966")
+                       .replace("phi_final = 6.283185307179586", "phi_final = 1.5707963267948966"))
+        out = tmp_path / "out"
+        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
+        lv1 = json.loads((out / "summary.json").read_text())["levels"]["1"]
+        assert lv1["visibility"] <= 1e-12
+        assert "holonomy_angle" in lv1
+        assert "phase_angle" not in lv1 and "overlap_angle" not in lv1
+
     def test_deterministic_csv_bytes(self, quad_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["phase", "--config", str(quad_config), "--out", str(out1)])
@@ -484,9 +527,15 @@ class TestQuadrupoleRun:
         assert lv.oracle_trace_deviation == float(np.max(np.abs(np.array(pis) - np.array(closed))))
 
     def test_reports_own_their_matrices(self):
+        # no LevelTrace field is a view of an (m, l, l) stack: a trace keeps no overlap or holonomy stack alive
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
         for lv in run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False).levels:
-            assert lv.report.gamma.base is None and lv.report.w.matrix.base is None
+            for field in dataclasses.fields(lv):
+                value = getattr(lv, field.name)
+                while isinstance(value, np.ndarray):
+                    assert value.ndim < 3, field.name
+                    value = value.base
+            assert all(type(v) in (int, float, np.float64) for v in lv.record.values())
 
 
 class TestOracleVerifyCommand:
@@ -620,13 +669,23 @@ class TestAdiabaticCommand:
             assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
             assert f"configuration error: {message}" in capsys.readouterr().err
 
+    # the CLI checks only that --tau-list parses; every other value is the library's own DomainError
     @pytest.mark.parametrize("tau_list", ["nope", "50,50", "0,50", "-5", "nan", "inf", "100,50"])
     def test_bad_tau_list(self, quad_config, tmp_path, capsys, tau_list):
         assert main([
             "adiabatic", "--config", str(quad_config), "--out", str(tmp_path / "a"),
             "--tau-list", tau_list,
         ]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: --tau-list")
+        message = {
+            "nope": "--tau-list must be comma-separated numbers, got 'nope'",
+            "50,50": "tau_list must be increasing",
+            "0,50": "tau must be finite and positive, got 0.0",
+            "-5": "tau must be finite and positive, got -5.0",
+            "nan": "tau must be finite and positive, got nan",
+            "inf": "tau must be finite and positive, got inf",
+            "100,50": "tau_list must be increasing",
+        }[tau_list]
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.fixture
     def integration_forbidden(self, monkeypatch):

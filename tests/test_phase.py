@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from holonomy.errors import DomainError, UndefinedPhaseError
+from holonomy.errors import DomainError
 from holonomy.linalg import expm_skew
 from holonomy.propagate import propagate
 from holonomy.phase import (
-    OverlapMatrix,
-    abelian_phase,
+    VISIBILITY_FLOOR,
+    _sorted_eigenvalues,
     diagonal_decomposition,
-    noncyclic_phase,
-    overlap_matrix,
+    level_trace,
     phase_angles,
     unwrap_nearest_branch,
     wrap_angle,
@@ -30,80 +29,94 @@ def random_frame(rng, dim, l):
     return q[:, :l]
 
 
+def endpoint(w, gamma):
+    """The rule on one-sample stacks: the trace of a single (w, Gamma) pair; a scalar is a 1x1 matrix."""
+    w, gamma = (np.atleast_2d(np.asarray(m, dtype=complex))[None] for m in (w, gamma))
+    return level_trace(1, np.zeros(1), w, gamma, None)
+
+
+def record_pi(lv):
+    return complex(lv.record["re_pi"], lv.record["im_pi"])
+
+
+def record_eigenvalues(lv):
+    l = lv.multiplicity
+    return np.array([complex(lv.record[f"re_eig{i}"], lv.record[f"im_eig{i}"]) for i in range(1, l + 1)])
+
+
 class TestOverlapMatrix:
     def test_identical_frames_identity(self):
         rng = np.random.default_rng(1)
         f = random_frame(rng, 5, 2)
-        w = overlap_matrix(f, f)
-        assert np.max(np.abs(w.matrix - np.eye(2))) <= 1e-14
+        w = f.conj().T @ f
+        assert np.max(np.abs(w - np.eye(2))) <= 1e-14
+        assert record_pi(endpoint(w, np.eye(2))) == pytest.approx(2.0, abs=1e-14)
 
     def test_quadrupole_level2_closed_form(self):
         for theta, phi0, phi in [(TYCKO, 0.0, 2.1), (1.1, 0.4, 5.0), (2.0, -1.0, 1.0)]:
             zeta = np.cos(theta) / np.sin(theta)
             fa = qd.level_frame(qd.FieldPoint(1.0, phi0, zeta), 1)
             fb = qd.level_frame(qd.FieldPoint(1.0, phi, zeta), 1)
-            w = overlap_matrix(fa, fb)
-            assert np.max(np.abs(w.matrix - qd.w2_closed(theta, phi0, phi))) <= 1e-12
+            w = fa.conj().T @ fb
+            assert np.max(np.abs(w - qd.w2_closed(theta, phi0, phi))) <= 1e-12
 
     def test_quadrupole_level1_closed_form(self):
         for theta, phi0, phi in [(TYCKO, 0.0, 1.0), (0.8, 2.0, 2.5)]:
             zeta = np.cos(theta) / np.sin(theta)
             fa = qd.level_frame(qd.FieldPoint(1.0, phi0, zeta), 0)
             fb = qd.level_frame(qd.FieldPoint(1.0, phi, zeta), 0)
-            w = overlap_matrix(fa, fb)
-            assert abs(w.matrix[0, 0] - qd.w1_closed(theta, phi0, phi)) <= 1e-12
+            w = fa.conj().T @ fb
+            assert abs(w[0, 0] - qd.w1_closed(theta, phi0, phi)) <= 1e-12
 
     def test_singular_values_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            w = overlap_matrix(random_frame(rng, 6, 3), random_frame(rng, 6, 3))
-            assert np.max(np.linalg.svd(w.matrix, compute_uv=False)) <= 1 + 1e-10
+            w = random_frame(rng, 6, 3).conj().T @ random_frame(rng, 6, 3)
+            assert np.max(np.linalg.svd(w, compute_uv=False)) <= 1 + 1e-10
+            endpoint(w, np.eye(3))  # the rule's contraction check accepts it
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(DomainError):
-            overlap_matrix(random_frame(rng, 4, 2), random_frame(rng, 4, 3))
+        with pytest.raises(DomainError, match="frame shapes differ"):
+            diagonal_decomposition(np.eye(3), random_frame(rng, 4, 3), random_frame(rng, 4, 2))
 
     def test_expansion_rejected(self):
-        with pytest.raises(DomainError):
-            OverlapMatrix(level_index=0, matrix=1.5 * np.eye(2))
+        with pytest.raises(DomainError, match="singular value 1.500000 > 1"):
+            endpoint(1.5 * np.eye(2), np.eye(2))
 
 
 class TestNoncyclicPhase:
     def test_cyclic_reduces_to_holonomy(self):
         gamma = qd.gamma2_closed(TYCKO, 0.0, 2 * np.pi)
-        w = OverlapMatrix(level_index=1, matrix=np.eye(2, dtype=complex))
-        report = noncyclic_phase(w, gamma)
-        assert np.max(np.abs(report.gamma_check - gamma)) == 0.0
-        assert report.pi == pytest.approx(complex(np.trace(gamma)))
+        lv = endpoint(np.eye(2), gamma)
+        assert np.array_equal(record_eigenvalues(lv), _sorted_eigenvalues(gamma))
+        assert record_pi(lv) == pytest.approx(complex(np.trace(gamma)))
 
     def test_quadrupole_endpoint_identity(self):
-        w = OverlapMatrix(level_index=1, matrix=qd.w2_closed(TYCKO, 0.3, 0.3))
-        report = noncyclic_phase(w, qd.gamma2_closed(TYCKO, 0.3, 0.3))
-        assert report.pi == pytest.approx(2.0, abs=1e-12)
+        lv = endpoint(qd.w2_closed(TYCKO, 0.3, 0.3), qd.gamma2_closed(TYCKO, 0.3, 0.3))
+        assert record_pi(lv) == pytest.approx(2.0, abs=1e-12)
 
     def test_quadrupole_cyclic_value(self):
-        w = OverlapMatrix(level_index=1, matrix=qd.w2_closed(TYCKO, 0.0, 2 * np.pi))
-        report = noncyclic_phase(w, qd.gamma2_closed(TYCKO, 0.0, 2 * np.pi))
-        assert report.pi == pytest.approx(qd.pi2_cyclic(TYCKO), abs=1e-12)
+        lv = endpoint(qd.w2_closed(TYCKO, 0.0, 2 * np.pi), qd.gamma2_closed(TYCKO, 0.0, 2 * np.pi))
+        assert record_pi(lv) == pytest.approx(qd.pi2_cyclic(TYCKO), abs=1e-12)
         expected = sorted(wrap_angle(p) for p in qd.cyclic_eigenphases(TYCKO))
-        got = sorted(np.angle(report.eigenvalues))
+        got = sorted(np.angle(record_eigenvalues(lv)))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_trace_bound(self):
         rng = np.random.default_rng(4)
         for l in (1, 2, 3):
             for _ in range(20):
-                w = overlap_matrix(random_frame(rng, 5, l), random_frame(rng, 5, l))
-                report = noncyclic_phase(w, random_unitary(rng, l))
-                assert abs(report.pi) <= l + 1e-10
+                w = random_frame(rng, 5, l).conj().T @ random_frame(rng, 5, l)
+                lv = endpoint(w, random_unitary(rng, l))
+                assert lv.record["abs_pi"] <= l + 1e-10
 
     def test_eigenvalue_ordering_deterministic(self):
         rng = np.random.default_rng(5)
-        w = overlap_matrix(random_frame(rng, 4, 2), random_frame(rng, 4, 2))
+        w = random_frame(rng, 4, 2).conj().T @ random_frame(rng, 4, 2)
         g = random_unitary(rng, 2)
-        a = noncyclic_phase(w, g).eigenvalues
-        b = noncyclic_phase(w, g).eigenvalues
+        a = record_eigenvalues(endpoint(w, g))
+        b = record_eigenvalues(endpoint(w, g))
         assert np.array_equal(a, b)
         assert abs(a[0]) >= abs(a[1]) - 1e-15
 
@@ -116,56 +129,56 @@ class TestNoncyclicPhase:
         for sign in (1.0, -1.0):
             moduli = 1.0 + sign * np.array([1e-15, -1e-15, 0.0])
             gcheck = (q * (moduli * np.exp(1j * args))) @ q.conj().T
-            w = OverlapMatrix(level_index=1, matrix=gcheck)
-            orders.append(np.angle(noncyclic_phase(w, np.eye(3, dtype=complex)).eigenvalues))
+            orders.append(np.angle(record_eigenvalues(endpoint(gcheck, np.eye(3)))))
         assert orders[0] == pytest.approx(np.sort(args), abs=1e-12)
         assert orders[1] == pytest.approx(np.sort(args), abs=1e-12)
 
     def test_larger_modulus_comes_first(self):
-        w = OverlapMatrix(level_index=1, matrix=np.diag([0.5j, -0.9, 0.5]).astype(complex))
-        eigs = noncyclic_phase(w, np.eye(3, dtype=complex)).eigenvalues
+        eigs = record_eigenvalues(endpoint(np.diag([0.5j, -0.9, 0.5]), np.eye(3)))
         assert np.array_equal(eigs, [-0.9, 0.5, 0.5j])
 
     def test_shape_mismatch_rejected(self):
-        w = OverlapMatrix(level_index=0, matrix=np.eye(2, dtype=complex))
-        with pytest.raises(DomainError):
-            noncyclic_phase(w, np.eye(3, dtype=complex))
+        with pytest.raises(DomainError, match="does not match"):
+            level_trace(1, np.zeros(1), np.eye(2, dtype=complex)[None], np.eye(3, dtype=complex)[None], None)
 
 
 class TestAbelianPhase:
     def test_unit_overlap(self):
-        angle, visibility = abelian_phase(1.0, np.exp(1j * np.pi / 3))
-        assert angle == pytest.approx(np.pi / 3, abs=1e-15)
-        assert visibility == 1.0
+        rec = endpoint(1.0, np.exp(1j * np.pi / 3)).record
+        assert rec["phase_angle"] == pytest.approx(np.pi / 3, abs=1e-15)
+        assert rec["visibility"] == 1.0
 
     def test_quadrupole_level1_quarter_turn(self):
         # zeta = 1, dphi = pi/2: overlap 1/2, holonomy angle pi/2
         theta = np.arccos(1 / np.sqrt(2))
         w = qd.w1_closed(theta, 0.0, np.pi / 2)
-        angle, visibility = abelian_phase(w, qd.gamma1_closed(0.0, np.pi / 2))
-        assert visibility == pytest.approx(0.5, abs=1e-10)
-        assert angle == pytest.approx(np.pi / 2, abs=1e-10)
+        rec = endpoint(w, qd.gamma1_closed(0.0, np.pi / 2)).record
+        assert rec["visibility"] == pytest.approx(0.5, abs=1e-10)
+        assert rec["phase_angle"] == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_orthogonal_endpoints_undefined(self):
-        with pytest.raises(UndefinedPhaseError):
-            abelian_phase(0.0, 1.0)
+        # a visibility at or below the floor leaves the phase and overlap angles out of the record
+        for w in (0.0, VISIBILITY_FLOOR, 0.5 * VISIBILITY_FLOOR * np.exp(0.3j)):
+            lv = endpoint(w, np.exp(0.7j))
+            assert "phase_angle" not in lv.record and "overlap_angle" not in lv.record
+            assert lv.record["visibility"] == abs(w) and lv.record["holonomy_angle"] == pytest.approx(0.7)
+        assert "phase_angle" in endpoint(2 * VISIBILITY_FLOOR, 1.0).record
 
     def test_angle_sum_decomposition(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             w = rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
             g = np.exp(1j * rng.uniform(-np.pi, np.pi))
-            angle, _ = abelian_phase(w, g)
+            angle = endpoint(w, g).record["phase_angle"]
             recombined = wrap_angle(np.angle(w) + np.angle(g))
             assert wrap_angle(angle - recombined) == pytest.approx(0.0, abs=1e-12)
 
     def test_report_visibility_is_overlap_modulus(self):
-        w = OverlapMatrix(level_index=0, matrix=np.array([[0.6 * np.exp(0.4j)]]))
-        report = noncyclic_phase(w, np.array([[np.exp(1.1j)]]))
-        assert report.visibility == pytest.approx(0.6)
-        assert report.overlap_angle == pytest.approx(0.4)
-        assert report.holonomy_angle == pytest.approx(1.1)
-        assert report.phase_angle == pytest.approx(1.5)
+        rec = endpoint(0.6 * np.exp(0.4j), np.exp(1.1j)).record
+        assert rec["visibility"] == pytest.approx(0.6)
+        assert rec["overlap_angle"] == pytest.approx(0.4)
+        assert rec["holonomy_angle"] == pytest.approx(1.1)
+        assert rec["phase_angle"] == pytest.approx(1.5)
 
 
 class TestDiagonalDecomposition:
@@ -187,7 +200,7 @@ class TestDiagonalDecomposition:
             gamma = random_unitary(rng, l)
             pairs = diagonal_decomposition(gamma, ft, f0)
             total = sum(np.exp(1j * a) * wgt for a, wgt in pairs)
-            direct = np.trace(overlap_matrix(f0, ft).matrix @ gamma)
+            direct = np.trace(f0.conj().T @ ft @ gamma)
             assert abs(total - direct) <= 1e-10
 
     def test_quadrupole_cyclic_unit_weights(self):
@@ -211,7 +224,7 @@ class TestDiagonalDecomposition:
             beta = alpha + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
             gamma = (q * np.exp(1j * np.array([alpha, alpha + split, beta]))) @ q.conj().T
             f0, ft = random_frame(rng, 5, 3), random_frame(rng, 5, 3)
-            w = overlap_matrix(f0, ft).matrix
+            w = f0.conj().T @ ft
             pairs = diagonal_decomposition(gamma, ft, f0)
             inside = sum(weight for angle, weight in pairs if abs(np.exp(1j * angle) - np.exp(1j * alpha)) < 1e-6)
             projector = q[:, :2] @ q[:, :2].conj().T
@@ -259,11 +272,11 @@ class TestAngleHelpers:
         # a negative real overlap and holonomy with roundoff of either sign: every angle reads +pi,
         # as the CSV columns of the runners do
         for w, g in [(-1.0 - 1e-16j, 1.0 + 1e-16j), (1.0 - 1e-16j, -1.0 - 1e-16j), (-0.5 + 1e-16j, -1.0 - 1e-16j)]:
-            report = noncyclic_phase(OverlapMatrix(level_index=0, matrix=np.array([[w]])), np.array([[g]]))
+            lv = endpoint(w, g)
             expected = [phase_angles(w * g), phase_angles(w), phase_angles(g)]
-            assert [report.phase_angle, report.overlap_angle, report.holonomy_angle] == expected
+            assert [lv.record[k] for k in ("phase_angle", "overlap_angle", "holonomy_angle")] == expected
             assert all(a in (0.0, np.pi) for a in expected)
-            assert abelian_phase(w, g)[0] == report.phase_angle
+            assert lv.phase_angles[-1] == lv.record["phase_angle"]
 
     @staticmethod
     def sequential_unwrap(angles):
@@ -291,14 +304,15 @@ class TestAngleHelpers:
 
 class TestReportOwnership:
     def test_report_copies_matrices_out_of_stacks(self):
-        # a report keeps only its endpoint matrices, not the run's whole stacks
+        # a level trace keeps per-sample scalars and its endpoint record, not the run's whole stacks
         scenario = qd.PrecessionScenario(theta=TYCKO, phi0=0.0, omega=1.0, duration=2.0)
         trace = propagate(qd.level2_holonomy_problem(scenario, 65))
         w2 = qd.w2_closed(TYCKO, 0.0, scenario.phi_at(trace.times))
-        report = noncyclic_phase(OverlapMatrix(level_index=1, matrix=w2[-1]), trace.final)
-        assert not np.shares_memory(report.gamma, trace.matrices)
-        assert not np.shares_memory(report.w.matrix, w2)
-        assert np.array_equal(report.gamma, trace.final) and np.array_equal(report.w.matrix, w2[-1])
+        lv = level_trace(2, trace.times, w2, trace.matrices, None)
+        for value in (lv.pi, lv.unitarity_defects):
+            assert not np.shares_memory(value, trace.matrices) and not np.shares_memory(value, w2)
+        assert record_pi(lv) == lv.pi[-1]
+        assert np.max(np.abs(record_eigenvalues(lv) - _sorted_eigenvalues(w2[-1] @ trace.final))) <= 1e-14
 
 
 class TestGaugeBehavior:
@@ -308,16 +322,16 @@ class TestGaugeBehavior:
         f0 = qd.level_frame(qd.FieldPoint(1.0, 0.0, zeta), 1)
         ft = qd.level_frame(qd.FieldPoint(1.0, 2.2, zeta), 1)
         gamma = qd.gamma2_closed(TYCKO, 0.0, 2.2)
-        base = noncyclic_phase(overlap_matrix(f0, ft), gamma)
+        w = f0.conj().T @ ft
+        base = endpoint(w, gamma)
         for _ in range(20):
             v0 = random_unitary(rng, 2)
             vt = random_unitary(rng, 2)
-            w_t = overlap_matrix(f0 @ v0, ft @ vt)
+            w_t = (f0 @ v0).conj().T @ (ft @ vt)
             gamma_t = vt.conj().T @ gamma @ v0
-            got = noncyclic_phase(w_t, gamma_t)
-            assert abs(got.pi - base.pi) <= 1e-12
-            expected = v0.conj().T @ base.gamma_check @ v0
-            assert np.max(np.abs(got.gamma_check - expected)) <= 1e-12
+            assert abs(record_pi(endpoint(w_t, gamma_t)) - record_pi(base)) <= 1e-12
+            expected = v0.conj().T @ w @ gamma @ v0
+            assert np.max(np.abs(w_t @ gamma_t - expected)) <= 1e-12
 
     def test_visibility_depends_only_on_endpoints(self):
         # two different interior samplings of the same endpoints
@@ -329,5 +343,5 @@ class TestGaugeBehavior:
         for scenario in (scenario_a, scenario_b):
             f0 = qd.level_frame(scenario.field_at(0.0), 0)
             ft = qd.level_frame(scenario.field_at(scenario.duration), 0)
-            w = overlap_matrix(f0, ft)
-            assert abs(abs(w.matrix[0, 0]) - abs(w_a)) <= 1e-12
+            w = f0.conj().T @ ft
+            assert abs(abs(w[0, 0]) - abs(w_a)) <= 1e-12

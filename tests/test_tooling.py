@@ -111,7 +111,7 @@ def test_polar_many_is_the_one_svd():
     assert factors == [("linalg", "polar_many")], f"svd with factors outside linalg.polar_many: {factors}"
     # the two norms read singular values only: the contraction check of an endpoint overlap
     # and the coupling norms of the adiabaticity report
-    assert values_only == [("adiabatic", "adiabaticity_report"), ("phase", "OverlapMatrix.__post_init__")]
+    assert values_only == [("adiabatic", "adiabaticity_report"), ("phase", "level_trace")]
 
 
 def test_write_csv_is_the_one_csv_writer():
@@ -174,7 +174,6 @@ EXIT_CODES = {
     "HolonomyError": 3,
     "LevelCrossingError": 3,
     "ResolutionError": 3,
-    "UndefinedPhaseError": 3,
 }
 PREFIXES = {2: "configuration error: ", 3: "numerical failure: "}
 
