@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import require_unitary, unitarity_defects
+from .linalg import _stack_last, _stack_matmul, require_unitary, unitarity_defects
 
 VISIBILITY_FLOOR = 1e-12
 OVERLAP_SINGULAR_TOL = 1e-10
@@ -115,12 +115,11 @@ def level_trace(
     svals = np.linalg.svd(w[-1], compute_uv=False)
     if svals.max() > 1.0 + OVERLAP_SINGULAR_TOL:
         raise DomainError(f"overlap matrix has singular value {svals.max():.6f} > 1")
-    gchecks = w @ gammas
-    # np.trace of the product keeps the bytes of the per-sample trace; an einsum contraction does not
-    pis = np.trace(gchecks, axis1=1, axis2=2)
+    # w Gamma with the stack axis innermost, where numpy's loops run over the samples, not per tiny matrix
+    pis = np.trace(_stack_matmul(_stack_last(w), _stack_last(gammas)))
     pi = complex(pis[-1])
     record = {"level": label, "multiplicity": w.shape[1], "re_pi": pi.real, "im_pi": pi.imag, "abs_pi": abs(pi)}
-    for i, ev in enumerate(_sorted_eigenvalues(gchecks[-1]), start=1):
+    for i, ev in enumerate(_sorted_eigenvalues(w[-1] @ gammas[-1]), start=1):
         record[f"re_eig{i}"] = ev.real
         record[f"im_eig{i}"] = ev.imag
     if w.shape[1] == 1:

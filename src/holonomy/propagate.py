@@ -7,12 +7,14 @@ the step level because each step is the exponential of a Hermitian generator:
 * ``magnus4``: fourth-order Magnus step built from the two Gauss-Legendre
   nodes of the step, with the leading commutator correction.
 
-Each step generator is eigendecomposed once, by ``linalg.eigh_many`` (in
-closed form for the 1x1 and 2x2 generators of Abelian and doublet levels):
-its eigenvalues give the |K| h check and its eigenvectors the step
-exponential.  The step factors S_k are built as one (d, d, m) stack with the
-stack axis innermost, the layout of ``linalg._stack_matmul``, which forms
-the ``magnus4`` commutators and the products V e^{-i Lambda} V^dag too.
+A 2x2 step exponential is a closed form in the Pauli components of its
+generator, e^{-i a0} (cos r - i (sin r / r) a.sigma), whose eigenvalues
+a0 -+ r give the |K| h check; no eigendecomposition is needed.  Any other
+step generator is eigendecomposed once, by ``linalg.eigh_many``: its
+eigenvalues give the |K| h check and its eigenvectors the step exponential.
+The step factors S_k are built as one (d, d, m) stack with the stack axis
+innermost, the layout of ``linalg._stack_matmul``, which forms the
+``magnus4`` commutators and the products V e^{-i Lambda} V^dag too.
 
 Two products of the factors follow, with the later factor always on the
 left.  ``propagate`` returns a trace of every prefix
@@ -37,6 +39,7 @@ from .errors import DomainError, ResolutionError
 from .frames import FrameField
 from .linalg import (
     HERMITICITY_TOL,
+    _doublet_components,
     _ordered_products,
     _stack_last,
     _stack_matmul,
@@ -125,17 +128,52 @@ def _step_factors(problem: MatrixOdeProblem, method: str) -> tuple[np.ndarray, f
         comm = _stack_matmul(k2, k1) - _stack_matmul(k1, k2)
         heff = 0.5 * (k1 + k2) * hs - 1j * (np.sqrt(3.0) / 12.0) * hs**2 * comm
 
+    if heff.shape[0] == 2:
+        return _doublet_steps(heff)
     # one decomposition per step: its eigenvalues give |K| h, its eigenvectors the step exponential
     step_eigs, step_vecs = eigh_many(np.moveaxis(heff, -1, 0))
     step_norms = np.max(np.abs(step_eigs), axis=1)
+    max_step_norm = _check_step_norms(step_norms)
+    vecs = _stack_last(step_vecs)
+    steps = _stack_matmul(vecs * np.exp(-1j * step_eigs.T), np.conj(np.swapaxes(vecs, 0, 1), order="C"))
+    return steps, max_step_norm
+
+
+def _check_step_norms(step_norms: np.ndarray) -> float:
+    """max |K| h over the steps, or ResolutionError naming the worst step if it reaches STEP_NORM_LIMIT."""
     max_step_norm = float(np.max(step_norms))
     if max_step_norm >= STEP_NORM_LIMIT:
         worst = int(np.argmax(step_norms))
         raise ResolutionError(
             f"step {worst} violates |K| h < {STEP_NORM_LIMIT}: got {max_step_norm:.3f}; refine the grid"
         )
-    vecs = _stack_last(step_vecs)
-    steps = _stack_matmul(vecs * np.exp(-1j * step_eigs.T), np.conj(np.swapaxes(vecs, 0, 1), order="C"))
+    return max_step_norm
+
+
+def _doublet_steps(heff: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step exponentials exp(-i heff_k) of a 2x2 stack (2, 2, m) in closed form, and max |K| h.
+
+    With heff = a0 + az sigma_z + Re b sigma_x + Im b sigma_y, read from the
+    diagonal and the lower entry b as ``eigh_many`` reads them, and
+    r = hypot(az, |b|), the eigenvalues are a0 -+ r, so |K| h = |a0| + r (the
+    bytes of eigh_many's largest |eigenvalue|), and
+
+        exp(-i heff) = e^{-i a0} (cos r - i (sin r / r) (az sigma_z + Re b sigma_x + Im b sigma_y)),
+
+    where sin r / r = 1 at r = 0.
+    """
+    b = heff[1, 0]
+    mean, half, radius = _doublet_components(heff[0, 0], heff[1, 1], b)
+    max_step_norm = _check_step_norms(np.abs(mean) + radius)
+    sinc = np.divide(np.sin(radius), radius, out=np.ones_like(radius), where=radius > 0)
+    phase = np.exp(-1j * mean)
+    rotation = -1j * sinc * phase
+    cos = np.cos(radius) * phase
+    steps = np.empty(heff.shape, dtype=complex)
+    steps[0, 0] = cos + rotation * half
+    steps[1, 1] = cos - rotation * half
+    steps[1, 0] = rotation * b
+    steps[0, 1] = rotation * np.conj(b)
     return steps, max_step_norm
 
 

@@ -6,12 +6,13 @@ forms Pi = tr(w Gamma), the unitarity defects of Gamma, the Abelian angle,
 unwrapped angle and visibility |w|, and the summary's level record from
 their last sample.  The quadrupole route takes the nondegenerate level's w
 and Gamma = exp(i (phi - phi0)) from closed forms, integrates the oracle
-connection of the degenerate level, and reports deviations from the
-closed-form holonomy and trace; phi_final = phi0 is one sample with identity
-stacks.  Custom operator families run the generic route: one
-eigendecomposition, parallel transport of the frames, w from their overlaps
-with the first frame and Gamma from their link phases (the discrete Wilson
-line; no integrator).
+connection of the degenerate level, and, for ``phase``, reports deviations
+from the closed-form holonomy and trace; ``sweep`` reports none, so it
+computes neither them nor the adiabaticity ratio.  phi_final = phi0 is one
+sample with identity stacks.  Custom operator families run the generic
+route: one eigendecomposition, parallel transport of the frames, w from
+their overlaps with the first frame and Gamma from their link phases (the
+discrete Wilson line; no integrator).
 """
 
 from __future__ import annotations
@@ -89,9 +90,14 @@ def run_quadrupole_phase(
     grid: int = 800,
     method: str = "magnus4",
     levels: tuple[int, ...] | None = None,
-    with_adiabaticity: bool = True,
+    diagnostics: bool = True,
 ) -> RunResult:
-    """Level 1 from its closed forms, level 2 from the integrated oracle holonomy; phi_final = phi0 is one sample."""
+    """Level 1 from its closed forms, level 2 from the integrated oracle holonomy; phi_final = phi0 is one sample.
+
+    ``diagnostics`` adds the run-level numbers that only ``phase``'s summary
+    reports: the adiabaticity ratio and level 2's deviations from the
+    closed-form holonomy and trace.
+    """
     start = time.perf_counter()
     labels = _quadrupole_level_labels(levels)
     zero_length = scenario.duration == 0
@@ -114,12 +120,15 @@ def run_quadrupole_phase(
             max_step = trace.max_step_norm
             e2 = scenario.field_at(0.0).energy_split
             lv = level_trace(2, ts, qd.w2_closed(scenario.theta, scenario.phi0, phis), trace.matrices, -e2 * ts[-1])
-            gdev = float(np.max(np.abs(trace.matrices - qd.gamma2_closed(scenario.theta, scenario.phi0, phis))))
-            pdev = float(np.max(np.abs(lv.pi - qd.pi2_closed(scenario.theta, scenario.phi0, phis))))
-        out.append(replace(lv, oracle_gamma_deviation=gdev, oracle_trace_deviation=pdev) if label == 2 else lv)
+            if diagnostics:
+                gdev = float(np.max(np.abs(trace.matrices - qd.gamma2_closed(scenario.theta, scenario.phi0, phis))))
+                pdev = float(np.max(np.abs(lv.pi - qd.pi2_closed(scenario.theta, scenario.phi0, phis))))
+        if label == 2 and diagnostics:
+            lv = replace(lv, oracle_gamma_deviation=gdev, oracle_trace_deviation=pdev)
+        out.append(lv)
 
     ratio = None
-    if with_adiabaticity and not zero_length:
+    if diagnostics and not zero_length:
         ratio = adiabaticity_report(qd.adiabatic_scenario(scenario), num_samples=101).summary_ratio
     return RunResult(
         system="quadrupole",
@@ -242,7 +251,7 @@ def run_sweep(
                 grid=config.grid,
                 method=config.method,
                 levels=config.levels,
-                with_adiabaticity=False,
+                diagnostics=False,
             ),
         )
         for value in values

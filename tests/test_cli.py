@@ -14,7 +14,7 @@ from holonomy.config import parse_config, parse_config_text, with_overrides
 from holonomy.errors import ConfigError
 from holonomy.io import fmt, read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defects
-from holonomy.phase import IMAG_ROUNDOFF_FLOOR, phase_angles
+from holonomy.phase import IMAG_ROUNDOFF_FLOOR, level_trace, phase_angles
 from holonomy.propagate import propagate
 from holonomy.runner import run_custom_phase, run_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
@@ -496,7 +496,7 @@ class TestImport:
 class TestQuadrupoleRun:
     def test_level1_trace_equals_closed_forms(self):
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
-        lv = run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False).levels[0]
+        lv = run_quadrupole_phase(scenario, grid=40, diagnostics=False).levels[0]
         phis = scenario.phi_at(scenario.times(41))
         w1 = qd.w1_closed(scenario.theta, scenario.phi0, phis)
         gamma1 = qd.gamma1_closed(scenario.phi0, phis)
@@ -507,16 +507,27 @@ class TestQuadrupoleRun:
         assert np.array_equal(lv.unitarity_defects, unitarity_defects(gamma1[:, None, None]))
 
     def test_level2_trace_equals_per_sample_reference(self):
+        # the stacked rule has the bytes of the same rule on one-sample stacks; the products run
+        # stack-innermost, so against np.trace(w @ g), whose BLAS product may fuse multiply-adds,
+        # Pi and the Gram defects stay within 4 ulp at the unit scale of their terms
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
-        result = run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False)
+        result = run_quadrupole_phase(scenario, grid=40, diagnostics=True)
         lv = result.levels[1]
         trace = propagate(qd.level2_holonomy_problem(scenario, 41))
-        pis, defects = [], []
-        for phi, g in zip(result.phis, trace.matrices):
-            pis.append(np.trace(qd.w2_closed(scenario.theta, scenario.phi0, phi) @ g))
-            defects.append(unitarity_defects(g)[0])
+        pis, defects, blas_pis, blas_defects = [], [], [], []
+        for t, phi, g in zip(lv.times, result.phis, trace.matrices):
+            w = qd.w2_closed(scenario.theta, scenario.phi0, phi)
+            one = level_trace(2, np.array([t]), w[None], g[None], None)
+            pis.append(one.pi[0])
+            defects.append(one.unitarity_defects[0])
+            assert one.unitarity_defects[0] == unitarity_defects(g)[0]
+            blas_pis.append(np.trace(w @ g))
+            blas_defects.append(np.max(np.abs(g.conj().T @ g - np.eye(2))))
         assert np.array_equal(lv.pi, pis)
         assert np.array_equal(lv.unitarity_defects, defects)
+        ulp = np.spacing(np.maximum(np.abs(np.array(blas_pis)), 1.0))
+        assert np.all(np.abs(lv.pi - np.array(blas_pis)) <= 4 * ulp)
+        assert np.all(np.abs(lv.unitarity_defects - np.array(blas_defects)) <= 4 * np.spacing(1.0))
         gdev = max(
             float(np.max(np.abs(g - qd.gamma2_closed(scenario.theta, scenario.phi0, phi))))
             for phi, g in zip(result.phis, trace.matrices)
@@ -529,7 +540,7 @@ class TestQuadrupoleRun:
     def test_reports_own_their_matrices(self):
         # no LevelTrace field is a view of an (m, l, l) stack: a trace keeps no overlap or holonomy stack alive
         scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
-        for lv in run_quadrupole_phase(scenario, grid=40, with_adiabaticity=False).levels:
+        for lv in run_quadrupole_phase(scenario, grid=40, diagnostics=False).levels:
             for field in dataclasses.fields(lv):
                 value = getattr(lv, field.name)
                 while isinstance(value, np.ndarray):
@@ -609,6 +620,46 @@ class TestSweepCommand:
         payload = json.loads((out / "sweep.json").read_text())
         assert payload["parameter"] == "theta"
         assert len(payload["rows"]) == 2
+
+    def test_sweep_forms_no_oracle_deviation(self, quad_config, tmp_path, monkeypatch):
+        # sweep.csv and sweep.json report no deviation from the closed forms, so a sweep computes none
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep evaluated an oracle closed form")
+
+        monkeypatch.setattr(qd, "gamma2_closed", forbidden)
+        monkeypatch.setattr(qd, "pi2_closed", forbidden)
+        assert main([
+            "sweep", "--config", str(quad_config), "--out", str(tmp_path / "s"),
+            "--param", "theta", "--start", "0.5", "--stop", "1.0", "--count", "2", "--json",
+        ]) == 0
+        with pytest.raises(AssertionError, match="oracle closed form"):  # the patch reaches phase's deviations
+            main(["phase", "--config", str(quad_config), "--out", str(tmp_path / "p")])
+
+    def test_rows_equal_the_last_phase_sample(self, tmp_path):
+        thetas = np.linspace(0.3, 2.9, 4)
+        out = tmp_path / "s"
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(BASE_CONFIG.replace("grid = 400", "grid = 120"))
+        assert main([
+            "sweep", "--config", str(cfg), "--out", str(out),
+            "--param", "theta", "--start", "0.3", "--stop", "2.9", "--count", "4",
+        ]) == 0
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert len(rows) == len(thetas)
+        for theta, row in zip(thetas, rows):
+            assert row["theta"] == fmt(float(theta))
+            point = tmp_path / f"theta{theta!r}.cfg"
+            point.write_text(cfg.read_text().replace("theta = tycko", f"theta = {float(theta)!r}"))
+            assert main(["phase", "--config", str(point), "--out", str(tmp_path / "p")]) == 0
+            samples = list(csv.DictReader((tmp_path / "p" / "phase.csv").read_text().splitlines()))
+            last = {s["level"]: s for s in samples}  # the last row of each level
+            for label in ("1", "2"):
+                for key in ("re_pi", "im_pi", "abs_pi"):
+                    assert row[f"level{label}_{key}"] == last[label][key], (theta, label, key)
+            assert row["level1_phase_angle"] == last["1"]["phase_angle"]
+            assert row["level1_visibility"] == last["1"]["visibility"]
+            summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+            assert row["max_unitarity_defect"] == fmt(summary["diagnostics"]["max_unitarity_defect"])
 
     def test_bad_param_rejected(self, quad_config, tmp_path, capsys):
         with pytest.raises(SystemExit):

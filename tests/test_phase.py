@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy.errors import DomainError
+from holonomy.frames import Curve, family_from_generators, transport_frames, transport_holonomy
 from holonomy.linalg import expm_skew
 from holonomy.propagate import propagate
 from holonomy.phase import (
@@ -16,6 +17,23 @@ from holonomy.phase import (
 from holonomy import quadrupole as qd
 
 TYCKO = qd.TYCKO_THETA
+J = (qd.J1, qd.J2, qd.J3)
+PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def tycko_arc_overlaps():
+    """(w, Gamma) stacks of each level of (n.J)^2, transported along an open arc of the Tycko cone.
+
+    The family is linear in the products n_i n_j, with generators (J_i J_j + J_j J_i)/2 and
+    coefficient 2 n_i n_j for i != j; level 0 is nondegenerate and level 1 the doublet.
+    """
+    family = family_from_generators([(J[i] @ J[j] + J[j] @ J[i]) / 2 for i, j in PAIRS])
+    ts = np.linspace(0.0, 1.0, 201)
+    phis = 0.3 + 2.3 * ts
+    n = np.stack([np.sin(TYCKO) * np.cos(phis), np.sin(TYCKO) * np.sin(phis), np.full_like(ts, np.cos(TYCKO))], 1)
+    points = np.stack([n[:, i] * n[:, j] * (1.0 if i == j else 2.0) for i, j in PAIRS], axis=1)
+    fields = transport_frames(family, Curve(times=ts, points=points))
+    return [(f.frames[0].conj().T @ f.frames, transport_holonomy(f)) for f in fields]
 
 
 def random_unitary(rng, n):
@@ -332,6 +350,32 @@ class TestGaugeBehavior:
             assert abs(record_pi(endpoint(w_t, gamma_t)) - record_pi(base)) <= 1e-12
             expected = v0.conj().T @ w @ gamma @ v0
             assert np.max(np.abs(w_t @ gamma_t - expected)) <= 1e-12
+
+    def test_spectrum_invariant_under_constant_frame_gauges(self):
+        # a constant frame gauge F -> F V0 keeps parallel transport, so w -> V0^dag w V0 and
+        # Gamma -> V0^dag Gamma V0: the whole spectrum of w Gamma, not only its trace Pi, is invariant
+        rng = np.random.default_rng(13)
+        scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
+        trace = propagate(qd.level2_holonomy_problem(scenario, 201))
+        w2 = qd.w2_closed(scenario.theta, scenario.phi0, scenario.phi_at(trace.times))
+        for w, gammas in ((w2, trace.matrices), tycko_arc_overlaps()[1]):
+            samples = np.arange(len(w))
+            base = level_trace(2, samples, w, gammas, None)
+            for _ in range(20):
+                v0 = random_unitary(rng, 2)
+                gauged = level_trace(2, samples, v0.conj().T @ w @ v0, v0.conj().T @ gammas @ v0, None)
+                assert np.max(np.abs(record_eigenvalues(gauged) - record_eigenvalues(base))) <= 1e-12
+                assert abs(record_pi(gauged) - record_pi(base)) <= 1e-12
+
+    def test_abelian_spectrum_is_pi(self):
+        # a 1x1 w Gamma is its own eigenvalue: the record's eig1 is Pi
+        scenario = qd.PrecessionScenario(theta=1.1, phi0=0.4, omega=0.3, phi_final=5.0)
+        phis = scenario.phi_at(scenario.times(41))
+        w1 = qd.w1_closed(scenario.theta, scenario.phi0, phis)[:, None, None].astype(complex)
+        gamma1 = qd.gamma1_closed(scenario.phi0, phis)[:, None, None]
+        for w, gammas in ((w1, gamma1), tycko_arc_overlaps()[0]):
+            lv = level_trace(1, np.arange(len(w)), w, gammas, None)
+            assert record_eigenvalues(lv)[0] == record_pi(lv)
 
     def test_visibility_depends_only_on_endpoints(self):
         # two different interior samplings of the same endpoints

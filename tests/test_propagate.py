@@ -10,10 +10,12 @@ from holonomy.config import parse_config_text
 from holonomy.errors import DomainError, ResolutionError, StructuralError
 from holonomy.frames import Curve, transport_frames, transport_holonomy
 from holonomy.gauges import random_smooth_gauge, transform_problem
-from holonomy.linalg import expm_skew, unitarity_defects
+from holonomy.linalg import _stack_last, eigh_many, expm_skew, expm_skew_many, unitarity_defects
 from holonomy.propagate import (
+    METHODS,
     MatrixOdeProblem,
     PropagatorTrace,
+    _doublet_steps,
     assemble_V,
     assemble_evolution,
     lewis_riesenfeld_u,
@@ -144,6 +146,75 @@ class TestPropagate:
                 generator=lambda ts: np.zeros((len(ts), 2, 2)), initial=2 * np.eye(2, dtype=complex),
                 times=np.linspace(0, 1, 5),
             )
+
+
+def hermitian_stack(rng, m, scale):
+    a = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    return scale * 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+def doublet_steps(heff):
+    """The closed-form step exponentials of an (m, 2, 2) stack, back in that layout, and max |K| h."""
+    steps, norm = _doublet_steps(_stack_last(heff))
+    return np.moveaxis(steps, -1, 0), norm
+
+
+class TestDoubletSteps:
+    """exp(-i heff) of 2x2 steps from the Pauli components, against the eigendecomposition route."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.05, 0.2])
+    def test_random_stacks_match_eigenbasis_exponential(self, scale):
+        heff = hermitian_stack(np.random.default_rng(3), 2000, scale)
+        steps, norm = doublet_steps(heff)
+        assert np.max(np.abs(steps - expm_skew_many(*eigh_many(heff)))) <= 1e-15
+        assert norm == np.max(np.abs(eigh_many(heff)[0]))
+
+    def test_scalar_step_is_a_phase(self):
+        # heff = a0 * 1: r = 0, so exp(-i heff) = e^{-i a0} 1 exactly
+        a0 = np.array([0.0, 0.3, -0.7, 1e-300])
+        steps, _ = doublet_steps(a0[:, None, None] * np.eye(2))
+        assert np.array_equal(steps, np.exp(-1j * a0)[:, None, None] * np.eye(2))
+
+    def test_diagonal_step_stays_diagonal(self):
+        rng = np.random.default_rng(4)
+        diag = rng.uniform(-0.4, 0.4, size=(200, 2))
+        steps, _ = doublet_steps(diag[:, :, None] * np.eye(2))
+        assert np.all(steps[:, 0, 1] == 0) and np.all(steps[:, 1, 0] == 0)
+        assert np.max(np.abs(np.diagonal(steps, axis1=1, axis2=2) - np.exp(-1j * diag))) <= 1e-15
+
+    @pytest.mark.parametrize("lower", [5e-324, 3e-310 - 2e-310j, 1e-160j])
+    def test_tiny_lower_entry(self, lower):
+        heff = np.array([[[0.2, np.conj(lower)], [lower, 0.2]], [[0.1, np.conj(lower)], [lower, -0.3]]])
+        steps, _ = doublet_steps(heff)
+        assert np.all(np.isfinite(steps))
+        assert np.max(np.abs(steps - expm_skew_many(*eigh_many(heff)))) <= 1e-15
+        assert np.max(unitarity_defects(steps)) <= 1e-15
+
+    def test_resolution_error_names_the_worst_step(self):
+        # |K| h = |a0| + r, the largest |eigenvalue|, reported as the eigendecomposition route reports it
+        times = np.linspace(0.0, 1.0, 9)
+        gen = lambda ts: (0.2 + 10.0 * ts)[:, None, None] * np.array([[0.3, 1.0 - 1j], [1.0 + 1j, -0.5]])
+        problem = MatrixOdeProblem(generator=gen, initial=np.eye(2, dtype=complex), times=times)
+        mids = 0.5 * (times[1:] + times[:-1])
+        norms = np.max(np.abs(np.linalg.eigvalsh(gen(mids) * np.diff(times)[:, None, None])), axis=1)
+        worst = int(np.argmax(norms))
+        assert worst == len(mids) - 1 and norms[worst] >= 1.0
+        with pytest.raises(ResolutionError) as err:
+            propagate(problem, "midpoint_exp")
+        assert str(err.value) == f"step {worst} violates |K| h < 1.0: got {norms[worst]:.3f}; refine the grid"
+
+    def test_composition(self):
+        # propagating [t0, t1] and then [t1, t2] gives [t0, t2]
+        pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        gen = lambda ts: (0.3 * np.cos(ts)[:, None, None] * pauli[0] + np.sin(2 * ts)[:, None, None] * pauli[2]
+                          + (0.2 * ts)[:, None, None] * pauli[1] + 0.1 * np.eye(2))
+        times = np.linspace(0.0, 6.0, 601)
+        for method in METHODS:
+            whole = propagate(MatrixOdeProblem(gen, np.eye(2, dtype=complex), times), method)
+            first = propagate(MatrixOdeProblem(gen, np.eye(2, dtype=complex), times[:251]), method)
+            second = propagate(MatrixOdeProblem(gen, first.final, times[250:]), method)
+            assert np.max(np.abs(second.final - whole.final)) <= 1e-13
+            assert np.max(np.abs(np.concatenate([first.matrices, second.matrices[1:]]) - whole.matrices)) <= 1e-13
 
 
 class TestFinalOnlyRoutes:
