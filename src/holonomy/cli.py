@@ -34,6 +34,7 @@ import numpy as np
 from .config import ScenarioConfig, parse_config, with_overrides
 from .errors import ConfigError, DomainError, HolonomyError, StructuralError
 from .io import write_csv, write_json
+from .propagate import STEP_NORM_LIMIT
 from .runner import (
     RunResult,
     run_adiabatic,
@@ -217,6 +218,8 @@ def cmd_gauge_test(args: argparse.Namespace) -> int:
                 "max_conjugation_deviation": float(np.max(result.deviations_conjugation)),
                 "tolerance": result.tolerance,
                 "passed": result.passed,
+                "max_step_norm": result.max_step_norm,
+                "step_norm_limit": STEP_NORM_LIMIT,
             })
     worst_pi = float(np.max(result.deviations_pi))
     worst_conj = float(np.max(result.deviations_conjugation))

@@ -14,7 +14,12 @@ exact gauge law
 
 without finite-difference noise.  A connection A enters its holonomy as
 K = -A, so this is A -> v^dag A v + i v^dag (dv/dt); the coefficient
-equation of a level, K = E - A, transforms by the same law.
+equation of a level, K = E - A, transforms by the same law.  The law acts on
+the values of K at the integrator's nodes (``transform_generator``), so the
+gauge test evaluates the base K once per node set and transforms those
+values for every gauge; ``transform_problem``'s evaluator applies the same
+function to the values of K at the nodes it is asked for, so both give the
+same bits.
 
 For a doublet (l = 2) the law is a closed form in Pauli vectors and needs no
 eigendecomposition.  Write G = g0 + g.sigma, K = k0 + k.sigma,
@@ -122,26 +127,25 @@ class SmoothGauge:
         return self.value_and_derivative(t)[1]
 
 
-def _random_hermitian(rng: np.random.Generator, size: int, amplitude: float) -> np.ndarray:
-    m = rng.normal(scale=amplitude, size=(size, size)) + 1j * rng.normal(scale=amplitude, size=(size, size))
-    return 0.5 * (m + m.conj().T)
-
-
 def random_smooth_gauge(size: int, t0: float, t1: float, seed) -> SmoothGauge:
-    """Draw a seeded smooth gauge path on [t0, t1]."""
+    """Draw a seeded smooth gauge path on [t0, t1].
+
+    The 1 + 2 GAUGE_ORDER Hermitian coefficients (base, cosines, sines) come
+    from one draw of standard normals, in that order, each matrix as its real
+    and then its imaginary part, M = s (X + iY), made Hermitian as (M + M^dag)/2.
+    """
     rng = np.random.default_rng(seed)
-    base = _random_hermitian(rng, size, GAUGE_AMPLITUDE)
-    cos_coeffs = np.array([_random_hermitian(rng, size, GAUGE_AMPLITUDE / (k + 1)) for k in range(GAUGE_ORDER)])
-    sin_coeffs = np.array([_random_hermitian(rng, size, GAUGE_AMPLITUDE / (k + 1)) for k in range(GAUGE_ORDER)])
-    return SmoothGauge(size=size, t0=t0, t1=t1, base=base, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
+    harmonic = GAUGE_AMPLITUDE / np.arange(1, GAUGE_ORDER + 1)
+    scale = np.concatenate([[GAUGE_AMPLITUDE], harmonic, harmonic])[:, None, None]
+    draws = rng.standard_normal((1 + 2 * GAUGE_ORDER, 2, size, size))
+    m = scale * draws[:, 0] + 1j * (scale * draws[:, 1])
+    coeffs = 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+    return SmoothGauge(size=size, t0=t0, t1=t1, base=coeffs[0], cos_coeffs=coeffs[1 : 1 + GAUGE_ORDER],
+                       sin_coeffs=coeffs[1 + GAUGE_ORDER :])
 
 
 class _TransformedConnectionEvaluator:
-    """K~ = v^dag K v - i v^dag dv/dt under a smooth gauge, batched: ts (m,) -> (m, l, l).
-
-    A doublet takes the closed form of ``_doublet_gauge_law``; any other size
-    takes ``_eigenbasis_gauge_law``.
-    """
+    """K~ = v^dag K v - i v^dag dv/dt under a smooth gauge, batched by ``transform_generator``: ts (m,) -> (m, l, l)."""
 
     def __init__(self, base: Callable[[np.ndarray], np.ndarray], gauge: SmoothGauge):
         self._base = base
@@ -149,13 +153,21 @@ class _TransformedConnectionEvaluator:
 
     def many(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        base = np.asarray(self._base(ts), dtype=complex)
-        g, gdot = self._gauge.generator(ts, derivative=True)
-        law = _doublet_gauge_law if base.shape[1:] == g.shape[1:] == (2, 2) else _eigenbasis_gauge_law
-        return law(base, g, gdot)
+        return transform_generator(self._gauge, ts, np.asarray(self._base(ts), dtype=complex))
 
     def __call__(self, ts) -> np.ndarray:
         return self.many(ts)
+
+
+def transform_generator(gauge: SmoothGauge, ts: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """K~ = v^dag K v - i v^dag dv/dt from the values k (m, l, l) of a generator at the times ts (m,).
+
+    A doublet takes the closed form of ``_doublet_gauge_law``; any other size
+    takes ``_eigenbasis_gauge_law``.
+    """
+    g, gdot = gauge.generator(ts, derivative=True)
+    law = _doublet_gauge_law if k.shape[1:] == g.shape[1:] == (2, 2) else _eigenbasis_gauge_law
+    return law(k, g, gdot)
 
 
 def _eigenbasis_gauge_law(k: np.ndarray, g: np.ndarray, gdot: np.ndarray) -> np.ndarray:
@@ -213,7 +225,11 @@ def _doublet_gauge_law(k: np.ndarray, g: np.ndarray, gdot: np.ndarray) -> np.nda
     z = sinc * sinc  # (1 - cos 2r) / 2r^2
     w = np.empty_like(kc)
     w[0] = kc[0] + hc[0]
-    w[1:] = (cos * cos - sin * sin) * kv + x * hv + np.cross(gv, 2 * x * kv + z * hv, axis=0)
+    u = 2 * x * kv + z * hv
+    w[1:] = (cos * cos - sin * sin) * kv + x * hv
+    w[1] += gv[1] * u[2] - gv[2] * u[1]  # + g x u, written out
+    w[2] += gv[2] * u[0] - gv[0] * u[2]
+    w[3] += gv[0] * u[1] - gv[1] * u[0]
     w[1:] += gv * (2 * z * np.einsum("im,im->m", gv, kv) + y * np.einsum("im,im->m", gv, hv))
     return (w.T @ (2 * _PAULI.T)).view(complex).reshape(-1, 2, 2)
 

@@ -7,14 +7,25 @@ the step level because each step is the exponential of a Hermitian generator:
 * ``magnus4``: fourth-order Magnus step built from the two Gauss-Legendre
   nodes of the step, with the leading commutator correction.
 
-A 2x2 step exponential is a closed form in the Pauli components of its
-generator, e^{-i a0} (cos r - i (sin r / r) a.sigma), whose eigenvalues
-a0 -+ r give the |K| h check; no eigendecomposition is needed.  Any other
-step generator is eigendecomposed once, by ``linalg.eigh_many``: its
-eigenvalues give the |K| h check and its eigenvectors the step exponential.
-The step factors S_k are built as one (d, d, m) stack with the stack axis
-innermost, the layout of ``linalg._stack_matmul``, which forms the
-``magnus4`` commutators and the products V e^{-i Lambda} V^dag too.
+A 2x2 step is built from Pauli components alone.  With K = k0 + k.sigma at
+the nodes, the ``magnus4`` commutator is a cross product,
+[k2.sigma, k1.sigma] = 2i (k2 x k1).sigma, so the step generator is
+a0 + a.sigma with a0 = h (k1_0 + k2_0)/2 and
+a = h (k1 + k2)/2 + (sqrt(3)/6) h^2 (k2 x k1), and its exponential is the
+closed form e^{-i a0} (cos r - i (sin r / r) a.sigma), r = |a|, whose
+eigenvalues a0 -+ r give the |K| h check; no matrix product and no
+eigendecomposition is needed.  Any other step generator is eigendecomposed
+once, by ``linalg.eigh_many``: its eigenvalues give the |K| h check and its
+eigenvectors the step exponential.  The step factors S_k are built as one
+(d, d, m) stack with the stack axis innermost, the layout of
+``linalg._stack_matmul``, which forms the commutators and the products
+V e^{-i Lambda} V^dag above 2x2 too.
+
+The generator is evaluated once per node set (``_eval_nodes``), and the
+steps are built from the checked values (``_steps_at_nodes``); a caller
+that integrates one generator under many transformations, as the gauge
+test does, evaluates it once and builds the steps of each transformed set
+of values.
 
 Two products of the factors follow, with the later factor always on the
 left.  ``propagate`` returns a trace of every prefix
@@ -39,7 +50,6 @@ from .errors import DomainError, ResolutionError
 from .frames import FrameField
 from .linalg import (
     HERMITICITY_TOL,
-    _doublet_components,
     _ordered_products,
     _stack_last,
     _stack_matmul,
@@ -107,29 +117,53 @@ def _eval_nodes(gen: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.n
     return ks
 
 
-def _step_factors(problem: MatrixOdeProblem, method: str) -> tuple[np.ndarray, float]:
-    """The step exponentials S_k = exp(-i heff_k) as a stack (d, d, m), stack axis innermost, and max |K| h."""
+def _node_sets(times: np.ndarray, method: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """The node times of ``method`` on a grid, one (m,) array per node set, and the step sizes (m,)."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
-    ts = problem.times
-    hs = np.diff(ts)
-    mids = 0.5 * (ts[:-1] + ts[1:])
-
+    hs = np.diff(times)
+    mids = 0.5 * (times[:-1] + times[1:])
     if method == "midpoint_exp":
-        ks = _eval_nodes(problem.generator, mids)
-        _check_generator_batch(ks, problem.initial)
-        heff = _stack_last(ks) * hs
+        return [mids], hs
+    return [mids - _GAUSS_OFFSET * hs, mids + _GAUSS_OFFSET * hs], hs
+
+
+def _step_factors(problem: MatrixOdeProblem, method: str) -> tuple[np.ndarray, float]:
+    """The step exponentials S_k = exp(-i heff_k) as a stack (d, d, m), stack axis innermost, and max |K| h."""
+    nodes, hs = _node_sets(problem.times, method)
+    return _steps_at_nodes(problem, [_eval_nodes(problem.generator, ts) for ts in nodes], hs)
+
+
+def _steps_at_nodes(problem: MatrixOdeProblem, ks: Sequence[np.ndarray], hs: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_step_factors`` from the generator's values on the node sets of ``_node_sets``, each checked first.
+
+    One node set is the midpoint rule, heff = h K(t_mid); two are magnus4,
+    heff = h (K1 + K2)/2 - i (sqrt(3)/12) h^2 [K2, K1].  A 2x2 heff is formed
+    from Pauli components, K = k0 + k.sigma, where the commutator is
+    [k2.sigma, k1.sigma] = 2i (k2 x k1).sigma.
+    """
+    for k in ks:
+        _check_generator_batch(k, problem.initial)
+    if ks[0].shape[1] == 2:
+        comps = [_pauli_components(k) for k in ks]
+        if len(comps) == 1:
+            k0, kv = comps[0]
+            return _doublet_steps(hs * k0, hs * kv)
+        (k10, k1), (k20, k2) = comps
+        c = (np.sqrt(3.0) / 6.0) * hs**2
+        cross = np.array([
+            k2[1] * k1[2] - k2[2] * k1[1],
+            k2[2] * k1[0] - k2[0] * k1[2],
+            k2[0] * k1[1] - k2[1] * k1[0],
+        ])
+        return _doublet_steps(0.5 * hs * (k10 + k20), 0.5 * hs * (k1 + k2) + c * cross)
+
+    if len(ks) == 1:
+        heff = _stack_last(ks[0]) * hs
     else:
-        k1 = _eval_nodes(problem.generator, mids - _GAUSS_OFFSET * hs)
-        k2 = _eval_nodes(problem.generator, mids + _GAUSS_OFFSET * hs)
-        _check_generator_batch(k1, problem.initial)
-        _check_generator_batch(k2, problem.initial)
-        k1, k2 = _stack_last(k1), _stack_last(k2)
+        k1, k2 = _stack_last(ks[0]), _stack_last(ks[1])
         comm = _stack_matmul(k2, k1) - _stack_matmul(k1, k2)
         heff = 0.5 * (k1 + k2) * hs - 1j * (np.sqrt(3.0) / 12.0) * hs**2 * comm
-
-    if heff.shape[0] == 2:
-        return _doublet_steps(heff)
     # one decomposition per step: its eigenvalues give |K| h, its eigenvectors the step exponential
     step_eigs, step_vecs = eigh_many(np.moveaxis(heff, -1, 0))
     step_norms = np.max(np.abs(step_eigs), axis=1)
@@ -150,28 +184,37 @@ def _check_step_norms(step_norms: np.ndarray) -> float:
     return max_step_norm
 
 
-def _doublet_steps(heff: np.ndarray) -> tuple[np.ndarray, float]:
-    """The step exponentials exp(-i heff_k) of a 2x2 stack (2, 2, m) in closed form, and max |K| h.
+def _pauli_components(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k0, k) of a stack (m, 2, 2) of Hermitian K = k0 + k.sigma, as (m,) and (3, m).
 
-    With heff = a0 + az sigma_z + Re b sigma_x + Im b sigma_y, read from the
-    diagonal and the lower entry b as ``eigh_many`` reads them, and
-    r = hypot(az, |b|), the eigenvalues are a0 -+ r, so |K| h = |a0| + r (the
-    bytes of eigh_many's largest |eigenvalue|), and
+    Read from the diagonal and the lower entry K10 = kx + i ky only, as
+    ``linalg._doublet_components`` reads them.
+    """
+    a, c, b = ks[:, 0, 0].real, ks[:, 1, 1].real, ks[:, 1, 0]
+    return 0.5 * (a + c), np.array([b.real, b.imag, 0.5 * (a - c)])
 
-        exp(-i heff) = e^{-i a0} (cos r - i (sin r / r) (az sigma_z + Re b sigma_x + Im b sigma_y)),
+
+def _doublet_steps(a0: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step exponentials exp(-i (a0 + a.sigma)) of 2x2 steps (2, 2, m) in closed form, and max |K| h.
+
+    a0 is (m,) and a = (ax, ay, az) is (3, m).  With r = hypot(az, |ax + i ay|)
+    the eigenvalues are a0 -+ r, so |K| h = |a0| + r (the largest |eigenvalue|,
+    as ``eigh_many`` gives it), and
+
+        exp(-i (a0 + a.sigma)) = e^{-i a0} (cos r - i (sin r / r) a.sigma),
 
     where sin r / r = 1 at r = 0.
     """
-    b = heff[1, 0]
-    mean, half, radius = _doublet_components(heff[0, 0], heff[1, 1], b)
-    max_step_norm = _check_step_norms(np.abs(mean) + radius)
+    b = a[0] + 1j * a[1]
+    radius = np.hypot(a[2], np.abs(b))
+    max_step_norm = _check_step_norms(np.abs(a0) + radius)
     sinc = np.divide(np.sin(radius), radius, out=np.ones_like(radius), where=radius > 0)
-    phase = np.exp(-1j * mean)
+    phase = np.exp(-1j * a0)
     rotation = -1j * sinc * phase
     cos = np.cos(radius) * phase
-    steps = np.empty(heff.shape, dtype=complex)
-    steps[0, 0] = cos + rotation * half
-    steps[1, 1] = cos - rotation * half
+    steps = np.empty((2, 2, len(a0)), dtype=complex)
+    steps[0, 0] = cos + rotation * a[2]
+    steps[1, 1] = cos - rotation * a[2]
     steps[1, 0] = rotation * b
     steps[0, 1] = rotation * np.conj(b)
     return steps, max_step_norm

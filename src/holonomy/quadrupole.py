@@ -395,7 +395,12 @@ def level_frame_field(scenario: PrecessionScenario, level: int, num_samples: int
 
 
 def level2_holonomy_problem(scenario: PrecessionScenario, num_samples: int) -> MatrixOdeProblem:
-    """The oracle holonomy of the doublet: i dG/dt = -omega A2(phi(t)) G, G(0) = 1, on ``scenario.times``."""
+    """The oracle holonomy of the doublet: i dG/dt = -omega A2(phi(t)) G, G(0) = 1, on ``scenario.times``.
+
+    A zero sweep (phi_final = phi0) has no holonomy to integrate: DomainError.
+    """
+    if scenario.duration == 0:
+        raise DomainError("the doublet holonomy needs a nonzero sweep, got phi_final = phi0")
     a2 = level2_connection(scenario.theta)
     return MatrixOdeProblem(
         generator=lambda nodes: -(scenario.omega * a2(scenario.phi_at(nodes))),

@@ -27,11 +27,11 @@ from .adiabatic import AdiabaticScenario, adiabaticity_report, convergence_study
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .frames import Curve, OperatorFamily, transport_frames, transport_holonomy
-from .gauges import random_smooth_gauge, transform_problem
+from .gauges import random_smooth_gauge, transform_generator
 from .io import read_curve_csv, read_generators_json
-from .linalg import eigh_many, level_bounds, unitarity_defects
+from .linalg import _tree_product, eigh_many, level_bounds, unitarity_defects
 from .phase import LevelTrace, level_trace
-from .propagate import propagate, propagate_final
+from .propagate import _eval_nodes, _node_sets, _steps_at_nodes, propagate
 
 
 @dataclass(frozen=True)
@@ -280,6 +280,7 @@ class GaugeTestResult:
     deviations_pi: np.ndarray
     deviations_conjugation: np.ndarray
     tolerance: float
+    max_step_norm: float  # largest |K| h of the base and every gauge integration
 
     @property
     def passed(self) -> bool:
@@ -303,6 +304,10 @@ def run_gauge_test(
     the integrator error well below the 1e-9 invariance tolerance.  The
     second-order ``midpoint_exp`` misses it by its own error (about 2e-5 at
     1600 steps) on any gauge, so it is a configuration error here.
+
+    The base generator -omega A2 is evaluated once per node set; each gauge
+    transforms those values (``gauges.transform_generator``), so its holonomy
+    has the bits of ``propagate_final(transform_problem(problem, gauge))``.
     """
     if config.system != "quadrupole":
         raise ConfigError("the gauge test is defined for the quadrupole system")
@@ -319,8 +324,11 @@ def run_gauge_test(
 
     problem = qd.level2_holonomy_problem(scenario, num_samples)
     t_final = float(problem.times[-1])
+    nodes, hs = _node_sets(problem.times, config.method)
+    base = [_eval_nodes(problem.generator, ts) for ts in nodes]
+    steps, max_step_norm = _steps_at_nodes(problem, base, hs)
     w_base = qd.w2_closed(scenario.theta, scenario.phi0, scenario.phi_at(t_final))
-    gcheck_base = w_base @ propagate_final(problem, config.method)
+    gcheck_base = w_base @ _tree_product(steps, problem.initial)
     pi_base = np.trace(gcheck_base)
 
     seeds = np.random.SeedSequence(config.seed).spawn(count)
@@ -328,12 +336,16 @@ def run_gauge_test(
     dconj = np.empty(count)
     for i, seq in enumerate(seeds):
         gauge = random_smooth_gauge(2, 0.0, t_final, seed=seq)
-        gamma_t = propagate_final(transform_problem(problem, gauge), config.method)
+        transformed = [transform_generator(gauge, ts, k) for ts, k in zip(nodes, base)]
+        steps, step_norm = _steps_at_nodes(problem, transformed, hs)
+        max_step_norm = max(max_step_norm, step_norm)
+        gamma_t = _tree_product(steps, problem.initial)
         v0, vt = gauge(np.array([0.0, t_final]))
         w_t = v0.conj().T @ w_base @ vt
         dpi[i] = abs(np.trace(w_t @ gamma_t) - pi_base)
         dconj[i] = float(np.max(np.abs(w_t @ gamma_t - v0.conj().T @ gcheck_base @ v0)))
-    return GaugeTestResult(deviations_pi=dpi, deviations_conjugation=dconj, tolerance=tolerance)
+    return GaugeTestResult(deviations_pi=dpi, deviations_conjugation=dconj, tolerance=tolerance,
+                           max_step_norm=max_step_norm)
 
 
 @dataclass(frozen=True)

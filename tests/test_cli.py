@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io as stdio
 import json
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from holonomy.io import fmt, read_curve_csv, read_generators_json, write_csv
 from holonomy.linalg import unitarity_defects
 from holonomy.phase import IMAG_ROUNDOFF_FLOOR, level_trace, phase_angles
 from holonomy.propagate import propagate
-from holonomy.runner import run_custom_phase, run_phase, run_quadrupole_phase
+from holonomy.runner import run_custom_phase, run_gauge_test, run_phase, run_quadrupole_phase
 from holonomy import quadrupole as qd
 from test_generic_route import SIGMA, write_closed_loop, write_precession
 
@@ -777,6 +778,20 @@ class TestGaugeTestCommand:
     def test_invalid_count_is_config_error(self, quad_config, count):
         assert main(["gauge-test", "--config", str(quad_config), "--count", count]) == 2
 
+    def test_json_reports_the_step_norm_margin(self, quad_config, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main([
+            "gauge-test", "--config", str(quad_config), "--out", str(out), "--count", "3", "--json",
+        ]) == 0
+        report = json.loads((out / "gauge_test.json").read_text())
+        result = run_gauge_test(parse_config(quad_config), count=3)
+        assert report["max_step_norm"] == result.max_step_norm
+        assert report["step_norm_limit"] == 1.0 and 0.0 < report["max_step_norm"] < 1.0
+        # the CSV header and the report line carry no margin
+        assert (out / "gauge_test.csv").read_text().splitlines()[0] == "gauge_index,abs_delta_pi,conjugation_deviation"
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"3 gauges: max \|delta Pi\| \S+, max conjugation deviation \S+ \(tolerance 1\.0e-09\)\n", err)
+
     def test_midpoint_is_config_error(self, quad_config, capsys):
         # midpoint's own second-order error (~2e-5) would fail the 1e-9 invariance tolerance on any gauge
         assert main(["gauge-test", "--config", str(quad_config), "--count", "3", "--method", "midpoint"]) == 2
@@ -804,6 +819,7 @@ BACKWARD = BASE_CONFIG.replace("phi_final = 6.283185307179586", "phi_final = -1.
 OMEGA_NAN = BASE_CONFIG.replace("omega = 0.15707963267948966", "omega = nan")
 DURATION_INF = BASE_CONFIG.replace("phi_final = 6.283185307179586", "duration = inf")
 PHI_FINAL_NAN = BASE_CONFIG.replace("phi_final = 6.283185307179586", "phi_final = nan")
+ZERO_SWEEP = BASE_CONFIG.replace("phi_final = 6.283185307179586", "phi_final = 0.0")
 
 
 def _quad(text):
@@ -844,6 +860,10 @@ INVALID_INPUTS = [
     ("omega-nan", ["phase"], _quad(OMEGA_NAN), "omega must be finite"),
     ("duration-inf", ["phase"], _quad(DURATION_INF), "duration must be finite"),
     ("phi-final-nan", ["phase"], _quad(PHI_FINAL_NAN), "phi_final must be finite"),
+    ("zero-sweep-gauge-test", ["gauge-test", "--count", "2"], _quad(ZERO_SWEEP),
+     "the doublet holonomy needs a nonzero sweep, got phi_final = phi0"),
+    ("zero-sweep-oracle-verify", ["oracle-verify", "--random-points", "5"], _quad(ZERO_SWEEP),
+     "the doublet holonomy needs a nonzero sweep, got phi_final = phi0"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -6,7 +7,10 @@ from scipy.linalg import expm
 
 from holonomy import linalg
 from holonomy.config import parse_config_text
+from holonomy import runner
 from holonomy.gauges import (
+    GAUGE_AMPLITUDE,
+    GAUGE_ORDER,
     SmoothGauge,
     _doublet_gauge_law,
     _eigenbasis_gauge_law,
@@ -15,7 +19,7 @@ from holonomy.gauges import (
     transform_problem,
 )
 from holonomy.linalg import unitarity_defects
-from holonomy.propagate import MatrixOdeProblem, propagate, propagate_final
+from holonomy.propagate import STEP_NORM_LIMIT, MatrixOdeProblem, propagate, propagate_final
 from holonomy.runner import run_gauge_test
 from holonomy import quadrupole as qd
 
@@ -254,3 +258,74 @@ class TestGaugeTestNodes:
         num_samples = max(config.grid, 1600) + 1
         # two Gauss-node sets per gauge and one call on the two endpoints; never the sample grid
         assert sorted(lengths) == [2] * 3 + [num_samples - 1] * 6
+
+
+GAUGE_CONFIG = (
+    "system = quadrupole\ntheta = tycko\nphi0 = 0.0\nomega = 0.15707963267948966\n"
+    "phi_final = 6.283185307179586\ngrid = 400\nmethod = magnus4\nseed = 5\n"
+)
+
+
+class TestSharedBaseEvaluation:
+    """The gauge test evaluates -omega A2 once per node set and transforms those values for every gauge."""
+
+    def test_base_generator_called_once_per_node_set(self, monkeypatch):
+        calls = []
+        original = qd.level2_holonomy_problem
+
+        def counted(scenario, num_samples):
+            problem = original(scenario, num_samples)
+
+            def generator(ts):
+                calls.append(len(ts))
+                return problem.generator(ts)
+
+            return dataclasses.replace(problem, generator=generator)
+
+        monkeypatch.setattr(qd, "level2_holonomy_problem", counted)
+        assert run_gauge_test(parse_config_text(GAUGE_CONFIG), count=3).passed
+        assert calls == [1600, 1600]
+
+    def test_holonomies_equal_propagate_final_of_the_transformed_problem(self, monkeypatch):
+        finals = []
+        original = runner._tree_product
+
+        def recording(steps, initial):
+            finals.append(original(steps, initial))
+            return finals[-1]
+
+        monkeypatch.setattr(runner, "_tree_product", recording)
+        config = parse_config_text(GAUGE_CONFIG)
+        result = run_gauge_test(config, count=3)
+        problem = qd.level2_holonomy_problem(config.precession_scenario(), 1601)
+        t1 = float(problem.times[-1])
+        gauges = [random_smooth_gauge(2, 0.0, t1, seed=seq) for seq in np.random.SeedSequence(config.seed).spawn(3)]
+        assert len(finals) == 4
+        assert np.array_equal(finals[0], propagate_final(problem))
+        for got, gauge in zip(finals[1:], gauges):
+            assert np.array_equal(got, propagate_final(transform_problem(problem, gauge)))
+        # the reported margin is the largest |K| h of the base and every gauge integration
+        norms = [propagate(problem).max_step_norm] + [propagate(transform_problem(problem, g)).max_step_norm
+                                                      for g in gauges]
+        assert result.max_step_norm == max(norms) < STEP_NORM_LIMIT
+        assert max(norms) > norms[0]  # here a gauge's -i v^dag dv/dt sets the margin
+
+
+class TestRandomSmoothGauge:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 5, np.random.SeedSequence(9).spawn(2)[1]], ids=["0", "5", "spawned"])
+    def test_coefficients_equal_per_matrix_draws(self, size, seed):
+        # the reference draws each matrix's real and imaginary part with its own rng.normal call
+        rng = np.random.default_rng(seed)
+
+        def hermitian(amplitude):
+            m = rng.normal(scale=amplitude, size=(size, size)) + 1j * rng.normal(scale=amplitude, size=(size, size))
+            return 0.5 * (m + m.conj().T)
+
+        base = hermitian(GAUGE_AMPLITUDE)
+        cos = np.array([hermitian(GAUGE_AMPLITUDE / (k + 1)) for k in range(GAUGE_ORDER)])
+        sin = np.array([hermitian(GAUGE_AMPLITUDE / (k + 1)) for k in range(GAUGE_ORDER)])
+        gauge = random_smooth_gauge(size, 0.0, 1.0, seed)
+        assert np.array_equal(gauge.base, base)
+        assert np.array_equal(gauge.cos_coeffs, cos)
+        assert np.array_equal(gauge.sin_coeffs, sin)

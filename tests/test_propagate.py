@@ -10,12 +10,14 @@ from holonomy.config import parse_config_text
 from holonomy.errors import DomainError, ResolutionError, StructuralError
 from holonomy.frames import Curve, transport_frames, transport_holonomy
 from holonomy.gauges import random_smooth_gauge, transform_problem
-from holonomy.linalg import _stack_last, eigh_many, expm_skew, expm_skew_many, unitarity_defects
+from holonomy.linalg import _stack_last, _stack_matmul, eigh_many, expm_skew, expm_skew_many, unitarity_defects
 from holonomy.propagate import (
     METHODS,
     MatrixOdeProblem,
     PropagatorTrace,
     _doublet_steps,
+    _pauli_components,
+    _steps_at_nodes,
     assemble_V,
     assemble_evolution,
     lewis_riesenfeld_u,
@@ -155,7 +157,7 @@ def hermitian_stack(rng, m, scale):
 
 def doublet_steps(heff):
     """The closed-form step exponentials of an (m, 2, 2) stack, back in that layout, and max |K| h."""
-    steps, norm = _doublet_steps(_stack_last(heff))
+    steps, norm = _doublet_steps(*_pauli_components(heff))
     return np.moveaxis(steps, -1, 0), norm
 
 
@@ -215,6 +217,54 @@ class TestDoubletSteps:
             second = propagate(MatrixOdeProblem(gen, first.final, times[250:]), method)
             assert np.max(np.abs(second.final - whole.final)) <= 1e-13
             assert np.max(np.abs(np.concatenate([first.matrices, second.matrices[1:]]) - whole.matrices)) <= 1e-13
+
+
+def matrix_commutator_steps(ks, hs):
+    """The reference route: heff from matrix commutators (``_stack_matmul``), exp and |K| h from ``eigh_many``."""
+    if len(ks) == 1:
+        heff = _stack_last(ks[0]) * hs
+    else:
+        k1, k2 = _stack_last(ks[0]), _stack_last(ks[1])
+        comm = _stack_matmul(k2, k1) - _stack_matmul(k1, k2)
+        heff = 0.5 * (k1 + k2) * hs - 1j * (np.sqrt(3.0) / 12.0) * hs**2 * comm
+    eigs, vecs = eigh_many(np.moveaxis(heff, -1, 0))
+    return expm_skew_many(eigs, vecs), np.max(np.abs(eigs), axis=1)
+
+
+class TestPauliMagnusStep:
+    """2x2 steps built from Pauli components, [k2.sigma, k1.sigma] = 2i (k2 x k1).sigma, against matrix commutators."""
+
+    @staticmethod
+    def nodes(scale, nodes, m=2000, seed=5):
+        # |K| h about ``scale``; the magnus4 commutator term is about scale^2, a share of about scale
+        rng = np.random.default_rng(seed)
+        hs = 0.01 * rng.uniform(0.5, 1.5, size=m)
+        ks = [hermitian_stack(rng, m, scale / 0.01) for _ in range(nodes)]
+        problem = MatrixOdeProblem(generator=None, initial=np.eye(2, dtype=complex),
+                                   times=np.concatenate([[0.0], np.cumsum(hs)]))
+        return problem, ks, hs
+
+    @pytest.mark.parametrize("nodes", [1, 2], ids=["midpoint_exp", "magnus4"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.05, 0.15])
+    def test_matches_matrix_commutator_route(self, scale, nodes):
+        problem, ks, hs = self.nodes(scale, nodes)
+        steps, norm = _steps_at_nodes(problem, ks, hs)
+        ref_steps, ref_norms = matrix_commutator_steps(ks, hs)
+        assert np.max(np.abs(np.moveaxis(steps, -1, 0) - ref_steps)) <= 1e-15
+        # heff's components are rounded in another order, so |K| h may differ by a few ulp
+        assert abs(norm - np.max(ref_norms)) <= 4 * np.spacing(np.max(ref_norms))
+
+    @pytest.mark.parametrize("nodes", [1, 2], ids=["midpoint_exp", "magnus4"])
+    def test_resolution_error_matches_matrix_commutator_route(self, nodes):
+        problem, ks, hs = self.nodes(0.2, nodes, m=64)
+        for k in ks:
+            k[37] *= 8.0
+        _, ref_norms = matrix_commutator_steps(ks, hs)
+        worst = int(np.argmax(ref_norms))
+        assert worst == 37 and ref_norms[worst] >= 1.0
+        with pytest.raises(ResolutionError) as err:
+            _steps_at_nodes(problem, ks, hs)
+        assert str(err.value) == f"step {worst} violates |K| h < 1.0: got {ref_norms[worst]:.3f}; refine the grid"
 
 
 class TestFinalOnlyRoutes:
